@@ -37,6 +37,11 @@ class ConfigError(ValueError):
     pass
 
 
+# the protocol keys build_schedule reads; any other key is a typo
+PROTOCOL_KEYS = ("kind", "g_rt", "R", "g_i", "g_f", "g_qt", "jy_initial")
+MAX_TAU_POINTS = 100_000  # longest {start, stop, step} range of quench times
+
+
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
     "protocol": {"kind": "round_trip", "g_rt": 0.0, "R": 1.0,
@@ -140,7 +145,7 @@ def _tau_list(cfg, section):
     """Quench times of ``section.tau_q``: a list, {"values": [...]} or {start, stop, step}.
 
     Raises ConfigError unless they form a non-empty list of finite positive
-    numbers.
+    numbers; a range may hold at most MAX_TAU_POINTS of them.
     """
     key = section + ".tau_q"
     entry = cfg[section].get("tau_q", DEFAULT_CONFIG[section]["tau_q"])
@@ -154,6 +159,9 @@ def _tau_list(cfg, section):
         start = _number(start, key + ".start")
         stop = _number(stop, key + ".stop")
         step = _number(step, key + ".step", positive=True)
+        # np.arange makes ceil of this many points; count them before allocating
+        if (stop + 0.5 * step - start) / step > MAX_TAU_POINTS:
+            raise ConfigError("%s range holds more than %d points" % (key, MAX_TAU_POINTS))
         entry = np.arange(start, stop + 0.5 * step, step)
     elif not isinstance(entry, list):
         raise ConfigError("%s must be a list or {start, stop, step}" % key)
@@ -193,6 +201,9 @@ def check_config(cfg, command):
     for name in DEFAULT_CONFIG:
         if name != "version" and not isinstance(cfg.get(name), dict):
             raise ConfigError("%s must be a JSON object, got %r" % (name, cfg.get(name)))
+    for key in cfg["protocol"]:
+        if key not in PROTOCOL_KEYS:
+            raise ConfigError("protocol: unknown key %r" % key)
     prefix = cfg["output"].get("prefix")
     if not isinstance(prefix, str):
         raise ConfigError("output.prefix must be a string, got %r" % (prefix,))
@@ -241,8 +252,7 @@ def closed_form_density(pcfg, tau_q):
         if kind in ("round_trip", "reversed_round_trip"):
             g_rt = pcfg.get("g_rt", 0.0)
             if g_rt == 1.0:
-                return (nan, 1.0 / (2.0 * math.pi * math.sqrt(2.0 * tau_q)),
-                        nan, nan, nan, math.inf)
+                return nan, closedform.kz_density(tau_q), nan, nan, nan, math.inf
             pred = closedform.density_prediction_roundtrip(tau_q, R, g_rt)
             return pred.n, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q
         if kind == "quarter_turn":
@@ -253,7 +263,7 @@ def closed_form_density(pcfg, tau_q):
                 return n_quad, nan, nan, nan, nan, pred.T_Q
             return n_quad, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q
         if kind == "one_way":
-            n0 = 1.0 / (2.0 * math.pi * math.sqrt(2.0 * tau_q))
+            n0 = closedform.kz_density(tau_q)
             return n0, n0, 1.0, 0.0, 0.0, nan
     except closedform.OutOfRegimeError:
         return (nan,) * 6
@@ -317,7 +327,7 @@ def cmd_correlator(cfg):
                                                 **cfg["quadrature"])
         fc = correlators.fermionic_correlators_numeric(sp, r)
         c_quad = correlators.czz(fc)
-        n0 = 1.0 / (2.0 * math.pi * math.sqrt(2.0 * tau))
+        n0 = closedform.kz_density(tau)
         if kind == "round_trip":
             alpha = correlators.alpha_closed(r, tau)
             beta = correlators.beta_closed(r, tau, pcfg.get("g_f", 10.0))

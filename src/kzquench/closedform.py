@@ -77,6 +77,11 @@ class AiryDensity:
         return self.term_tricritical + self.term_critical + self.term_cross
 
 
+def kz_density(tau_q):
+    """KZ defect density 1/(2 pi sqrt(2 tau_q)) of one linear ramp through g = 1."""
+    return 1.0 / (2.0 * math.pi * math.sqrt(2.0 * tau_q))
+
+
 def pq0(q, tau_q):
     """Single-ramp excitation probability exp(-2 pi tau q^2)."""
     q = np.asarray(q, dtype=float)
@@ -226,7 +231,7 @@ def density_prediction_roundtrip(tau_q, R, g_rt=0.0):
         raise ValueError("tau_q and R must be positive")
     if g_rt == 1.0:
         raise OutOfRegimeError("critical turn has no oscillatory decomposition")
-    n0 = 1.0 / (2.0 * math.pi * math.sqrt(2.0 * tau_q))
+    n0 = kz_density(tau_q)
     f = 1.0 + 1.0 / math.sqrt(R) - 2.0 / math.sqrt(1.0 + R)
     Omega = 2.0 * (g_rt - 1.0) ** 2 * (1.0 + R)
     b = (R * math.log(R) + (1.0 + R) * (2.0 * (g_rt - 1.0)
@@ -374,7 +379,7 @@ def density_quarter_turn(tau_q, R, g_qt):
         Omega = 2.0 * (1.0 + R)
         return AiryDensity(tau_q=tau_q, R=R, term_tricritical=t1, term_critical=t2,
                            term_cross=t3, x=x, T_Q=2.0 * math.pi / Omega)
-    n0 = 1.0 / (2.0 * math.pi * math.sqrt(2.0 * tau_q))
+    n0 = kz_density(tau_q)
     if g_qt > 2.0:
         f = (1.0 / (g_qt - 2.0) + 1.0 / math.sqrt(R)
              - 2.0 / math.sqrt((g_qt - 2.0) ** 2 + R))

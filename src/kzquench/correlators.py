@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import OutOfRegimeError
-from .lattice import XYParams, equilibrium_amplitudes, xy_bdg
+from .lattice import equilibrium_amplitudes, xy_bdg
 from .specfun import GAMMA_E, LN2
 
 _E_OVER_LN2 = math.e / LN2
@@ -52,15 +52,6 @@ class LengthScaleSet:
     Y: tuple
 
 
-@dataclass(frozen=True)
-class CorrelatorCurve:
-    """Defect-defect correlator samples with provenance."""
-
-    r: np.ndarray
-    C: np.ndarray
-    provenance: str
-
-
 def fermionic_correlators_numeric(spectrum, r, params=None):
     """alpha_r = -(1/pi) int |v~|^2 cos(qr) dq, beta_r = (1/pi) int u~ v~* sin(qr) dq.
 
@@ -88,13 +79,8 @@ def fermionic_correlators_numeric(spectrum, r, params=None):
 
 
 def czz(fc):
-    """Transverse spin-spin defect correlator C_r^zz = |beta_r|^2 - alpha_r^2."""
+    """Defect correlator |beta_r|^2 - alpha_r^2: C_r^zz, or C_r^KK from primed correlators."""
     return np.abs(fc.beta) ** 2 - np.asarray(fc.alpha) ** 2
-
-
-def ckk(fc_prime):
-    """Kink-kink defect correlator C_r^KK = |beta'_r|^2 - alpha'_r^2."""
-    return czz(fc_prime)
 
 
 def _h_values():
@@ -143,10 +129,15 @@ def length_scales_roundtrip(tau_q, g_f=10.0):
                           lambdas=lambdas, lambda_primes=lam_p, h=h, y=y, Y=Y)
 
 
+def _kz_gaussian(r, xi):
+    """The KZ Gaussian term of the diagonal correlator."""
+    return (2.0 * np.exp(-(r / xi) ** 2) / (math.sqrt(math.pi) * xi)
+            * (1.0 - math.sqrt(2.0) * np.exp(-(r / xi) ** 2)))
+
+
 def _alpha_sum(r, tau_q, xi, l_alpha, b):
     r = np.asarray(r, dtype=float)
-    out = (2.0 * np.exp(-(r / xi) ** 2) / (math.sqrt(math.pi) * xi)
-           * (1.0 - math.sqrt(2.0) * np.exp(-(r / xi) ** 2)))
+    out = _kz_gaussian(r, xi)
     for m in (1, 2):
         lam = l_alpha[m - 1]
         phase = (4.0 * tau_q - (b / m) * (r / lam) ** 2
@@ -163,16 +154,19 @@ def alpha_closed(r, tau_q):
     return _alpha_sum(r, tau_q, ls.xi_hat, ls.l_alpha, ls.b)
 
 
+def _beta_term(r, m, xi, lb, lam, lam_p, hm, ym):
+    """Term m (zero-based) of the off-diagonal Gaussian sum."""
+    ratio = lam / (math.pi * hm)
+    phase = lam_p - lam * r ** 2 / (math.pi * hm * lb ** 2) - 1.5 * math.atan2(-ratio, 1.0)
+    return ((-1.0) ** m * ym * r / math.sqrt(xi * lb ** 3)
+            * np.exp(-(r / lb) ** 2) * np.exp(1j * phase))
+
+
 def _beta_sum(r, xi, l_beta, lambdas, lambda_primes, h, y):
     r = np.asarray(r, dtype=float)
     out = np.zeros(r.shape, dtype=complex)
     for m in range(5):
-        lb = l_beta[m]
-        ratio = lambdas[m] / (math.pi * h[m])
-        phase = (lambda_primes[m] - lambdas[m] * r ** 2 / (math.pi * h[m] * lb ** 2)
-                 - 1.5 * math.atan2(-ratio, 1.0))
-        out = out + ((-1.0) ** m * y[m] * r / math.sqrt(xi * lb ** 3)
-                     * np.exp(-(r / lb) ** 2) * np.exp(1j * phase))
+        out = out + _beta_term(r, m, xi, l_beta[m], lambdas[m], lambda_primes[m], h[m], y[m])
     return out
 
 
@@ -245,22 +239,15 @@ def dephased_ckk(r, tau_q):
     """
     r = np.asarray(r, dtype=float)
     xi = kz_length(tau_q)
-    gauss = (2.0 * np.exp(-(r / xi) ** 2) / (math.sqrt(math.pi) * xi)
-             * (1.0 - math.sqrt(2.0) * np.exp(-(r / xi) ** 2)))
-    l4t = math.log(4.0 * tau_q)
-    chi23 = -(l4t - 2.0 + GAMMA_E)
+    chi23 = -(math.log(4.0 * tau_q) - 2.0 + GAMMA_E)
     chi_p23 = -math.pi / 4.0 - 2.0 * tau_q
-    y, Y, h = _y_values(pi_power=1.0)
+    y, _, h = _y_values(pi_power=1.0)
     surv = np.zeros(r.shape, dtype=complex)
     for m in (1, 2):  # zero-based indices of the m = 2, 3 terms
         lb = (2.0 * math.sqrt(math.pi * h[m] * tau_q)
               * math.sqrt(1.0 + (chi23 / (math.pi * h[m])) ** 2))
-        ratio = chi23 / (math.pi * h[m])
-        phase = (chi_p23 - chi23 * r ** 2 / (math.pi * h[m] * lb ** 2)
-                 - 1.5 * math.atan2(-ratio, 1.0))
-        surv = surv + ((-1.0) ** m * y[m] * r / math.sqrt(xi * lb ** 3)
-                       * np.exp(-(r / lb) ** 2) * np.exp(1j * phase))
-    return -gauss ** 2 + np.abs(surv) ** 2
+        surv = surv + _beta_term(r, m, xi, lb, chi23, chi_p23, h[m], y[m])
+    return -_kz_gaussian(r, xi) ** 2 + np.abs(surv) ** 2
 
 
 def dephasing_times(tau_q):

@@ -194,17 +194,14 @@ def evolve_exact(schedule, N, opts=None):
     state = ground_state(N, schedule.params_at(schedule.t_start))
     psi = state.amplitudes.copy()
 
-    def rhs(t, y):
-        g, jx, jy = schedule.params_at(t)
-        hy = ker.apply(y, g, jx, jy)
-        nrm = float(np.real(np.vdot(y, y)))
-        e = float(np.real(np.vdot(y, hy))) / nrm
-        return -1j * (hy - e * y)
-
-    total = 0
     for seg in schedule.segments:
-        psi, steps = _rk45(rhs, seg.t_start, seg.t_end, psi, opts.rel_tol, opts.abs_tol)
-        total += steps
+        def rhs(t, y):
+            hy = ker.apply(y, *seg.eval(t))
+            nrm = float(np.real(np.vdot(y, y)))
+            e = float(np.real(np.vdot(y, hy))) / nrm
+            return -1j * (hy - e * y)
+
+        psi, _ = _rk45(rhs, seg.t_start, seg.t_end, psi, opts.rel_tol, opts.abs_tol)
     return ManyBodyState(amplitudes=psi, N=N, t=schedule.t_end)
 
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import BdGCoefficients, equilibrium_amplitudes, mode_grid, xy_bdg
+from . import lattice
+from .lattice import mode_grid
 from .quadrature import support_panels
 
 _SQRT3 = math.sqrt(3.0)
@@ -68,15 +69,6 @@ class SolverOptions:
 
 
 @dataclass
-class ModeState:
-    """Lab-frame Bogoliubov amplitude pair of one mode at time t."""
-
-    u: complex
-    v: complex
-    t: float
-
-
-@dataclass
 class SpectrumResult:
     """Final amplitudes and excitation probabilities over a set of modes.
 
@@ -102,24 +94,20 @@ class _SegmentCoeffs:
     """su(2) coefficient evaluation for one linear segment, vectorized over modes."""
 
     def __init__(self, segment, q):
-        g0, jx, jy0 = segment.params_start
-        gdot, _, jydot = segment.rates()
+        rates = segment.rates()
         self.t0 = segment.t_start
         self.t1 = segment.t_end
         self.cq = np.cos(q)
         self.sq = np.sin(q)
-        self.g0, self.jx, self.jy0 = g0, jx, jy0
-        self.gdot, self.jydot = gdot, jydot
-        self.epsdot = 2.0 * (gdot - jydot * self.cq)
-        self.deltadot = -2.0 * jydot * self.sq
+        # J_x is pinned to 1 on every schedule, so only g and J_y move
+        self.g0, self.jx, self.jy0 = segment.params_start
+        self.gdot, _, self.jydot = rates
+        self.epsdot, self.deltadot = lattice.eps_delta(*rates, self.cq, self.sq)
 
     def eps_delta(self, t):
         dt = t - self.t0
-        g = self.g0 + self.gdot * dt
-        jy = self.jy0 + self.jydot * dt
-        eps = 2.0 * (g - (self.jx + jy) * self.cq)
-        delta = 2.0 * (self.jx - jy) * self.sq
-        return eps, delta
+        return lattice.eps_delta(self.g0 + self.gdot * dt, self.jx, self.jy0 + self.jydot * dt,
+                                 self.cq, self.sq)
 
     def lab(self, t):
         eps, delta = self.eps_delta(t)
@@ -187,29 +175,14 @@ def _integrate_segment(coeffs, frame, a, b, opts, h_init, norm_track):
 def _min_gap(schedule, q):
     """Minimum omega_q along the schedule, closed form per segment."""
     q = np.asarray(q, dtype=float)
-    c, s = np.cos(q), np.sin(q)
     best = np.full(q.shape, np.inf)
     for seg in schedule.segments:
-        g0, jx, jy0 = seg.params_start
-        gdot, _, jydot = seg.rates()
-        e0 = 2.0 * (g0 - (jx + jy0) * c)
-        e1 = 2.0 * (gdot - jydot * c)
-        d0 = 2.0 * (jx - jy0) * s
-        d1 = -2.0 * jydot * s
-        L = seg.duration
-        denom = e1 * e1 + d1 * d1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tmin = np.where(denom > 0.0, -(e0 * e1 + d0 * d1) / np.where(denom > 0, denom, 1.0), 0.0)
-        tmin = np.clip(tmin, 0.0, L)
-        om2 = (e0 + e1 * tmin) ** 2 + (d0 + d1 * tmin) ** 2
-        best = np.minimum(best, np.sqrt(om2))
+        best = np.minimum(best, np.sqrt(seg.closest_approach(q)[0]))
     return best
 
 
 def _bogoliubov_angle(schedule, q, t):
-    g, jx, jy = schedule.eval(t)
-    eps = 2.0 * (g - (jx + jy) * np.cos(q))
-    delta = 2.0 * (jx - jy) * np.sin(q)
+    eps, delta = lattice.eps_delta(*schedule.eval(t), np.cos(q), np.sin(q))
     return 0.5 * np.arctan2(delta, eps)
 
 
@@ -283,22 +256,6 @@ def evolve_modes(schedule, q, opts=None):
             "norm_drift": drift, "steps": steps}
 
 
-def evolve_mode(schedule, q, opts=None):
-    """Evolve a single mode; returns its lab-frame ModeState at the schedule end."""
-    res = evolve_modes(schedule, [float(q)], opts)
-    return ModeState(u=complex(res["u"][0]), v=complex(res["v"][0]), t=schedule.t_end)
-
-
-def excitation_probability(state, coeffs):
-    """p = |u v_eq - v u_eq|^2 against the equilibrium amplitudes of ``coeffs``.
-
-    Raises DegenerateModeError for gapless final coefficients.
-    """
-    eq = equilibrium_amplitudes(coeffs)
-    p = abs(state.u * eq.v - state.v * eq.u) ** 2
-    return float(min(p, 1.0))
-
-
 def evolve_spectrum(schedule, N, opts=None):
     """Evolve every positive mode of an N-site chain (midpoint quadrature grid)."""
     grid = mode_grid(N)
@@ -331,10 +288,3 @@ def fermion_density(spectrum):
     if spectrum.weights is None:
         return float(np.mean(occ))
     return float(np.sum(spectrum.weights * occ) / math.pi)
-
-
-def final_bdg(schedule, q):
-    """BdG coefficients of the schedule's final parameters at quasimomenta q."""
-    g, jx, jy = schedule.params_at(schedule.t_end)
-    from .lattice import XYParams
-    return xy_bdg(XYParams(g=g, J_x=jx, J_y=jy), q)

@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import analysis, closedform, correlators, edoracle, evolver, lattice, protocol
+from . import analysis, closedform, correlators, edoracle, evolver, protocol
 from .specfun import LN2, constants
 
 ACCEPTANCE_CRITERIA = tuple(range(1, 15))
@@ -44,7 +44,7 @@ def _frozen():
 def _one_way_density():
     sch = protocol.one_way(10.0, 0.0, 20.0)
     sp = evolver.evolve_spectrum_quadrature(sch, evolver.SolverOptions(1e-8, 1e-10))
-    return evolver.defect_density(sp), 1.0 / (2.0 * math.pi * math.sqrt(40.0))
+    return evolver.defect_density(sp), closedform.kz_density(20.0)
 
 
 def _simp_dd_regression():

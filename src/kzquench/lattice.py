@@ -88,15 +88,21 @@ def mode_grid(N):
     return ModeGrid(N=N, q=(2 * j - 1) * np.pi / N)
 
 
-def xy_bdg(params, q):
-    """BdG coefficients of the XY chain at quasimomentum q.
+def eps_delta(g, jx, jy, cq, sq):
+    """(epsilon_q, delta_q) of the XY chain from cq = cos q and sq = sin q.
 
-    epsilon_q = 2 (g - (J_x + J_y) cos q),  delta_q = 2 (J_x - J_y) sin q,
-    omega_q = sqrt(epsilon_q^2 + delta_q^2).
+    epsilon_q = 2 (g - (J_x + J_y) cos q),  delta_q = 2 (J_x - J_y) sin q.
+    Both are linear in (g, J_x, J_y), so applied to parameter rates the same
+    formula gives d/dt (epsilon_q, delta_q).
     """
+    return 2.0 * (g - (jx + jy) * cq), 2.0 * (jx - jy) * sq
+
+
+def xy_bdg(params, q):
+    """BdG coefficients of the XY chain at quasimomentum q (see ``eps_delta``),
+    with omega_q = sqrt(epsilon_q^2 + delta_q^2)."""
     q = np.asarray(q, dtype=float)
-    eps = 2.0 * (params.g - (params.J_x + params.J_y) * np.cos(q))
-    delta = 2.0 * (params.J_x - params.J_y) * np.sin(q)
+    eps, delta = eps_delta(params.g, params.J_x, params.J_y, np.cos(q), np.sin(q))
     return BdGCoefficients(epsilon=eps, delta=delta, omega=np.hypot(eps, delta))
 
 

@@ -1,7 +1,10 @@
 """Piecewise-linear quench schedules for the two-ramp protocols.
 
 A schedule is an ordered list of contiguous segments, each interpolating the
-Hamiltonian parameters (g, J_x, J_y) linearly in time.  Builders are provided
+Hamiltonian parameters (g, J_x, J_y) linearly in time.  J_x is the energy
+unit and is pinned to 1, as in ``lattice.XYParams``: a schedule with J_x != 1
+at any breakpoint is refused when it is built.  Along each segment the BdG
+coefficients (epsilon_q, delta_q) are then affine in t.  Builders are provided
 for the round-trip, reversed round-trip, quarter-turn and one-way protocols;
 ``linear`` builds a single generic ramp.  Quench times follow the convention
 that a ramp "at rate 1/tau" changes its driven parameter by 1 per tau time
@@ -18,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .lattice import eps_delta
 
 # Protocol defaults: "large enough" initial parameters.  g_i = 10 keeps the
 # initial excitation below ~1e-40 for tau_q >= 1 and changes the final defect
@@ -54,6 +59,22 @@ class Segment:
         # convex form: exact at both endpoints
         return tuple(s * (1.0 - x) + e * x for s, e in zip(self.params_start, self.params_end))
 
+    def closest_approach(self, q):
+        """(smallest omega_q^2, speed |d(epsilon_q, delta_q)/dt|) on this segment, per mode.
+
+        epsilon = e0 + e1 (t - t_start) and delta = d0 + d1 (t - t_start),
+        with (e0, d0) from the starting parameters and (e1, d1) from the rates.
+        """
+        q = np.asarray(q, dtype=float)
+        c, s = np.cos(q), np.sin(q)
+        e0, d0 = eps_delta(*self.params_start, c, s)
+        e1, d1 = eps_delta(*self.rates(), c, s)
+        denom = e1 * e1 + d1 * d1
+        tmin = np.where(denom > 0.0, -(e0 * e1 + d0 * d1) / np.where(denom > 0, denom, 1.0), 0.0)
+        tmin = np.clip(tmin, 0.0, self.duration)
+        om2 = (e0 + e1 * tmin) ** 2 + (d0 + d1 * tmin) ** 2
+        return om2, np.sqrt(denom)
+
 
 @dataclass(frozen=True)
 class Crossing:
@@ -74,6 +95,10 @@ class Schedule:
     crossings: tuple = ()
 
     def __post_init__(self):
+        for seg in self.segments:
+            if seg.params_start[1] != 1.0 or seg.params_end[1] != 1.0:
+                raise ValueError("J_x is the reference energy scale and must be 1 "
+                                 "at every breakpoint")
         for a, b in zip(self.segments[:-1], self.segments[1:]):
             if a.t_end != b.t_start or a.params_end != b.params_start:
                 raise ValueError("segments must be contiguous in time and parameters")
@@ -144,11 +169,6 @@ class Schedule:
         cross = tuple(Crossing(c["t"], c["q_c"], c["label"]) for c in d.get("crossings", []))
         return Schedule(segments=segs, kind=d["kind"], labels=dict(d.get("labels", {})),
                         crossings=cross)
-
-
-def evaluate(schedule, t):
-    """Operation form of Schedule.eval."""
-    return schedule.eval(t)
 
 
 def _validated_positive(name, value):

@@ -38,28 +38,10 @@ def lz_exponent(schedule, q):
     (inf for modes whose parameters do not move).
     """
     q = np.asarray(q, dtype=float)
-    c = np.cos(q)
-    s = np.sin(q)
     best = np.full(q.shape, np.inf)
     for seg in schedule.segments:
-        (g0, jx0, jy0) = seg.params_start
-        gdot, jxdot, jydot = seg.rates()
-        if jxdot != 0.0:
-            raise ValueError("J_x must stay fixed along a schedule")
-        # eps(t) = e0 + e1 (t - t0), delta(t) = d0 + d1 (t - t0)
-        e0 = 2.0 * (g0 - (jx0 + jy0) * c)
-        e1 = 2.0 * (gdot - jydot * c)
-        d0 = 2.0 * (jx0 - jy0) * s
-        d1 = -2.0 * jydot * s
-        L = seg.duration
-        denom = e1 * e1 + d1 * d1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tmin = np.where(denom > 0.0, -(e0 * e1 + d0 * d1) / np.where(denom > 0, denom, 1.0), 0.0)
-        tmin = np.clip(tmin, 0.0, L)
-        om2 = (e0 + e1 * tmin) ** 2 + (d0 + d1 * tmin) ** 2
-        speed = np.sqrt(denom)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            expo = np.where(speed > 0.0, math.pi * om2 / np.where(speed > 0, speed, 1.0), np.inf)
+        om2, speed = seg.closest_approach(q)
+        expo = np.where(speed > 0.0, math.pi * om2 / np.where(speed > 0, speed, 1.0), np.inf)
         best = np.minimum(best, expo)
     return best
 

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import kzquench
@@ -134,11 +133,14 @@ def test_validate_odd_n_rejected(tmp_path):
 
 @pytest.mark.parametrize("args", [
     pytest.param(["--set", "protocol.g_rt=1.5", "sweep"], id="protocol-value"),
+    pytest.param(["--set", "protocol.grt=0.5", "sweep"], id="protocol-unknown-key"),
     pytest.param(["--set", "protocol=3", "sweep"], id="section-not-object"),
     pytest.param(["--set", "sweep.tau_q=[-1]", "sweep"], id="negative-tau"),
     pytest.param(["--set", "sweep.tau_q=[NaN]", "sweep"], id="nan-tau"),
     pytest.param(["--set", 'sweep.tau_q={"start": 10, "stop": 20, "step": 0}', "sweep"],
                  id="zero-range-step"),
+    pytest.param(["--set", 'sweep.tau_q={"start": 10, "stop": 60, "step": 1e-9}', "sweep"],
+                 id="range-too-long"),
     pytest.param(["--set", "solver.rel_tol=1", "sweep"], id="solver-value"),
     pytest.param(["--set", "solver.foo=1", "sweep"], id="solver-unknown-option"),
     pytest.param(["--set", "validate.N=20", "validate"], id="validate-n-too-large"),

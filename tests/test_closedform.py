@@ -121,6 +121,13 @@ def test_nonoscillatory_part_identity():
 @settings(max_examples=60, deadline=None)
 @given(tau=st.floats(5.0, 500.0), R=st.floats(0.3, 3.0), g_rt=st.floats(0.0, 0.8))
 def test_decomposition_identity_property(tau, R, g_rt):
+    # phase curvature b of the reduced phase; the decomposition exists for b > 0 only
+    b = (R * math.log(R) + (1.0 + R) * (2.0 * (g_rt - 1.0)
+         + math.log(4.0 * tau * (g_rt - 1.0) ** 2) + sf.GAMMA_E)) / math.pi
+    if b <= 0.0:
+        with pytest.raises(cf.OutOfRegimeError):
+            cf.density_prediction_roundtrip(tau, R, g_rt)
+        return
     pred = cf.density_prediction_roundtrip(tau, R, g_rt)
     n3 = pred.n0 * (pred.f + sum(M * math.cos(pred.Omega_Q * tau + d)
                                  for M, d in zip(pred.M_i, pred.delta_i)))

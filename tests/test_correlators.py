@@ -6,7 +6,6 @@ import pytest
 from kzquench import closedform as cf
 from kzquench import correlators as corr
 from kzquench import evolver as ev
-from kzquench import lattice as lat
 from kzquench import protocol as proto
 from kzquench.specfun import LN2
 
@@ -54,7 +53,7 @@ def test_czz_shapes():
     assert corr.czz(fc)[0] == pytest.approx(-0.01)
     fc2 = corr.FermionicCorrelators(r=np.array([1.0]), alpha=np.array([0.0]),
                                     beta=np.array([0.2j]))
-    assert corr.ckk(fc2)[0] == pytest.approx(0.04)
+    assert corr.czz(fc2)[0] == pytest.approx(0.04)
 
 
 def test_length_scales_values_and_ordering():
@@ -213,7 +212,7 @@ def test_primed_correlators_regime_structure(fast_opts):
     a_cl, b_cl = corr.primed_correlators_closed(r, tau, g_rt)
     # short-distance diagonal part matches to a few percent
     assert abs(a_cl[0] / fc.alpha[0] - 1.0) < 0.1
-    C_q = corr.ckk(fc)
+    C_q = corr.czz(fc)
     C_c = np.abs(b_cl) ** 2 - a_cl ** 2
     assert C_q[0] < 0.0 and C_c[0] < 0.0
     assert abs(C_c[0] / C_q[0] - 1.0) < 0.1

@@ -14,13 +14,12 @@ def test_sudden_limit_state_frozen():
     # state equals the frozen-amplitude overlap
     q = 0.9
     sch = proto.one_way(10.0, 0.2, 1e-7)
-    state = ev.evolve_mode(sch, q, ev.SolverOptions(1e-10, 1e-12))
+    res = ev.evolve_modes(sch, [q], ev.SolverOptions(1e-10, 1e-12))
     eq0 = lat.equilibrium_amplitudes(lat.ising_bdg(lat.IsingParams(10.0), q))
-    assert abs(state.u - eq0.u) < 1e-5 and abs(state.v - eq0.v) < 1e-5
-    p = ev.excitation_probability(state, lat.ising_bdg(lat.IsingParams(0.2), q))
+    assert abs(res["u"][0] - eq0.u) < 1e-5 and abs(res["v"][0] - eq0.v) < 1e-5
     eqf = lat.equilibrium_amplitudes(lat.ising_bdg(lat.IsingParams(0.2), q))
     p_frozen = abs(eq0.u * eqf.v - eq0.v * eqf.u) ** 2
-    assert abs(p - p_frozen) < 1e-5
+    assert abs(res["p"][0] - p_frozen) < 1e-5
 
 
 def test_adiabatic_limit_gapped_mode():
@@ -68,17 +67,6 @@ def test_frames_agree(tight_opts):
     lab = ev.evolve_modes(sch, q, ev.SolverOptions(1e-10, 1e-12, frame="lab"))
     adi = ev.evolve_modes(sch, q, ev.SolverOptions(1e-10, 1e-12, frame="adiabatic"))
     assert np.max(np.abs(lab["p"] - adi["p"])) < 1e-8
-
-
-def test_excitation_probability_limits():
-    coeffs = lat.ising_bdg(lat.IsingParams(2.0), 0.8)
-    eq = lat.equilibrium_amplitudes(coeffs)
-    ground = ev.ModeState(u=complex(eq.u), v=complex(eq.v), t=0.0)
-    excited = ev.ModeState(u=complex(-eq.v), v=complex(eq.u), t=0.0)
-    assert ev.excitation_probability(ground, coeffs) < 1e-30
-    assert abs(ev.excitation_probability(excited, coeffs) - 1.0) < 1e-14
-    with pytest.raises(lat.DegenerateModeError):
-        ev.excitation_probability(ground, lat.ising_bdg(lat.IsingParams(1.0), 0.0))
 
 
 def test_interference_revival_smallest_mode(fast_opts):

@@ -1,9 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kzquench import evolver as ev
+from kzquench import lattice as lat
 from kzquench import protocol as proto
+from kzquench import quadrature as quad
 
 
 def test_round_trip_structure():
@@ -157,3 +161,44 @@ def test_serialization_roundtrip():
     assert back.labels == sch.labels
     assert back.segments == sch.segments
     assert back.crossings == sch.crossings
+
+
+def test_schedule_refuses_jx_other_than_one():
+    # J_x is the energy unit: the evolver and the closed forms assume it is 1
+    with pytest.raises(ValueError, match="J_x"):
+        proto.linear((0.5, 1.0, 0.0), (0.5, 2.0, 0.0), 3.0)
+    with pytest.raises(ValueError, match="J_x"):
+        proto.linear((0.5, 2.0, 0.0), (0.5, 2.0, 0.0), 3.0)
+    d = proto.one_way(10.0, 0.0, 5.0).to_dict()
+    d["segments"][0]["params_end"][1] = 1.5
+    with pytest.raises(ValueError, match="J_x"):
+        proto.Schedule.from_dict(d)
+    # chain rebuilds the segments, so it refuses a J_x ramp it is handed
+    ramp = SimpleNamespace(segments=(proto.Segment(0.0, 3.0, (0.5, 1.0, 0.0), (0.5, 2.0, 0.0)),),
+                           t_start=0.0, t_end=3.0, labels={}, crossings=(), kind="ramp")
+    with pytest.raises(ValueError, match="J_x"):
+        proto.chain(proto.one_way(10.0, 0.5, 5.0), ramp)
+
+
+def test_closest_approach_matches_dense_scan():
+    # on the first segment of the quarter turn both epsilon and delta move
+    sch = proto.quarter_turn(1.5, 20.0)
+    q = np.array([0.05, 0.4, math.acos(0.75), 1.2, 2.0, 3.0])
+    scan_min, scan_expo = [], []
+    for seg in sch.segments:
+        om2, speed = seg.closest_approach(q)
+        t = np.linspace(seg.t_start, seg.t_end, 4001)
+        om2_t = np.array([lat.xy_bdg(lat.XYParams(*seg.eval(ti)), q).omega ** 2 for ti in t])
+        assert np.all(om2 <= om2_t.min(axis=0) + 1e-12)
+        assert np.max(np.abs(om2_t.min(axis=0) - om2)) < 1e-5
+        start = lat.xy_bdg(lat.XYParams(*seg.params_start), q)
+        end = lat.xy_bdg(lat.XYParams(*seg.params_end), q)
+        rate = np.hypot(end.epsilon - start.epsilon, end.delta - start.delta) / seg.duration
+        assert np.allclose(speed, rate, rtol=1e-12, atol=0.0)
+        scan_min.append(om2_t.min(axis=0))
+        scan_expo.append(math.pi * om2_t.min(axis=0) / rate)
+    assert np.max(np.abs(ev._min_gap(sch, q) ** 2 - np.min(scan_min, axis=0))) < 1e-5
+    assert ev._min_gap(sch, [math.acos(0.75)])[0] < 1e-12  # gap closes at J_y = J_x
+    expo = quad.lz_exponent(sch, q)
+    assert np.all(expo <= np.min(scan_expo, axis=0) + 1e-12)
+    assert np.max(np.abs(expo - np.min(scan_expo, axis=0))) < 1e-3
