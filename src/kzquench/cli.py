@@ -221,6 +221,11 @@ def check_config(cfg, command):
                 raise ConfigError("quadrature.%s must be a positive integer, got %r"
                                   % (key, value))
     if command == "validate":
+        # validate runs at SolverOptions() and its own mode grids
+        for name in ("solver", "quadrature"):
+            if cfg[name] != DEFAULT_CONFIG[name]:
+                raise ConfigError("%s: validate runs at fixed settings and reads no %s "
+                                  "section; leave it at its default" % (name, name))
         try:
             edoracle.check_chain_length(cfg["validate"].get("N", 8))
         except ValueError as exc:
@@ -270,14 +275,17 @@ def closed_form_density(pcfg, tau_q):
     raise ConfigError("unknown protocol kind %r" % kind)
 
 
-def _sweep_point(args):
-    cfg, tau = args
-    sch = build_schedule(cfg["protocol"], tau)
-    opts = SolverOptions(**cfg["solver"])
-    sp = evolver.evolve_spectrum_quadrature(sch, opts, **cfg["quadrature"])
-    n_num = evolver.defect_density(sp)
-    n_cf, n0, f, M, delta, T_Q = closed_form_density(cfg["protocol"], tau)
-    return [tau, n_num, n_cf, n0, f, M, delta, T_Q]
+def _sweep_rows(args):
+    """CSV rows of one contiguous run of quench times, evolved in one batch."""
+    cfg, taus = args
+    schedules = [build_schedule(cfg["protocol"], tau) for tau in taus]
+    spectra = evolver.evolve_spectra_quadrature(schedules, SolverOptions(**cfg["solver"]),
+                                                **cfg["quadrature"])
+    rows = []
+    for tau, sp in zip(taus, spectra):
+        n_cf, n0, f, M, delta, T_Q = closed_form_density(cfg["protocol"], tau)
+        rows.append([tau, evolver.defect_density(sp), n_cf, n0, f, M, delta, T_Q])
+    return rows
 
 
 def worker_count():
@@ -289,15 +297,17 @@ def worker_count():
 
 def cmd_sweep(cfg):
     taus = _tau_list(cfg, "sweep")
-    jobs = [(cfg, t) for t in taus]
-    workers = worker_count()
+    workers = min(worker_count(), len(taus))
     if workers > 1:
         import multiprocessing
 
+        # each worker batches one contiguous chunk; a row does not depend on its batch
+        bounds = [len(taus) * i // workers for i in range(workers + 1)]
+        jobs = [(cfg, taus[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_sweep_point, jobs)
+            rows = [row for chunk in pool.map(_sweep_rows, jobs) for row in chunk]
     else:
-        rows = [_sweep_point(j) for j in jobs]
+        rows = _sweep_rows((cfg, taus))
     prefix = cfg["output"]["prefix"]
     csv_path = prefix + "_sweep.csv"
     _write_csv(csv_path,

@@ -37,8 +37,10 @@ OPTS = ev.SolverOptions(rel_tol=1e-7, abs_tol=1e-9)
 TIGHT = ev.SolverOptions(rel_tol=1e-9, abs_tol=1e-11)
 
 
-def _density(schedule, opts=OPTS, **kw):
-    return ev.defect_density(ev.evolve_spectrum_quadrature(schedule, opts, **kw))
+def _densities(schedules, opts=OPTS, **kw):
+    """Defect densities of the schedules, evolved together in one lock-step batch."""
+    return np.array([ev.defect_density(sp)
+                     for sp in ev.evolve_spectra_quadrature(schedules, opts, **kw)])
 
 
 def report(num, ok, detail):
@@ -49,8 +51,8 @@ def report(num, ok, detail):
 def test_criterion_01_one_way_baseline():
     t0 = time.time()
     devs = []
-    for tau in (20.0, 50.0, 100.0):
-        n = _density(proto.one_way(10.0, 0.0, tau))
+    taus = (20.0, 50.0, 100.0)
+    for tau, n in zip(taus, _densities([proto.one_way(10.0, 0.0, t) for t in taus])):
         ref = 1.0 / (2.0 * math.pi * math.sqrt(2.0 * tau))
         devs.append(abs(n - ref) / ref)
     ok = max(devs) < 0.03 and time.time() - t0 < 60.0
@@ -64,7 +66,7 @@ def test_criterion_01_one_way_baseline():
 @pytest.fixture(scope="module")
 def roundtrip_sweep():
     taus = np.arange(10.0, 60.0 + 1e-9, 0.25)
-    ns = np.array([_density(proto.round_trip(0.0, float(t), 1.0)) for t in taus])
+    ns = _densities([proto.round_trip(0.0, float(t), 1.0) for t in taus])
     return taus, ns
 
 
@@ -127,9 +129,9 @@ def test_criterion_04_scaled_collapse():
     sweeps = {}
     for g_rt in (0.0, 0.2, 0.4, 0.6, 0.8):
         taus = xs / (g_rt - 1.0) ** 2
-        ns = [_density(proto.round_trip(g_rt, float(t), 1.0, g_i=6.0, g_f=6.0))
-              for t in taus]
-        sweeps[g_rt] = analysis.Sweep(xs, np.array(ns))
+        ns = _densities([proto.round_trip(g_rt, float(t), 1.0, g_i=6.0, g_f=6.0)
+                         for t in taus])
+        sweeps[g_rt] = analysis.Sweep(xs, ns)
     disp = analysis.scaled_collapse(sweeps)
     report(4, disp < 0.05, "scaled-time peak dispersion %.4f (< 0.05)" % disp)
     assert disp < 0.05
@@ -139,7 +141,7 @@ def test_criterion_04_scaled_collapse():
 @pytest.fixture(scope="module")
 def critical_turn_sweep():
     taus = np.geomspace(10.0, 200.0, 14)
-    ns = np.array([_density(proto.round_trip(1.0, float(t), 1.0)) for t in taus])
+    ns = _densities([proto.round_trip(1.0, float(t), 1.0) for t in taus])
     return taus, ns
 
 
@@ -149,7 +151,7 @@ def test_criterion_05_critical_turn_prefactor_and_flatness(critical_turn_sweep):
     pref_ok = abs(pref / 0.053 - 1.0) < 0.15
     # no oscillation: trial fit at the g_rt = 0 period finds only noise
     t2 = np.arange(10.0, 20.0, 0.3)
-    n2 = np.array([_density(proto.round_trip(1.0, float(t), 1.0)) for t in t2])
+    n2 = _densities([proto.round_trip(1.0, float(t), 1.0) for t in t2])
     fit = analysis.fit_oscillation(analysis.Sweep(t2, n2), math.pi / 2.0)
     flat_ok = fit.relative_amplitude < 0.02
     report(5, pref_ok and flat_ok,
@@ -175,7 +177,7 @@ def test_criterion_05_exponent_as_stated(critical_turn_sweep):
 def test_criterion_05_exponent_larger_window():
     # supporting evidence: the quoted law holds over tau ~ [100, 1000]
     taus = np.geomspace(100.0, 1000.0, 10)
-    ns = np.array([_density(proto.round_trip(1.0, float(t), 1.0)) for t in taus])
+    ns = _densities([proto.round_trip(1.0, float(t), 1.0) for t in taus])
     pref, expo = analysis.fit_power_law(analysis.Sweep(taus, ns))
     ok = abs(expo + 0.495) < 0.015 and abs(pref / 0.053 - 1.0) < 0.15
     report(5, ok, "critical turn over [100, 1000]: n = %.4f tau^(%.4f)" % (pref, expo))
@@ -186,7 +188,7 @@ def test_criterion_05_exponent_larger_window():
 def test_criterion_06_reversed_protocol():
     T = 2.0 * math.pi
     taus = np.arange(8.0, 8.0 + 2.6 * T, T / 12.0)
-    ns = np.array([_density(proto.reversed_round_trip(1.5, float(t), 1.0)) for t in taus])
+    ns = _densities([proto.reversed_round_trip(1.5, float(t), 1.0) for t in taus])
     fit = analysis.fit_oscillation(analysis.Sweep(taus, ns), T)
     period_ok = abs(fit.period / T - 1.0) < 0.05
     diffs = []
@@ -206,8 +208,7 @@ def test_criterion_06_reversed_protocol():
 @pytest.fixture(scope="module")
 def tricritical_qt_sweep():
     taus = np.arange(10.0, 60.0 + 1e-9, math.pi / 16.0)
-    ns = np.array([_density(proto.quarter_turn(2.0, float(t), 1.0, jy_initial=6.0))
-                   for t in taus])
+    ns = _densities([proto.quarter_turn(2.0, float(t), 1.0, jy_initial=6.0) for t in taus])
     return taus, ns
 
 
@@ -216,8 +217,8 @@ def test_criterion_07_quarter_turn_periods(tricritical_qt_sweep):
     for g_qt, T in [(1.5, 2.0 * math.pi), (2.5, 2.0 * math.pi / 9.0)]:
         step = min(T / 10.0, 0.5)
         taus = np.arange(10.0, 10.0 + 2.6 * T, step)
-        ns = np.array([_density(proto.quarter_turn(g_qt, float(t), 1.0, jy_initial=6.0))
-                       for t in taus])
+        ns = _densities([proto.quarter_turn(g_qt, float(t), 1.0, jy_initial=6.0)
+                         for t in taus])
         fit = analysis.fit_oscillation(analysis.Sweep(taus, ns), T, max_residual=None)
         fitted[g_qt] = fit.period / T
     # tricritical case: oscillation sits on the Airy baseline; subtract the
@@ -249,12 +250,9 @@ def test_criterion_07_tricritical_airy_terms(tricritical_qt_sweep):
 # -------------------------------------------------------------- criterion 8
 def test_criterion_08_tricritical_scaling():
     taus = np.geomspace(20.0, 300.0, 10)
-    ns = []
-    for t in taus:
-        sch = proto.linear((2.0, 1.0, 4.0), (2.0, 1.0, 0.0), duration=4.0 * float(t),
-                           tau_q=float(t), kind="xy_one_way")
-        ns.append(_density(sch))
-    _, expo = analysis.fit_power_law(analysis.Sweep(taus, np.array(ns)))
+    ns = _densities([proto.linear((2.0, 1.0, 4.0), (2.0, 1.0, 0.0), duration=4.0 * float(t),
+                                  tau_q=float(t), kind="xy_one_way") for t in taus])
+    _, expo = analysis.fit_power_law(analysis.Sweep(taus, ns))
     ok = abs(expo + 1.0 / 6.0) < 0.02
     report(8, ok, "tricritical one-way exponent %.4f (-1/6 +- 0.02)" % expo)
     assert ok
@@ -333,11 +331,10 @@ def test_criterion_10_correlator_regimes(correlator_spectrum):
 def test_criterion_11_correlator_periodicity():
     rstar = float(round(corr.kz_length(40.0) / 2.0))
     taus = np.arange(20.0, 60.0 + 1e-9, math.pi / 8.0)
-    cs = []
-    for t in taus:
-        sp = ev.evolve_spectrum_quadrature(proto.round_trip(0.0, float(t), 1.0),
-                                           OPTS, max_r=rstar)
-        cs.append(float(corr.czz(corr.fermionic_correlators_numeric(sp, [rstar]))[0]))
+    spectra = ev.evolve_spectra_quadrature([proto.round_trip(0.0, float(t), 1.0)
+                                            for t in taus], OPTS, max_r=rstar)
+    cs = [float(corr.czz(corr.fermionic_correlators_numeric(sp, [rstar]))[0])
+          for sp in spectra]
     # base frequency plus its double are both present (Omega_mn in {4, 8})
     fit = analysis.fit_oscillation(analysis.Sweep(taus, np.array(cs)), math.pi / 2.0,
                                    exponent=-1.0, harmonics=2, max_residual=None)

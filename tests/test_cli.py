@@ -144,6 +144,7 @@ def test_validate_odd_n_rejected(tmp_path):
     pytest.param(["--set", "solver.rel_tol=1", "sweep"], id="solver-value"),
     pytest.param(["--set", "solver.foo=1", "sweep"], id="solver-unknown-option"),
     pytest.param(["--set", "validate.N=20", "validate"], id="validate-n-too-large"),
+    pytest.param(["--set", "solver.rel_tol=1e-6", "validate"], id="validate-solver-ignored"),
     pytest.param(["--set", "correlator.tau_q=[1.0]", "correlator"],
                  id="correlator-out-of-regime"),
     pytest.param(["--set", "protocol.R=2", "correlator"], id="correlator-outside-closed-forms"),
@@ -167,11 +168,12 @@ def test_run_errors_are_not_config_errors(tmp_path, monkeypatch):
             raise exc
         return evolve
 
-    monkeypatch.setattr(evolver, "evolve_spectrum_quadrature",
+    # cmd_sweep evolves the whole tau list in one batched call
+    monkeypatch.setattr(evolver, "evolve_spectra_quadrature",
                         fail(evolver.NumericalFailure("step underflow")))
     assert cli.main(args) == cli.EXIT_NUMERICAL
     # a ValueError from inside the numerics is a bug, not bad input
-    monkeypatch.setattr(evolver, "evolve_spectrum_quadrature", fail(ValueError("bug")))
+    monkeypatch.setattr(evolver, "evolve_spectra_quadrature", fail(ValueError("bug")))
     with pytest.raises(ValueError, match="bug"):
         cli.main(args)
 
@@ -184,13 +186,14 @@ def test_worker_env(tmp_path, monkeypatch):
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
+    # three points over two workers: chunks of one and two quench times
     env = child_env(KZQUENCH_WORKERS="2")
-    args = ["--set", 'sweep.tau_q={"values": [10.0, 12.0]}',
+    args = ["--set", 'sweep.tau_q={"values": [10.0, 11.0, 12.0]}',
             "--set", "output.prefix=p2", "sweep"]
     r = subprocess.run([sys.executable, "-m", "kzquench.cli", *args],
                        capture_output=True, text=True, cwd=tmp_path, env=env)
     assert r.returncode == 0, r.stderr
-    args2 = ["--set", 'sweep.tau_q={"values": [10.0, 12.0]}',
+    args2 = ["--set", 'sweep.tau_q={"values": [10.0, 11.0, 12.0]}',
              "--set", "output.prefix=p1", "sweep"]
     assert run_cli(args2, tmp_path).returncode == 0
     assert (tmp_path / "p2_sweep.csv").read_text().splitlines()[1:] == \

@@ -171,3 +171,55 @@ def test_closed_form_pqf_matches_evolved(fast_opts):
     res = ev.evolve_modes(sch, q, fast_opts)
     p_cf = cf.pqf(cf.interference_terms_roundtrip(q, tau, 1.0, psi_mode="exact"))
     assert np.max(np.abs(res["p"] - p_cf)) < 0.01
+
+
+def test_failing_step_is_never_accepted():
+    # no tolerance can be met: the step shrinks to h <= 1e-12 at t = 0 and
+    # the solver stops there instead of accepting the failing step
+    sch = proto.linear((2.0, 1.0, 0.0), (0.0, 1.0, 0.0), 1.0)
+    with pytest.raises(ev.NumericalFailure, match=r"at t=0 fails its tolerance at h=8.192e-13"):
+        ev.evolve_modes(sch, [0.5], ev.SolverOptions(rel_tol=1e-300, abs_tol=1e-300))
+
+
+def test_solver_statistics(fast_opts):
+    sch = proto.round_trip(0.0, 6.0, 1.0)
+    sp = ev.evolve_spectrum_quadrature(sch, fast_opts, order=8, n_support=4)
+    meta = sp.meta
+    assert meta["accepted"] + meta["rejected"] == meta["steps"]
+    assert meta["accepted"] > 0 and meta["rejected"] >= 0
+    assert 0.0 < meta["h_min"] <= 1e-3 and meta["lab_modes"] == 0
+    lab = ev.evolve_spectrum(sch, 16, ev.SolverOptions(1e-7, 1e-9, frame="lab")).meta
+    assert lab["lab_modes"] == 8
+    assert lab["accepted"] + lab["rejected"] == lab["steps"]
+
+
+def _batch_cases():
+    a = proto.linear((10.0, 1.0, 0.0), (0.0, 1.0, 0.0), duration=30.0, t_start=-30.0, tau_q=3.0)
+    b = proto.linear((0.0, 1.0, 0.0), (3.0, 1.0, 0.0), duration=9.0, tau_q=3.0)
+    return [proto.round_trip(0.0, 4.0, 1.0),                 # two segments
+            proto.one_way(10.0, 0.0, 5.0),                   # one segment
+            proto.quarter_turn(1.5, 3.0, 1.0, jy_initial=4.0),
+            proto.reversed_round_trip(1.5, 3.5, 2.0),
+            # a closing gap: some modes of this one run in the lab frame
+            proto.linear((2.0, 1.0, 4.0), (2.0, 1.0, 0.0), duration=16.0, tau_q=4.0),
+            proto.chain(a, b)]
+
+
+@pytest.mark.parametrize("frame", ["auto", "lab", "adiabatic"])
+def test_batch_bitwise_equals_solo(frame):
+    # every schedule in a lock-step batch gets exactly what it gets alone,
+    # whatever else is in the batch and in whatever order
+    opts = ev.SolverOptions(1e-7, 1e-9, frame=frame)
+    schedules = _batch_cases()
+    solo = [ev.evolve_spectrum_quadrature(s, opts, order=8, n_support=4, max_r=4.0)
+            for s in schedules]
+    for order in (1, -1):
+        batch = ev.evolve_spectra_quadrature(schedules[::order], opts, order=8, n_support=4,
+                                             max_r=4.0)[::order]
+        for one, many in zip(solo, batch):
+            for name in ("q", "weights", "p", "u", "v", "u_rot", "v_rot"):
+                assert getattr(one, name).tobytes() == getattr(many, name).tobytes(), name
+            assert one.norm_drift == many.norm_drift
+            assert one.meta == many.meta
+    if frame == "auto":
+        assert solo[4].meta["lab_modes"] > 0
