@@ -382,7 +382,8 @@ def cmd_validate(cfg):
         n_ed = edoracle.measure_defects(st, "paramagnetic")
         n_bdg = evolver.fermion_density(evolver.evolve_spectrum(sch, N, opts))
         record("ed_vs_bdg_roundtrip_tau%g" % tau, abs(n_ed - n_bdg) < 1e-6,
-               {"n_ed": n_ed, "n_bdg": n_bdg, "diff": abs(n_ed - n_bdg)}, 1e-6)
+               {"n_ed": n_ed, "n_bdg": n_bdg, "diff": abs(n_ed - n_bdg),
+                "ed_steps": st.meta["steps"], "sector_dim": st.meta["sector_dim"]}, 1e-6)
         par = edoracle.parity_expectation(st)
         record("parity_tau%g" % tau, abs(par - 1.0) < 1e-9, {"parity": par}, 1e-9)
         schr = protocol.reversed_round_trip(1.5, tau, 1.0)
@@ -390,7 +391,8 @@ def cmd_validate(cfg):
         k_ed = edoracle.measure_defects(str_, "ferromagnetic")
         k_bdg = evolver.defect_density(evolver.evolve_spectrum(schr, N, opts))
         record("ed_vs_bdg_reversed_tau%g" % tau, abs(k_ed - k_bdg) < 1e-6,
-               {"kinks_ed": k_ed, "kinks_bdg": k_bdg, "diff": abs(k_ed - k_bdg)}, 1e-6)
+               {"kinks_ed": k_ed, "kinks_bdg": k_bdg, "diff": abs(k_ed - k_bdg),
+                "ed_steps": str_.meta["steps"], "sector_dim": str_.meta["sector_dim"]}, 1e-6)
     sch = protocol.round_trip(0.0, 10.0, 1.0)
     sp = evolver.evolve_spectrum(sch, 64, opts)
     record("norm_drift", sp.norm_drift <= 10.0 * opts.rel_tol,

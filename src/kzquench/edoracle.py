@@ -1,19 +1,25 @@
 """Small-N exact many-body oracle for the spin chains.
 
-Evolves the full 2^N state vector of the periodic chain under a Schedule and
-measures defect operators directly, validating the free-fermion pipeline end
-to end.  The Hamiltonian acts matrix-free through bitwise spin-flip kernels;
-the ground state comes from Lanczos restricted to the even-parity sector
-(parity is diagonal in the z basis, so the sector is closed under H and the
-start vector fixes it).  Time stepping uses an adaptive Dormand-Prince 5(4)
-pair on the gauge-transformed equation i chi' = (H(t) - <H>) chi, which
-removes the fast global phase without touching any observable.
+Validates the free-fermion pipeline end to end without going through it.
+H(t) = -g Z - J_x X - J_y Y, with Z = sum_j sz_j, X = sum_j sx_j sx_{j+1} and
+Y = sum_j sy_j sy_{j+1} on the periodic chain, commutes with translation,
+reflection and parity, so the even-parity ground state and its evolution stay
+in the k = 0, reflection-even, even-parity sector, spanned by uniform
+superpositions over orbits of z-basis configurations (18 states at N = 8, 122
+at N = 12).  The ground state is a dense eigh of the sector H.  Steps are
+commutator-free Magnus-4 (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519),
+exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6)) for H affine on a segment,
+under step-doubling control.  Each exponential acts through its Taylor
+series, cut below the unit roundoff; a dense eigh per exponential would cost
+O(D^3), which at N = 12 is no faster than full-space Runge-Kutta.
+Observables are measured on the state expanded to the full 2^N z basis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,11 +28,14 @@ from .evolver import NumericalFailure, SolverOptions
 
 @dataclass
 class ManyBodyState:
-    """Full many-body amplitudes over the 2^N z-basis configurations."""
+    """Full 2^N z-basis amplitudes; ``meta`` holds the evolution's attempted
+    ``steps``, ``accepted``, ``rejected``, smallest accepted step ``h_min`` and
+    ``sector_dim``."""
 
     amplitudes: np.ndarray
     N: int
     t: float = 0.0
+    meta: dict = field(default_factory=dict)
 
 
 MAX_N = 14
@@ -41,168 +50,155 @@ def check_chain_length(N):
 
 
 class _Kernels:
-    """Precomputed index/phase tables for matrix-free H application."""
+    """Bit tables of the full space and the symmetric sector's basis and matrices."""
 
     def __init__(self, N):
         check_chain_length(N)
         self.N = N
-        dim = 1 << N
-        self.dim = dim
-        states = np.arange(dim, dtype=np.uint32)
-        pop = np.bitwise_count(states).astype(np.int64)
-        self.zsum = (N - 2 * pop).astype(float)      # sum_j <s|sigma^z_j|s>
-        self.popcount = pop
+        dim = self.dim = 1 << N
+        states = np.arange(dim, dtype=np.int64)
+        pop = self.popcount = np.bitwise_count(states).astype(np.int64)
         self.parity = 1.0 - 2.0 * (pop % 2)
-        self.perms = []
-        self.yy_sign = []
+        masks = [(1 << j) | (1 << (j + 1) % N) for j in range(N)]
+        self.perms = [states ^ m for m in masks]
+
+        # orbit representative: the smallest image under translation and reflection
+        mirror = np.zeros_like(states)
         for j in range(N):
-            k = (j + 1) % N
-            mask = np.uint32((1 << j) | (1 << k))
-            self.perms.append(states ^ mask)
-            bj = (states >> np.uint32(j)) & 1
-            bk = (states >> np.uint32(k)) & 1
+            mirror |= ((states >> j) & 1) << (N - 1 - j)
+        rep = states.copy()
+        for s in (states, mirror):
+            for r in range(N):
+                rep = np.minimum(rep, ((s << r) | (s >> (N - r))) & (dim - 1))
+        self.even = np.flatnonzero(pop % 2 == 0)
+        reps, orbit, size = np.unique(rep[self.even], return_inverse=True, return_counts=True)
+        self.orbit = np.full(dim, -1)
+        self.orbit[self.even] = orbit
+        self.reps, self.sqrt_size, self.D = reps, np.sqrt(size), len(reps)
+
+        # <a|A|b> = sqrt(|b|/|a|) sum_{s in a} <s|A|r_b>: apply each bond to the representatives
+        self.z = (N - 2 * pop[reps]).astype(float)
+        self.X, self.Y = np.zeros((self.D, self.D)), np.zeros((self.D, self.D))
+        cols = np.arange(self.D)
+        for j, m in enumerate(masks):
+            rows = self.orbit[reps ^ m]
+            amp = self.sqrt_size / self.sqrt_size[rows]
             # <s'|yy|s> = -1 when the two bits agree, +1 when they differ
-            self.yy_sign.append((2.0 * (bj ^ bk) - 1.0).astype(float))
+            differ = ((reps >> j) ^ (reps >> (j + 1) % N)) & 1
+            np.add.at(self.X, (rows, cols), amp)
+            np.add.at(self.Y, (rows, cols), (2.0 * differ - 1.0) * amp)
 
-    def apply(self, psi, g, jx, jy):
-        out = (-g) * self.zsum * psi
-        for perm, ysign in zip(self.perms, self.yy_sign):
-            flipped = psi[perm]
-            out -= jx * flipped
-            if jy != 0.0:
-                out -= jy * ysign * flipped
-        return out
+    def hamiltonians(self, g, jx, jy):
+        """Sector matrices of H for parameter arrays of one shape, stacked along axis 0."""
+        g, jx, jy = (np.asarray(p, dtype=float)[..., None, None] for p in (g, jx, jy))
+        return -g * np.diag(self.z) - jx * self.X - jy * self.Y
+
+    def expand(self, c):
+        """Full 2^N amplitudes of the sector vector c."""
+        amps = np.zeros(self.dim, dtype=complex)
+        amps[self.even] = (c / self.sqrt_size)[self.orbit[self.even]]
+        return amps
 
 
-_KERNEL_CACHE = {}
-
-
+@functools.cache
 def _kernels(N):
-    if N not in _KERNEL_CACHE:
-        _KERNEL_CACHE[N] = _Kernels(N)
-    return _KERNEL_CACHE[N]
+    return _Kernels(N)
 
 
 def ground_state(N, params):
-    """Even-parity ground state of H(g, J_x, J_y) by Lanczos with reorthogonalization."""
-    g, jx, jy = params
+    """Even-parity ground state of H(g, J_x, J_y), from a dense eigh in the sector."""
     ker = _kernels(N)
-    dim = ker.dim
-    even = ker.popcount % 2 == 0
-    v0 = np.zeros(dim)
-    v0[even] = 1.0
-    v0[0] += dim     # bias towards the polarized configuration, stays even-sector
-    v0 /= np.linalg.norm(v0)
-    m = min(dim // 2, 160)
-    V = np.zeros((m, dim))
-    alphas = np.zeros(m)
-    betas = np.zeros(m)
-    V[0] = v0
-    w = ker.apply(V[0], g, jx, jy)
-    alphas[0] = V[0] @ w
-    w -= alphas[0] * V[0]
-    k_used = 1
-    for k in range(1, m):
-        betas[k - 1] = np.linalg.norm(w)
-        if betas[k - 1] < 1e-12:
-            break
-        V[k] = w / betas[k - 1]
-        # full reorthogonalization
-        V[k] -= V[:k].T @ (V[:k] @ V[k])
-        V[k] /= np.linalg.norm(V[k])
-        w = ker.apply(V[k], g, jx, jy)
-        alphas[k] = V[k] @ w
-        w -= alphas[k] * V[k] + betas[k - 1] * V[k - 1]
-        k_used = k + 1
-    T = np.diag(alphas[:k_used]) + np.diag(betas[:k_used - 1], 1) + np.diag(betas[:k_used - 1], -1)
-    evals, evecs = np.linalg.eigh(T)
-    gs = evecs[:, 0] @ V[:k_used]
-    gs /= np.linalg.norm(gs)
-    # polish with a couple of shifted power iterations against residual
-    for _ in range(3):
-        hv = ker.apply(gs, g, jx, jy)
-        e = gs @ hv
-        resid = hv - e * gs
-        if np.linalg.norm(resid) < 1e-12:
-            break
-        shift = e - max(1.0, abs(e))
-        w = hv - shift * gs
-        gs = w / np.linalg.norm(w)
-    return ManyBodyState(amplitudes=gs.astype(complex), N=N)
+    vecs = np.linalg.eigh(ker.hamiltonians(*params))[1]
+    return ManyBodyState(amplitudes=ker.expand(vecs[:, 0]), N=N)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
+# Exponential nodes and lengths, in units of h, of one step-doubled step: the
+# two Magnus-4 steps of h/2, then the single step of h.
+_NODES = np.array([1 / 12, 5 / 12, 7 / 12, 11 / 12, 1 / 6, 5 / 6])
+_LENGTHS = (0.25, 0.25, 0.25, 0.25, 0.5, 0.5)
+_TIMES_MINUS_I = np.array([1.0, -1.0])     # (im, re) -> parts of -i (re + i im)
 
 
-def _rk45(fun, t0, t1, y0, rel_tol, abs_tol, max_steps=2_000_000):
-    """Adaptive Dormand-Prince driver for complex vector ODEs."""
-    t = t0
-    y = y0
-    h = min(1e-3, t1 - t0)
-    k = [None] * 7
-    steps = 0
-    while t < t1:
-        if steps > max_steps:
-            raise NumericalFailure("RK45 step budget exhausted at t=%g" % t)
-        h = min(h, t1 - t)
-        if h < 1e-13 * max(1.0, t1 - t0):
-            raise NumericalFailure("RK45 step underflow at t=%g" % t)
-        k[0] = fun(t, y)
-        for i in range(1, 7):
-            yi = y
-            for j, a in enumerate(_DP_A[i]):
-                if a != 0.0:
-                    yi = yi + (h * a) * k[j]
-            k[i] = fun(t + _DP_C[i] * h, yi)
-        y5 = y
-        for i in range(7):
-            if _DP_B5[i] != 0.0:
-                y5 = y5 + (h * _DP_B5[i]) * k[i]
-        err_v = np.zeros_like(y)
-        for i in range(7):
-            d = _DP_B5[i] - _DP_B4[i]
-            if d != 0.0:
-                err_v = err_v + (h * d) * k[i]
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean((np.abs(err_v) / scale) ** 2)))
-        steps += 1
-        if err <= 1.0:
-            t += h
-            y = y5
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        h = h * min(5.0, max(0.2, factor))
-    return y, steps
+def _expm_apply(H, s, y, bound):
+    """exp(-i s H) y, y as (real, imag) columns, for real symmetric H with ||H||_2 <= bound.
+
+    Taylor series in m substeps with theta = s bound / m <= 1, each cut once
+    theta^(n+1)/(n+1)! is below the unit roundoff (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33 (2011) 488).
+    """
+    m = max(1, math.ceil(s * bound))
+    theta = s * bound / m
+    n, rest = 0, theta
+    while rest > 2.0 ** -53:
+        n += 1
+        rest *= theta / (n + 1)
+    sub = s / m
+    for _ in range(m):
+        term = acc = y
+        for k in range(1, n + 1):
+            term = (H @ term)[:, ::-1] * (sub / k * _TIMES_MINUS_I)
+            acc = acc + term
+        y = acc
+    return y
+
+
+def _step(ker, seg, t, h, y):
+    """Two commutator-free Magnus-4 steps of h/2 and one of h from y at t."""
+    g, jx, jy = seg.eval(t + h * _NODES)
+    H = ker.hamiltonians(g, jx, jy)
+    bound = ker.N * (np.abs(g) + np.abs(jx) + np.abs(jy))
+
+    def expm(k, y):
+        return _expm_apply(H[k], h * _LENGTHS[k], y, bound[k])
+
+    return expm(3, expm(2, expm(1, expm(0, y)))), expm(5, expm(4, y))
+
+
+def _evolve_sector(ker, schedule, y, opts):
+    """Evolve sector vector y, as (real, imag) columns, across the schedule.
+
+    A step is accepted when the 2-norm of the difference between one step of
+    h and two of h/2 is at most abs_tol + rel_tol, and keeps the two half
+    steps.  Raises NumericalFailure once ``opts.max_steps`` steps were tried
+    or when a step fails its tolerance at h <= 1e-12.
+    """
+    tol = opts.abs_tol + opts.rel_tol
+    h = 1e-3
+    steps = accepted = 0
+    h_min = math.inf
+    for seg in schedule.segments:
+        t = seg.t_start
+        while t < seg.t_end:
+            if steps >= opts.max_steps:
+                raise NumericalFailure("ED step budget exhausted at t=%g (h=%g)" % (t, h))
+            rest = seg.t_end - t
+            last = 1.001 * h >= rest        # stretch h a little rather than leave a sliver
+            h = rest if last else h
+            fine, coarse = _step(ker, seg, t, h, y)
+            err = float(np.linalg.norm(fine - coarse)) / tol
+            steps += 1
+            if err <= 1.0:
+                y = fine
+                t = seg.t_end if last else t + h
+                accepted += 1
+                h_min = min(h_min, h)
+            elif h <= 1e-12:
+                raise NumericalFailure("ED step at t=%g fails its tolerance at h=%g (err=%g)"
+                                       % (t, h, err))
+            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
+    return y, {"steps": steps, "accepted": accepted, "rejected": steps - accepted,
+               "h_min": h_min, "sector_dim": ker.D}
 
 
 def evolve_exact(schedule, N, opts=None):
     """Evolve the even-parity ground state at schedule start through the schedule."""
     opts = opts or SolverOptions()
     ker = _kernels(N)
-    state = ground_state(N, schedule.params_at(schedule.t_start))
-    psi = state.amplitudes.copy()
-
-    for seg in schedule.segments:
-        def rhs(t, y):
-            hy = ker.apply(y, *seg.eval(t))
-            nrm = float(np.real(np.vdot(y, y)))
-            e = float(np.real(np.vdot(y, hy))) / nrm
-            return -1j * (hy - e * y)
-
-        psi, _ = _rk45(rhs, seg.t_start, seg.t_end, psi, opts.rel_tol, opts.abs_tol)
-    return ManyBodyState(amplitudes=psi, N=N, t=schedule.t_end)
+    psi0 = ground_state(N, schedule.params_at(schedule.t_start)).amplitudes
+    c = psi0[ker.reps] * ker.sqrt_size
+    y, meta = _evolve_sector(ker, schedule, np.column_stack([c.real, c.imag]), opts)
+    return ManyBodyState(amplitudes=ker.expand(y[:, 0] + 1j * y[:, 1]), N=N,
+                         t=schedule.t_end, meta=meta)
 
 
 def parity_expectation(state):
@@ -225,8 +221,6 @@ def measure_defects(state, basis_kind):
     if basis_kind == "paramagnetic":
         return float((w * ker.popcount).sum() / nrm / state.N)
     if basis_kind == "ferromagnetic":
-        acc = 0.0
-        for perm in ker.perms:
-            acc += float(np.real(np.vdot(psi, psi[perm])))
-        return 0.5 * (state.N - acc / nrm) / state.N
+        acc = sum(float(np.real(np.vdot(psi, psi[perm]))) for perm in ker.perms)
+        return float(0.5 * (state.N - acc / nrm) / state.N)
     raise ValueError("basis_kind must be 'paramagnetic' or 'ferromagnetic'")

@@ -111,6 +111,9 @@ def test_validate_report(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert any("ed_vs_bdg" in n for n in names)
     assert all("tolerance" in c for c in report["checks"])
+    for c in report["checks"]:
+        if c["name"].startswith("ed_vs_bdg"):
+            assert c["detail"]["sector_dim"] == 8 and c["detail"]["ed_steps"] > 0
 
 
 def test_validate_detects_injected_loosening(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,75 @@ from kzquench import evolver as ev
 from kzquench import lattice as lat
 from kzquench import protocol as proto
 
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])    # i sigma^y, real
+
+
+def _site_product(N, ops):
+    """Kronecker product over the chain; site j is bit j of the state index."""
+    out = np.ones((1, 1))
+    for j in reversed(range(N)):
+        out = np.kron(out, ops.get(j, np.eye(2)))
+    return out
+
+
+def _dense_h(N, g, jx, jy):
+    """-g sum sz_j - jx sum sx_j sx_(j+1) - jy sum sy_j sy_(j+1), periodic, from Pauli matrices."""
+    H = np.zeros((1 << N, 1 << N))
+    for j in range(N):
+        k = (j + 1) % N
+        H -= g * _site_product(N, {j: _SZ})
+        H -= jx * _site_product(N, {j: _SX, k: _SX})
+        H += jy * _site_product(N, {j: _ISY, k: _ISY})    # sy sy = -(i sy)(i sy)
+    return H
+
+
+def _energy(state, params):
+    psi = state.amplitudes
+    return float(np.real(np.vdot(psi, _dense_h(state.N, *params) @ psi)))
+
+
+def _sector_map(N):
+    ker = ed._kernels(N)
+    return np.column_stack([ker.expand(e).real for e in np.eye(ker.D)])
+
+
+@pytest.mark.parametrize("N", [4, 6])
+def test_sector_matches_dense_hamiltonian(N):
+    rng = np.random.default_rng(N)
+    ker = ed._kernels(N)
+    P = _sector_map(N)
+    assert np.allclose(P.T @ P, np.eye(ker.D), atol=1e-14)
+    for _ in range(3):
+        g, jy = rng.uniform(-2.0, 2.0, size=2)
+        H = _dense_h(N, g, 1.0, jy)
+        Hs = ker.hamiltonians(g, 1.0, jy)
+        assert np.allclose(Hs, P.T @ H @ P, atol=1e-12)
+        assert np.allclose(H @ P, P @ Hs, atol=1e-12)      # the sector is closed under H
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.05, 0.7])
+def test_exponential_matches_eigh(s):
+    # one Taylor substep at the smallest s, several at the largest
+    ker = ed._kernels(8)
+    H = ker.hamiltonians(3.0, 1.0, 0.5)
+    bound = 8 * (3.0 + 1.0 + 0.5)
+    c = np.random.default_rng(1).normal(size=(ker.D, 2)) @ [1.0, 1j]
+    w, V = np.linalg.eigh(H)
+    ref = V @ (np.exp(-1j * s * w) * (V.T @ c))
+    y = ed._expm_apply(H, s, np.column_stack([c.real, c.imag]), bound)
+    assert np.abs(y @ [1.0, 1j] - ref).max() < 1e-13 * max(1.0, s * bound)
+
+
+def test_sector_dimensions():
+    assert [ed._kernels(N).D for N in (8, 10, 12)] == [18, 44, 122]
+
 
 def test_ground_state_energy_matches_free_fermions():
     for N, g in [(8, 10.0), (10, 0.0), (8, 2.5)]:
         gs = ed.ground_state(N, (g, 1.0, 0.0))
-        ker = ed._kernels(N)
-        hpsi = ker.apply(gs.amplitudes, g, 1.0, 0.0)
-        e0 = float(np.real(np.vdot(gs.amplitudes, hpsi)))
+        e0 = _energy(gs, (g, 1.0, 0.0))
         grid = lat.mode_grid(N)
         e_ff = -float(np.sum(lat.ising_bdg(lat.IsingParams(g), grid.q).omega))
         assert abs(e0 - e_ff) < 1e-10 * max(1.0, abs(e_ff))
@@ -22,8 +86,7 @@ def test_ground_state_energy_matches_free_fermions():
 def test_ground_state_xy_energy():
     N, g, jy = 8, 1.3, 0.7
     gs = ed.ground_state(N, (g, 1.0, jy))
-    ker = ed._kernels(N)
-    e0 = float(np.real(np.vdot(gs.amplitudes, ker.apply(gs.amplitudes, g, 1.0, jy))))
+    e0 = _energy(gs, (g, 1.0, jy))
     grid = lat.mode_grid(N)
     e_ff = -float(np.sum(lat.xy_bdg(lat.XYParams(g=g, J_y=jy), grid.q).omega))
     assert abs(e0 - e_ff) < 1e-9
@@ -114,3 +177,55 @@ def test_kernel_size_guard():
         ed._kernels(16)
     with pytest.raises(ValueError):
         ed._kernels(7)
+
+
+# Defect densities from the full-space oracle this sector oracle replaced
+# (matrix-free 2^N Hamiltonian, even-parity Lanczos ground state, adaptive
+# Dormand-Prince 5(4) steps), run at rel_tol=1e-12, abs_tol=1e-14.  Round
+# trips are measured in flips, reversed trips and the quarter turn in kinks.
+_FULL_SPACE_REFERENCE = {
+    (8, "round_trip", 1.0): 0.07164781353939792,
+    (8, "round_trip", 2.0): 0.13433465479933815,
+    (8, "reversed", 1.0): 0.282169380119015,
+    (8, "reversed", 2.0): 0.0516446215380329,
+    (8, "quarter_turn", 1.5): 0.19083527401136274,
+    (10, "round_trip", 1.0): 0.07671331052754114,
+    (10, "round_trip", 2.0): 0.16193052127509563,
+    (10, "reversed", 1.0): 0.19607555012264974,
+    (10, "reversed", 2.0): 0.11232814337539172,
+    (10, "quarter_turn", 1.5): 0.27078191948287744,
+}
+
+
+_SCHEDULES = {
+    "round_trip": (lambda tau: proto.round_trip(0.0, tau, 1.0), "paramagnetic"),
+    "reversed": (lambda tau: proto.reversed_round_trip(1.5, tau, 1.0), "ferromagnetic"),
+    "quarter_turn": (lambda tau: proto.quarter_turn(1.5, tau, 1.0, jy_initial=4.0),
+                     "ferromagnetic"),
+}
+
+
+@pytest.mark.parametrize("N, kind, tau", sorted(_FULL_SPACE_REFERENCE))
+def test_matches_full_space_reference(N, kind, tau):
+    build, basis = _SCHEDULES[kind]
+    value = ed.measure_defects(ed.evolve_exact(build(tau), N), basis)
+    assert abs(value - _FULL_SPACE_REFERENCE[N, kind, tau]) < 1e-9
+
+
+@pytest.mark.parametrize("opts, match", [
+    (ev.SolverOptions(rel_tol=1e-300, abs_tol=1e-300), "fails its tolerance"),
+    (ev.SolverOptions(max_steps=3), "step budget exhausted"),
+])
+def test_failing_evolution_raises(opts, match):
+    with pytest.raises(ev.NumericalFailure, match=match):
+        ed.evolve_exact(proto.reversed_round_trip(1.5, 1.0, 1.0), 8, opts)
+
+
+def test_evolution_statistics():
+    st = ed.evolve_exact(proto.reversed_round_trip(1.5, 1.0, 1.0), 8)
+    m = st.meta
+    assert m["sector_dim"] == 18
+    assert m["steps"] == m["accepted"] + m["rejected"] and m["accepted"] > 0
+    assert 0.0 < m["h_min"] < math.inf
+    assert all(type(ed.measure_defects(st, kind)) is float
+               for kind in ("paramagnetic", "ferromagnetic"))
