@@ -37,9 +37,23 @@ class ConfigError(ValueError):
     pass
 
 
-# the protocol keys build_schedule reads; any other key is a typo
-PROTOCOL_KEYS = ("kind", "g_rt", "R", "g_i", "g_f", "g_qt", "jy_initial")
+# Each protocol kind: its schedule builder and the config keys it reads, with
+# their defaults.  build_schedule is the one reader of protocol parameters.
+PROTOCOLS = {
+    "round_trip": (protocol.round_trip,
+                   {"g_rt": 0.0, "R": 1.0, "g_i": protocol.DEFAULT_G_INITIAL,
+                    "g_f": protocol.DEFAULT_G_FINAL}),
+    "reversed_round_trip": (protocol.reversed_round_trip, {"g_rt": 1.5, "R": 1.0}),
+    "quarter_turn": (protocol.quarter_turn,
+                     {"g_qt": 1.5, "R": 1.0, "jy_initial": protocol.DEFAULT_JY_INITIAL}),
+    "one_way": (protocol.one_way, {"g_i": 10.0, "g_f": 0.0}),
+}
+# the keys any builder reads; any other key is a typo
+PROTOCOL_KEYS = tuple(dict.fromkeys(["kind"] + [k for _, keys in PROTOCOLS.values()
+                                                for k in keys]))
 MAX_TAU_POINTS = 100_000  # longest {start, stop, step} range of quench times
+MAX_R_POINTS = 10_000  # longest correlator r grid
+MAX_QUADRATURE_NODES = 30_000  # the panel-width cap asks for about 3 r_max nodes
 
 
 DEFAULT_CONFIG = {
@@ -116,19 +130,12 @@ def _write_csv(path, header, rows, cfg):
 
 
 def build_schedule(pcfg, tau_q):
+    """The configured protocol's schedule at tau_q, built from the PROTOCOLS table."""
     kind = pcfg.get("kind", "round_trip")
-    if kind == "round_trip":
-        return protocol.round_trip(pcfg.get("g_rt", 0.0), tau_q, pcfg.get("R", 1.0),
-                                   pcfg.get("g_i", protocol.DEFAULT_G_INITIAL),
-                                   pcfg.get("g_f", protocol.DEFAULT_G_FINAL))
-    if kind == "reversed_round_trip":
-        return protocol.reversed_round_trip(pcfg.get("g_rt", 1.5), tau_q, pcfg.get("R", 1.0))
-    if kind == "quarter_turn":
-        return protocol.quarter_turn(pcfg.get("g_qt", 1.5), tau_q, pcfg.get("R", 1.0),
-                                     pcfg.get("jy_initial", protocol.DEFAULT_JY_INITIAL))
-    if kind == "one_way":
-        return protocol.one_way(pcfg.get("g_i", 10.0), pcfg.get("g_f", 0.0), tau_q)
-    raise ConfigError("unknown protocol kind %r" % kind)
+    if not isinstance(kind, str) or kind not in PROTOCOLS:
+        raise ConfigError("unknown protocol kind %r" % (kind,))
+    builder, keys = PROTOCOLS[kind]
+    return builder(tau_q=tau_q, **{k: pcfg.get(k, d) for k, d in keys.items()})
 
 
 def _number(value, key, positive=False):
@@ -171,24 +178,44 @@ def _tau_list(cfg, section):
     return taus
 
 
-def _length_scales(pcfg, tau):
-    """Closed-form correlator length scales of the configured protocol at tau.
+def correlator_closed_forms(schedule):
+    """(length scales, r -> (alpha, beta, dephased)) of the evolved schedule's kind and labels.
 
-    The closed forms hold at R = 1, and for the round trip at g_rt = 0 only.
+    The closed forms hold at R = 1 for the reversed protocol and for the
+    round trip at g_rt = 0; ConfigError elsewhere.
     """
-    kind = pcfg.get("kind", "round_trip")
-    if kind not in ("round_trip", "reversed_round_trip"):
-        raise ConfigError("correlator closed forms exist for the round-trip "
-                          "and reversed protocols only")
-    if pcfg.get("R", 1.0) != 1.0 or (kind == "round_trip" and pcfg.get("g_rt", 0.0) != 0.0):
-        raise ConfigError("correlator closed forms require R = 1 (and g_rt = 0 "
-                          "for the round trip)")
+    kind, lab = schedule.kind, schedule.labels
+    if kind not in ("round_trip", "reversed_round_trip") or lab["R"] != 1.0 \
+            or (kind == "round_trip" and lab["g_rt"] != 0.0):
+        raise ConfigError("correlator closed forms hold at R = 1 for the reversed "
+                          "protocol and for the round trip at g_rt = 0 only")
+    tau = lab["tau_q"]
     try:
         if kind == "round_trip":
-            return correlators.length_scales_roundtrip(tau, pcfg.get("g_f", 10.0))
-        return correlators.primed_length_scales(tau, pcfg.get("g_rt", 10.0))
+            g_f = lab["g_f"]
+            return (correlators.length_scales_roundtrip(tau, g_f),
+                    lambda r: (correlators.alpha_closed(r, tau),
+                               correlators.beta_closed(r, tau, g_f),
+                               correlators.dephased_czz(r, tau)))
+        g_rt = lab["g_rt"]
+        return (correlators.primed_length_scales(tau, g_rt),
+                lambda r: (*correlators.primed_correlators_closed(r, tau, g_rt),
+                           correlators.dephased_ckk(r, tau)))
     except closedform.OutOfRegimeError as exc:
         raise ConfigError("correlator at tau_q=%g: %s" % (tau, exc)) from None
+
+
+def _r_grid(ccfg, ls):
+    """The r grid [0, r_max_factor * max(l_beta)], refused before it is made if it
+    holds more than MAX_R_POINTS points or needs more than MAX_QUADRATURE_NODES."""
+    r_max = _number(ccfg.get("r_max_factor", 2.0), "correlator.r_max_factor",
+                    positive=True) * max(ls.l_beta)
+    r_step = _number(ccfg.get("r_step", 1.0), "correlator.r_step", positive=True)
+    if r_max / r_step + 1.0 > MAX_R_POINTS or 3.0 * r_max > MAX_QUADRATURE_NODES:
+        raise ConfigError("correlator r grid [0, %g] at step %g: more than %d points, or "
+                          "about 3 r_max > %d quadrature nodes"
+                          % (r_max, r_step, MAX_R_POINTS, MAX_QUADRATURE_NODES))
+    return np.arange(0.0, r_max + 1e-9, r_step)
 
 
 def check_config(cfg, command):
@@ -233,46 +260,50 @@ def check_config(cfg, command):
         _tau_list(cfg, "validate")
         return
     if command == "correlator":
-        ccfg = cfg["correlator"]
-        _number(ccfg.get("r_max_factor", 2.0), "correlator.r_max_factor", positive=True)
-        _number(ccfg.get("r_step", 1.0), "correlator.r_step", positive=True)
         taus = _tau_list(cfg, "correlator")
     else:
         taus = _tau_list(cfg, "sweep")
+        if command == "sweep":
+            worker_count()
     try:
         build_schedule(cfg["protocol"], taus[0])
     except (TypeError, ValueError) as exc:
         raise ConfigError("protocol: %s" % exc) from None
     if command == "correlator":
         for tau in taus:
-            _length_scales(cfg["protocol"], tau)
+            ls, _ = correlator_closed_forms(build_schedule(cfg["protocol"], tau))
+            _r_grid(cfg["correlator"], ls)
 
 
-def closed_form_density(pcfg, tau_q):
-    """(n_closed, n0, f, M, delta, T_Q) for the configured protocol at tau_q."""
-    kind = pcfg.get("kind", "round_trip")
-    R = pcfg.get("R", 1.0)
+def closed_form_density(schedule):
+    """(n_closed, n0, f, M, delta, T_Q) of the evolved schedule, from its kind and labels.
+
+    All NaN where no closed form applies: a one-way ramp that never crosses
+    g = 1, or a point outside the asymptotic regime.
+    """
+    lab = schedule.labels
+    tau_q, R = lab["tau_q"], lab["R"]
     nan = float("nan")
     try:
-        if kind in ("round_trip", "reversed_round_trip"):
-            g_rt = pcfg.get("g_rt", 0.0)
-            if g_rt == 1.0:
-                return nan, closedform.kz_density(tau_q), nan, nan, nan, math.inf
-            pred = closedform.density_prediction_roundtrip(tau_q, R, g_rt)
-            return pred.n, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q
-        if kind == "quarter_turn":
-            g_qt = pcfg.get("g_qt", 1.5)
+        if schedule.kind == "one_way":
+            if not schedule.crossings:
+                return (nan,) * 6
+            n0 = closedform.kz_density(tau_q)
+            return n0, n0, 1.0, 0.0, 0.0, nan
+        if schedule.kind == "quarter_turn":
+            g_qt = lab["g_qt"]
             n_quad = closedform.density_quarter_turn_quadrature(tau_q, R, g_qt)
             pred = closedform.density_quarter_turn(tau_q, R, g_qt)
             if isinstance(pred, closedform.AiryDensity):
                 return n_quad, nan, nan, nan, nan, pred.T_Q
             return n_quad, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q
-        if kind == "one_way":
-            n0 = closedform.kz_density(tau_q)
-            return n0, n0, 1.0, 0.0, 0.0, nan
+        # the round trip and the reversed protocol
+        if lab["g_rt"] == 1.0:
+            return nan, closedform.kz_density(tau_q), nan, nan, nan, math.inf
+        pred = closedform.density_prediction_roundtrip(tau_q, R, lab["g_rt"])
+        return pred.n, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q
     except closedform.OutOfRegimeError:
         return (nan,) * 6
-    raise ConfigError("unknown protocol kind %r" % kind)
 
 
 def _sweep_rows(args):
@@ -281,18 +312,16 @@ def _sweep_rows(args):
     schedules = [build_schedule(cfg["protocol"], tau) for tau in taus]
     spectra = evolver.evolve_spectra_quadrature(schedules, SolverOptions(**cfg["solver"]),
                                                 **cfg["quadrature"])
-    rows = []
-    for tau, sp in zip(taus, spectra):
-        n_cf, n0, f, M, delta, T_Q = closed_form_density(cfg["protocol"], tau)
-        rows.append([tau, evolver.defect_density(sp), n_cf, n0, f, M, delta, T_Q])
-    return rows
+    return [[tau, evolver.defect_density(sp), *closed_form_density(sch)]
+            for tau, sch, sp in zip(taus, schedules, spectra)]
 
 
 def worker_count():
-    try:
-        return max(1, int(os.environ.get("KZQUENCH_WORKERS", "1")))
-    except ValueError:
-        return 1
+    """Sweep processes: KZQUENCH_WORKERS (default 1), at most one per usable CPU."""
+    raw = os.environ.get("KZQUENCH_WORKERS", "1")
+    if not (raw.strip().isdecimal() and int(raw) > 0):
+        raise ConfigError("KZQUENCH_WORKERS must be a positive integer, got %r" % raw)
+    return min(int(raw), len(os.sched_getaffinity(0)))
 
 
 def cmd_sweep(cfg):
@@ -322,29 +351,19 @@ def cmd_sweep(cfg):
 
 
 def cmd_correlator(cfg):
-    ccfg = cfg["correlator"]
-    pcfg = cfg["protocol"]
-    kind = pcfg.get("kind", "round_trip")
     prefix = cfg["output"]["prefix"]
     opts = SolverOptions(**cfg["solver"])
     files = []
     for tau in _tau_list(cfg, "correlator"):
-        sch = build_schedule(pcfg, tau)
-        ls = _length_scales(pcfg, tau)
-        r_max = ccfg.get("r_max_factor", 2.0) * max(ls.l_beta)
-        r = np.arange(0.0, r_max + 1e-9, ccfg.get("r_step", 1.0))
+        sch = build_schedule(cfg["protocol"], tau)
+        ls, closed = correlator_closed_forms(sch)
+        r = _r_grid(cfg["correlator"], ls)
         sp = evolver.evolve_spectrum_quadrature(sch, opts, max_r=float(r[-1]),
                                                 **cfg["quadrature"])
         fc = correlators.fermionic_correlators_numeric(sp, r)
         c_quad = correlators.czz(fc)
         n0 = closedform.kz_density(tau)
-        if kind == "round_trip":
-            alpha = correlators.alpha_closed(r, tau)
-            beta = correlators.beta_closed(r, tau, pcfg.get("g_f", 10.0))
-            dephased = correlators.dephased_czz(r, tau)
-        else:
-            alpha, beta = correlators.primed_correlators_closed(r, tau, pcfg.get("g_rt", 10.0))
-            dephased = correlators.dephased_ckk(r, tau)
+        alpha, beta, dephased = closed(r)
         c_closed = np.abs(beta) ** 2 - alpha ** 2
         rows = [[ri, n0 * ri, cq, cc, -a * a, abs(b) ** 2, dp]
                 for ri, cq, cc, a, b, dp in zip(r, c_quad, c_closed, alpha, beta, dephased)]

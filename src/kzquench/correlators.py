@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import OutOfRegimeError
-from .lattice import equilibrium_amplitudes, xy_bdg
 from .specfun import GAMMA_E, LN2
 
 _E_OVER_LN2 = math.e / LN2
@@ -52,25 +51,18 @@ class LengthScaleSet:
     Y: tuple
 
 
-def fermionic_correlators_numeric(spectrum, r, params=None):
+def fermionic_correlators_numeric(spectrum, r):
     """alpha_r = -(1/pi) int |v~|^2 cos(qr) dq, beta_r = (1/pi) int u~ v~* sin(qr) dq.
 
     ``spectrum`` must carry quadrature weights.  The amplitudes are the ones
-    rotated into the equilibrium basis of the schedule's final parameters; an
-    explicit ``params`` (XYParams) re-rotates the lab amplitudes into that
-    basis instead (raises DegenerateModeError if it is gapless).
+    rotated into the equilibrium basis of the schedule's final parameters.
     """
     if spectrum.weights is None:
         raise ValueError("quadrature spectrum required (weights missing)")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r < 0):
         raise ValueError("r must be >= 0")
-    if params is None:
-        u, v = spectrum.u_rot, spectrum.v_rot
-    else:
-        eq = equilibrium_amplitudes(xy_bdg(params, spectrum.q))
-        u = spectrum.u * eq.u + spectrum.v * eq.v
-        v = spectrum.v * eq.u - spectrum.u * eq.v
+    u, v = spectrum.u_rot, spectrum.v_rot
     w = spectrum.weights / math.pi
     qr = np.outer(r, spectrum.q)
     alpha = -np.cos(qr) @ (w * np.abs(v) ** 2)
@@ -222,12 +214,6 @@ def primed_correlators_closed(r, tau_q, g_rt):
     alpha = _alpha_sum(r, tau_q, ls.xi_hat, ls.l_alpha, ls.b)
     beta = _beta_sum(r, ls.xi_hat, ls.l_beta, ls.lambdas, ls.lambda_primes, ls.h, ls.y)
     return alpha, beta
-
-
-def ckk_closed(r, tau_q, g_rt):
-    """Closed-form kink-kink correlator |beta'|^2 - alpha'^2 (reversed, R = 1)."""
-    alpha, beta = primed_correlators_closed(r, tau_q, g_rt)
-    return np.abs(beta) ** 2 - alpha ** 2
 
 
 def dephased_ckk(r, tau_q):

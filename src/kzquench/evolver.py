@@ -108,7 +108,7 @@ class _Group:
 
     The controller state (t, h, segment, step counts, drift) is scalar and
     belongs to the group alone; its modes hold one contiguous slice of the
-    lock-step batch.  ``out`` is the schedule's result dict and ``mask``
+    lock-step batch.  ``out`` is the schedule's SpectrumResult and ``mask``
     picks the group's modes out of it.
     """
 
@@ -179,12 +179,12 @@ class _Group:
             u, v = a, b
             u_rot = u * cf + v * sf
             v_rot = v * cf - u * sf
-        out, m = self.out, self.mask
-        out["u"][m], out["v"][m], out["u_rot"][m], out["v_rot"][m] = u, v, u_rot, v_rot
-        out["norm_drift"] = max(out["norm_drift"], self.drift)
-        out["steps"] += self.steps
-        out["accepted"] += self.accepted
-        out["h_min"] = min(out["h_min"], float(self.h_min))
+        out, m, meta = self.out, self.mask, self.out.meta
+        out.u[m], out.v[m], out.u_rot[m], out.v_rot[m] = u, v, u_rot, v_rot
+        out.norm_drift = max(out.norm_drift, self.drift)
+        meta["steps"] += self.steps
+        meta["accepted"] += self.accepted
+        meta["h_min"] = min(meta["h_min"], float(self.h_min))
 
 
 def _step_rows(t, h, seg):
@@ -356,7 +356,7 @@ def _bogoliubov_angle(schedule, q, t):
 
 
 def _evolve(jobs, opts):
-    """Evolve the modes q of every (schedule, q) job; one result dict per job.
+    """Evolve the modes q of every (schedule, q) job; one SpectrumResult per job.
 
     Each job's modes are split by frame into groups, and the groups of each
     frame advance together in one lock-step batch.
@@ -374,10 +374,10 @@ def _evolve(jobs, opts):
             lab_mask = np.ones(q.shape, dtype=bool)
         else:
             lab_mask = np.zeros(q.shape, dtype=bool)
-        u = np.empty(q.shape, dtype=complex)
-        out = {"u": u, "v": np.empty_like(u), "u_rot": np.empty_like(u),
-               "v_rot": np.empty_like(u), "norm_drift": 0.0, "steps": 0, "accepted": 0,
-               "h_min": math.inf, "lab_modes": int(np.count_nonzero(lab_mask))}
+        u, v, u_rot, v_rot = (np.empty(q.shape, dtype=complex) for _ in range(4))
+        out = SpectrumResult(schedule, q, None, u, v, u_rot, v_rot, meta={
+            "steps": 0, "accepted": 0, "rejected": 0, "h_min": math.inf,
+            "lab_modes": int(np.count_nonzero(lab_mask))})
         outs.append(out)
         for frame, mask in (("adiabatic", ~lab_mask), ("lab", lab_mask)):
             if np.any(mask):
@@ -389,36 +389,28 @@ def _evolve(jobs, opts):
         if frame_groups:
             _lockstep(frame, frame_groups, opts)
     for out in outs:
-        out["p"] = np.abs(out["v_rot"]) ** 2
-        out["rejected"] = out["steps"] - out["accepted"]
+        out.p = np.abs(out.v_rot) ** 2
+        out.meta["rejected"] = out.meta["steps"] - out.meta["accepted"]
     return outs
 
 
 def evolve_modes(schedule, q, opts=None):
     """Evolve an array of positive quasimomenta through the schedule.
 
-    Returns a dict with lab-frame (u, v), final-equilibrium-frame
-    (u_rot, v_rot), p = |v_rot|^2, the worst norm drift and the solver
-    statistics: ``steps`` attempted, of them ``accepted`` and ``rejected``,
-    the smallest accepted step ``h_min`` and the number of ``lab_modes``.
+    Returns a SpectrumResult without weights: lab-frame (u, v),
+    final-equilibrium-frame (u_rot, v_rot), p = |v_rot|^2, the worst norm
+    drift and, in ``meta``, the solver statistics: ``steps`` attempted, of
+    them ``accepted`` and ``rejected``, the smallest accepted step ``h_min``
+    and the number of ``lab_modes``.
     """
     return _evolve([(schedule, q)], opts)[0]
 
 
-_STATS = ("steps", "accepted", "rejected", "h_min", "lab_modes")
-
-
-def _spectrum(schedule, q, weights, res, meta):
-    meta.update((k, res[k]) for k in _STATS)
-    return SpectrumResult(schedule=schedule, q=q, p=res["p"], u=res["u"], v=res["v"],
-                          u_rot=res["u_rot"], v_rot=res["v_rot"], weights=weights,
-                          norm_drift=res["norm_drift"], meta=meta)
-
-
 def evolve_spectrum(schedule, N, opts=None):
     """Evolve every positive mode of an N-site chain (midpoint quadrature grid)."""
-    q = mode_grid(N).q
-    return _spectrum(schedule, q, None, evolve_modes(schedule, q, opts), {"N": N})
+    res = evolve_modes(schedule, mode_grid(N).q, opts)
+    res.meta["N"] = N
+    return res
 
 
 def evolve_spectra_quadrature(schedules, opts=None, order=16, n_support=12, max_r=0.0):
@@ -430,8 +422,10 @@ def evolve_spectra_quadrature(schedules, opts=None, order=16, n_support=12, max_
     panels = [support_panels(s, order=order, n_support=n_support, max_r=max_r)
               for s in schedules]
     results = _evolve([(s, q) for s, (q, _) in zip(schedules, panels)], opts)
-    return [_spectrum(s, q, w, res, {"order": order})
-            for s, (q, w), res in zip(schedules, panels, results)]
+    for res, (_, w) in zip(results, panels):
+        res.weights = w
+        res.meta["order"] = order
+    return results
 
 
 def evolve_spectrum_quadrature(schedule, opts=None, order=16, n_support=12, max_r=0.0):

@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kzquench
-from kzquench import cli, evolver
+from kzquench import cli, closedform, correlators, evolver
 
 
 def child_env(**extra):
@@ -151,6 +153,11 @@ def test_validate_odd_n_rejected(tmp_path):
     pytest.param(["--set", "correlator.tau_q=[1.0]", "correlator"],
                  id="correlator-out-of-regime"),
     pytest.param(["--set", "protocol.R=2", "correlator"], id="correlator-outside-closed-forms"),
+    # 2 max(l_beta) = 373 at tau 32: about 3.7e11 points at this step
+    pytest.param(["--set", "correlator.r_step=1e-9", "correlator"], id="r-grid-too-long"),
+    # r_max = 37,300 is 374 points at this step, but needs about 112,000 nodes
+    pytest.param(["--set", "correlator.r_max_factor=200", "--set", "correlator.r_step=100",
+                  "correlator"], id="r-max-too-many-nodes"),
 ])
 def test_invalid_config_is_config_error(tmp_path, args):
     r = run_cli(args, tmp_path)
@@ -182,10 +189,24 @@ def test_run_errors_are_not_config_errors(tmp_path, monkeypatch):
 
 
 def test_worker_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("KZQUENCH_WORKERS", "2")
-    assert cli.worker_count() == 2
-    monkeypatch.setenv("KZQUENCH_WORKERS", "junk")
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
     assert cli.worker_count() == 1
+    monkeypatch.setenv("KZQUENCH_WORKERS", "2")
+    assert cli.worker_count() == min(2, cpus)
+    # capped at the usable CPUs; no process is started here
+    monkeypatch.setenv("KZQUENCH_WORKERS", str(cli.MAX_TAU_POINTS))
+    assert cli.worker_count() == cpus
+    cfg = cli.load_config(None, ["output.prefix=" + str(tmp_path / "w")])
+    for bad in ("junk", "0", "-3", "1.5", ""):
+        monkeypatch.setenv("KZQUENCH_WORKERS", bad)
+        with pytest.raises(cli.ConfigError, match="KZQUENCH_WORKERS"):
+            cli.worker_count()
+        with pytest.raises(cli.ConfigError, match="KZQUENCH_WORKERS"):
+            cli.check_config(cfg, "sweep")
+        assert cli.main(["--set", "output.prefix=" + str(tmp_path / "w"),
+                         "--set", "sweep.tau_q=[10.0]", "sweep"]) == cli.EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
@@ -201,3 +222,88 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert run_cli(args2, tmp_path).returncode == 0
     assert (tmp_path / "p2_sweep.csv").read_text().splitlines()[1:] == \
            (tmp_path / "p1_sweep.csv").read_text().splitlines()[1:]
+
+
+# Each kind on the default protocol section, which holds g_rt = 0 and
+# g_i = g_f = 10: the reversed protocol needs g_rt > 1, and the one-way ramp
+# 10 -> 2 never crosses g = 1.  The same kinds with the protocol object
+# replaced wholesale run on the table's defaults.
+TABLE_CASES = [
+    pytest.param(kind, sets, id=kind + "-section") for kind, sets in (
+        ("round_trip", ["protocol.kind=round_trip"]),
+        ("reversed_round_trip", ["protocol.kind=reversed_round_trip", "protocol.g_rt=1.5"]),
+        ("quarter_turn", ["protocol.kind=quarter_turn"]),
+        ("one_way", ["protocol.kind=one_way", "protocol.g_f=2"]))
+] + [pytest.param(kind, ['protocol={"kind": "%s"}' % kind], id=kind + "-wholesale")
+     for kind in ("round_trip", "reversed_round_trip", "quarter_turn", "one_way")]
+# loose settings: the closed-form columns do not depend on them
+FAST = ["solver.rel_tol=1e-3", "solver.abs_tol=1e-3", "quadrature.order=4",
+        "quadrature.n_support=2"]
+
+
+def _read_rows(path):
+    return [[float(x) for x in line.split(",")]
+            for line in path.read_text().splitlines()[2:]]
+
+
+def _library_density(sch):
+    """(n_closed, n0, f, M, delta, T_Q) from the library at the schedule's labels."""
+    lab = sch.labels
+    tau, R = lab["tau_q"], lab["R"]
+    if sch.kind == "one_way":
+        if not min(lab["g_i"], lab["g_f"]) < 1.0 < max(lab["g_i"], lab["g_f"]):
+            return [math.nan] * 6
+        n0 = closedform.kz_density(tau)
+        return [n0, n0, 1.0, 0.0, 0.0, math.nan]
+    if sch.kind == "quarter_turn":
+        g_turn = lab["g_qt"]
+        pred = closedform.density_quarter_turn(tau, R, g_turn)
+        n = closedform.density_quarter_turn_quadrature(tau, R, g_turn)
+    else:
+        g_turn = lab["g_rt"]
+        pred = closedform.density_prediction_roundtrip(tau, R, g_turn)
+        n = pred.n
+    assert pred.T_Q == pytest.approx(closedform.period(sch.kind, g_turn, R), rel=1e-14)
+    return [n, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q]
+
+
+@pytest.mark.parametrize("kind,sets", TABLE_CASES)
+def test_closed_forms_describe_the_evolved_schedule(tmp_path, monkeypatch, kind, sets):
+    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
+    prefix = str(tmp_path / "t")
+    cfg = cli.load_config(None, sets + FAST + ["output.prefix=" + prefix])
+    sch = cli.build_schedule(cfg["protocol"], 8.0)
+    assert sch.kind == kind
+    args = [a for s in sets + FAST + ["output.prefix=" + prefix] for a in ("--set", s)]
+    assert cli.main(args + ["--set", "sweep.tau_q=[8.0]", "sweep"]) == cli.EXIT_OK
+    (row,) = _read_rows(tmp_path / "t_sweep.csv")
+    expected = _library_density(sch)
+    assert row[0] == 8.0
+    assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(row[2:], expected))
+    if kind == "one_way" and sch.labels["g_f"] == 2:
+        assert all(math.isnan(x) for x in row[2:])
+
+    rc = cli.main(args + ["--set", "correlator.tau_q=[8.0]", "--set", "correlator.r_step=4.0",
+                          "correlator"])
+    if kind in ("quarter_turn", "one_way"):
+        assert rc == cli.EXIT_CONFIG  # no correlator closed forms
+        return
+    assert rc == cli.EXIT_OK
+    lab = sch.labels
+    if kind == "round_trip":
+        ls = correlators.length_scales_roundtrip(8.0, lab["g_f"])
+    else:
+        ls = correlators.primed_length_scales(8.0, lab["g_rt"])
+    lengths = _read_rows(tmp_path / "t_lengths_tau8.csv")
+    assert [row[2] for row in lengths] == list(ls.l_beta)
+    assert [row[1] for row in lengths[:2]] == list(ls.l_alpha)
+    assert all(row[3] == ls.xi_hat for row in lengths)
+    curve = np.array(_read_rows(tmp_path / "t_correlator_tau8.csv"))
+    r = curve[:, 0]
+    assert r[-1] <= 2.0 * max(ls.l_beta) < r[-1] + 4.0
+    if kind == "round_trip":
+        c_closed = correlators.czz_closed(r, 8.0, lab["g_f"])
+    else:
+        alpha, beta = correlators.primed_correlators_closed(r, 8.0, lab["g_rt"])
+        c_closed = np.abs(beta) ** 2 - alpha ** 2
+    np.testing.assert_allclose(curve[:, 3], c_closed, rtol=1e-12, atol=1e-15)

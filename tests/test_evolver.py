@@ -16,16 +16,16 @@ def test_sudden_limit_state_frozen():
     sch = proto.one_way(10.0, 0.2, 1e-7)
     res = ev.evolve_modes(sch, [q], ev.SolverOptions(1e-10, 1e-12))
     eq0 = lat.equilibrium_amplitudes(lat.ising_bdg(lat.IsingParams(10.0), q))
-    assert abs(res["u"][0] - eq0.u) < 1e-5 and abs(res["v"][0] - eq0.v) < 1e-5
+    assert abs(res.u[0] - eq0.u) < 1e-5 and abs(res.v[0] - eq0.v) < 1e-5
     eqf = lat.equilibrium_amplitudes(lat.ising_bdg(lat.IsingParams(0.2), q))
     p_frozen = abs(eq0.u * eqf.v - eq0.v * eqf.u) ** 2
-    assert abs(res["p"][0] - p_frozen) < 1e-5
+    assert abs(res.p[0] - p_frozen) < 1e-5
 
 
 def test_adiabatic_limit_gapped_mode():
     sch = proto.round_trip(0.0, 500.0, 1.0, g_i=3.0, g_f=3.0)
     res = ev.evolve_modes(sch, [math.pi / 2], ev.SolverOptions(1e-9, 1e-11))
-    assert res["p"][0] < 1e-6
+    assert res.p[0] < 1e-6
 
 
 def test_one_way_matches_landau_zener(fast_opts):
@@ -35,7 +35,7 @@ def test_one_way_matches_landau_zener(fast_opts):
     q = np.array([0.02, 0.05, 0.08, 0.1])
     res = ev.evolve_modes(sch, q, fast_opts)
     ref = cf.pq0(q, tau)
-    assert np.max(np.abs(res["p"] / ref - 1.0)) < 0.02
+    assert np.max(np.abs(res.p / ref - 1.0)) < 0.02
 
 
 def test_norm_conservation_along_trajectory(tight_opts):
@@ -49,7 +49,7 @@ def test_determinism_bitwise(fast_opts):
     sch = proto.round_trip(0.0, 9.0, 1.3)
     a = ev.evolve_modes(sch, lat.mode_grid(64).q, fast_opts)
     b = ev.evolve_modes(sch, lat.mode_grid(64).q, fast_opts)
-    assert np.array_equal(a["u"], b["u"]) and np.array_equal(a["v"], b["v"])
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
 def test_batch_independence_of_composition(fast_opts):
@@ -58,7 +58,7 @@ def test_batch_independence_of_composition(fast_opts):
     q = lat.mode_grid(32).q
     batch = ev.evolve_modes(sch, q, fast_opts)
     single = ev.evolve_modes(sch, [q[5]], fast_opts)
-    assert abs(batch["p"][5] - single["p"][0]) < 1e-6
+    assert abs(batch.p[5] - single.p[0]) < 1e-6
 
 
 def test_frames_agree(tight_opts):
@@ -66,7 +66,7 @@ def test_frames_agree(tight_opts):
     q = np.array([0.05, 0.2, 0.7])
     lab = ev.evolve_modes(sch, q, ev.SolverOptions(1e-10, 1e-12, frame="lab"))
     adi = ev.evolve_modes(sch, q, ev.SolverOptions(1e-10, 1e-12, frame="adiabatic"))
-    assert np.max(np.abs(lab["p"] - adi["p"])) < 1e-8
+    assert np.max(np.abs(lab.p - adi.p)) < 1e-8
 
 
 def test_interference_revival_smallest_mode(fast_opts):
@@ -76,8 +76,8 @@ def test_interference_revival_smallest_mode(fast_opts):
     q = math.pi / 1000.0
     half = proto.one_way(10.0, 0.0, tau)
     full = proto.round_trip(0.0, tau, 1.0)
-    p_half = ev.evolve_modes(half, [q], fast_opts)["p"][0]
-    p_full = ev.evolve_modes(full, [q], fast_opts)["p"][0]
+    p_half = ev.evolve_modes(half, [q], fast_opts).p[0]
+    p_full = ev.evolve_modes(full, [q], fast_opts).p[0]
     assert p_half > 0.99
     assert p_full < 0.01
 
@@ -128,9 +128,9 @@ def test_time_reversal_sanity(fast_opts):
     # state; the residual is the turning-point kink response ~ sin^2 q/(16 tau^2)
     q = 1.2
     p200 = ev.evolve_modes(proto.round_trip(0.0, 200.0, 1.0, g_i=4.0, g_f=4.0),
-                           [q], fast_opts)["p"][0]
+                           [q], fast_opts).p[0]
     p400 = ev.evolve_modes(proto.round_trip(0.0, 400.0, 1.0, g_i=4.0, g_f=4.0),
-                           [q], fast_opts)["p"][0]
+                           [q], fast_opts).p[0]
     assert p200 < 1e-5
     assert p400 < 0.5 * p200  # -> 0 as tau grows
 
@@ -170,7 +170,7 @@ def test_closed_form_pqf_matches_evolved(fast_opts):
     q = np.linspace(0.01, 3.0 / math.sqrt(tau), 40)
     res = ev.evolve_modes(sch, q, fast_opts)
     p_cf = cf.pqf(cf.interference_terms_roundtrip(q, tau, 1.0, psi_mode="exact"))
-    assert np.max(np.abs(res["p"] - p_cf)) < 0.01
+    assert np.max(np.abs(res.p - p_cf)) < 0.01
 
 
 def test_failing_step_is_never_accepted():
