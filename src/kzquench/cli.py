@@ -54,6 +54,8 @@ PROTOCOL_KEYS = tuple(dict.fromkeys(["kind"] + [k for _, keys in PROTOCOLS.value
 MAX_TAU_POINTS = 100_000  # longest {start, stop, step} range of quench times
 MAX_R_POINTS = 10_000  # longest correlator r grid
 MAX_QUADRATURE_NODES = 30_000  # the panel-width cap asks for about 3 r_max nodes
+# Gauss-Legendre points per panel; leggauss solves an order-by-order eigenproblem
+MAX_QUADRATURE_ORDER = 256
 
 
 DEFAULT_CONFIG = {
@@ -247,6 +249,14 @@ def check_config(cfg, command):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError("quadrature.%s must be a positive integer, got %r"
                                   % (key, value))
+        order = cfg["quadrature"].get("order", DEFAULT_CONFIG["quadrature"]["order"])
+        n_support = cfg["quadrature"].get("n_support", DEFAULT_CONFIG["quadrature"]["n_support"])
+        # each support region gets n_support panels of order nodes
+        if order > MAX_QUADRATURE_ORDER or order * n_support > MAX_QUADRATURE_NODES:
+            raise ConfigError("quadrature.order=%d, n_support=%d: order must be <= %d and "
+                              "order * n_support <= %d" % (order, n_support,
+                                                           MAX_QUADRATURE_ORDER,
+                                                           MAX_QUADRATURE_NODES))
     if command == "validate":
         # validate runs at SolverOptions() and its own mode grids
         for name in ("solver", "quadrature"):
@@ -352,14 +362,16 @@ def cmd_sweep(cfg):
 
 def cmd_correlator(cfg):
     prefix = cfg["output"]["prefix"]
-    opts = SolverOptions(**cfg["solver"])
+    taus = _tau_list(cfg, "correlator")
+    schedules = [build_schedule(cfg["protocol"], tau) for tau in taus]
+    forms = [correlator_closed_forms(sch) for sch in schedules]
+    grids = [_r_grid(cfg["correlator"], ls) for ls, _ in forms]
+    # one lock-step batch; each spectrum is bitwise what its tau gives alone
+    spectra = evolver.evolve_spectra_quadrature(
+        schedules, SolverOptions(**cfg["solver"]), max_r=[float(r[-1]) for r in grids],
+        **cfg["quadrature"])
     files = []
-    for tau in _tau_list(cfg, "correlator"):
-        sch = build_schedule(cfg["protocol"], tau)
-        ls, closed = correlator_closed_forms(sch)
-        r = _r_grid(cfg["correlator"], ls)
-        sp = evolver.evolve_spectrum_quadrature(sch, opts, max_r=float(r[-1]),
-                                                **cfg["quadrature"])
+    for tau, (ls, closed), r, sp in zip(taus, forms, grids, spectra):
         fc = correlators.fermionic_correlators_numeric(sp, r)
         c_quad = correlators.czz(fc)
         n0 = closedform.kz_density(tau)
@@ -395,25 +407,28 @@ def cmd_validate(cfg):
                        "tolerance": tolerance})
 
     opts = SolverOptions()
-    for tau in _tau_list(cfg, "validate"):
-        sch = protocol.round_trip(0.0, tau, 1.0)
+    taus = _tau_list(cfg, "validate")
+    pairs = [(protocol.round_trip(0.0, tau, 1.0), protocol.reversed_round_trip(1.5, tau, 1.0))
+             for tau in taus]
+    # every BdG spectrum in one lock-step batch, the N = 64 sample last
+    spectra = evolver.evolve_spectra([(s, N) for pair in pairs for s in pair]
+                                     + [(protocol.round_trip(0.0, 10.0, 1.0), 64)], opts)
+    for tau, (sch, schr), sp, spr in zip(taus, pairs, spectra[:-1:2], spectra[1::2]):
         st = edoracle.evolve_exact(sch, N, opts)
         n_ed = edoracle.measure_defects(st, "paramagnetic")
-        n_bdg = evolver.fermion_density(evolver.evolve_spectrum(sch, N, opts))
+        n_bdg = evolver.fermion_density(sp)
         record("ed_vs_bdg_roundtrip_tau%g" % tau, abs(n_ed - n_bdg) < 1e-6,
                {"n_ed": n_ed, "n_bdg": n_bdg, "diff": abs(n_ed - n_bdg),
                 "ed_steps": st.meta["steps"], "sector_dim": st.meta["sector_dim"]}, 1e-6)
         par = edoracle.parity_expectation(st)
         record("parity_tau%g" % tau, abs(par - 1.0) < 1e-9, {"parity": par}, 1e-9)
-        schr = protocol.reversed_round_trip(1.5, tau, 1.0)
         str_ = edoracle.evolve_exact(schr, N, opts)
         k_ed = edoracle.measure_defects(str_, "ferromagnetic")
-        k_bdg = evolver.defect_density(evolver.evolve_spectrum(schr, N, opts))
+        k_bdg = evolver.defect_density(spr)
         record("ed_vs_bdg_reversed_tau%g" % tau, abs(k_ed - k_bdg) < 1e-6,
                {"kinks_ed": k_ed, "kinks_bdg": k_bdg, "diff": abs(k_ed - k_bdg),
                 "ed_steps": str_.meta["steps"], "sector_dim": str_.meta["sector_dim"]}, 1e-6)
-    sch = protocol.round_trip(0.0, 10.0, 1.0)
-    sp = evolver.evolve_spectrum(sch, 64, opts)
+    sp = spectra[-1]
     record("norm_drift", sp.norm_drift <= 10.0 * opts.rel_tol,
            {"norm_drift": sp.norm_drift}, 10.0 * opts.rel_tol)
     terms = closedform.interference_terms_roundtrip(sp.q, 10.0, 1.0)

@@ -148,6 +148,11 @@ def test_validate_odd_n_rejected(tmp_path):
                  id="range-too-long"),
     pytest.param(["--set", "solver.rel_tol=1", "sweep"], id="solver-value"),
     pytest.param(["--set", "solver.foo=1", "sweep"], id="solver-unknown-option"),
+    # leggauss(100000) would build a 100,000 x 100,000 matrix (80 GB)
+    pytest.param(["--set", "quadrature.order=100000", "sweep"], id="quadrature-order-too-large"),
+    # 16 x 5,000 = 80,000 nodes per support region
+    pytest.param(["--set", "quadrature.n_support=5000", "correlator"],
+                 id="quadrature-too-many-nodes"),
     pytest.param(["--set", "validate.N=20", "validate"], id="validate-n-too-large"),
     pytest.param(["--set", "solver.rel_tol=1e-6", "validate"], id="validate-solver-ignored"),
     pytest.param(["--set", "correlator.tau_q=[1.0]", "correlator"],

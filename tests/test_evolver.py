@@ -7,6 +7,7 @@ from kzquench import closedform as cf
 from kzquench import evolver as ev
 from kzquench import lattice as lat
 from kzquench import protocol as proto
+from kzquench.quadrature import support_panels
 
 
 def test_sudden_limit_state_frozen():
@@ -188,8 +189,10 @@ def test_solver_statistics(fast_opts):
     assert meta["accepted"] + meta["rejected"] == meta["steps"]
     assert meta["accepted"] > 0 and meta["rejected"] >= 0
     assert 0.0 < meta["h_min"] <= 1e-3 and meta["lab_modes"] == 0
+    # one superadiabatic window on each ramp, away from both crossings
+    assert meta["sa_windows"] == 2 and 0.5 < meta["sa_share"] < 1.0
     lab = ev.evolve_spectrum(sch, 16, ev.SolverOptions(1e-7, 1e-9, frame="lab")).meta
-    assert lab["lab_modes"] == 8
+    assert lab["lab_modes"] == 8 and lab["sa_windows"] == 0 and lab["sa_share"] == 0.0
     assert lab["accepted"] + lab["rejected"] == lab["steps"]
 
 
@@ -202,7 +205,10 @@ def _batch_cases():
             proto.reversed_round_trip(1.5, 3.5, 2.0),
             # a closing gap: some modes of this one run in the lab frame
             proto.linear((2.0, 1.0, 4.0), (2.0, 1.0, 0.0), duration=16.0, tau_q=4.0),
-            proto.chain(a, b)]
+            proto.chain(a, b),
+            # different superadiabatic windows side by side
+            proto.round_trip(0.0, 2.0, 1.0),
+            proto.round_trip(0.0, 128.0, 1.0)]
 
 
 @pytest.mark.parametrize("frame", ["auto", "lab", "adiabatic"])
@@ -211,6 +217,8 @@ def test_batch_bitwise_equals_solo(frame):
     # whatever else is in the batch and in whatever order
     opts = ev.SolverOptions(1e-7, 1e-9, frame=frame)
     schedules = _batch_cases()
+    if frame == "lab":
+        schedules = schedules[:-2]  # the lab frame has no SA windows
     solo = [ev.evolve_spectrum_quadrature(s, opts, order=8, n_support=4, max_r=4.0)
             for s in schedules]
     for order in (1, -1):
@@ -223,3 +231,88 @@ def test_batch_bitwise_equals_solo(frame):
             assert one.meta == many.meta
     if frame == "auto":
         assert solo[4].meta["lab_modes"] > 0
+
+
+def test_sa_frame_round_trip_is_identity():
+    # entering and leaving a superadiabatic window at the same t changes nothing
+    rng = np.random.default_rng(3)
+    alpha = rng.uniform(-1.5, 1.5, 64)
+    a = rng.normal(size=64) + 1j * rng.normal(size=64)
+    b = rng.normal(size=64) + 1j * rng.normal(size=64)
+    a2, b2 = ev._from_sa(alpha, *ev._to_sa(alpha, a, b))
+    assert np.max(np.abs(a2 - a)) < 1e-15 and np.max(np.abs(b2 - b)) < 1e-15
+
+
+@pytest.mark.parametrize("schedule", [proto.round_trip(0.0, 10.0, 1.0),
+                                      proto.quarter_turn(1.5, 5.0, 1.0, jy_initial=4.0)])
+def test_sa_generator_matches_finite_difference(schedule):
+    # the SA generator is (0, alpha', sqrt(omega^2 + theta'^2)) with alpha' from the
+    # affine-segment identity; compare alpha' with a central difference of alpha(t)
+    q = np.array([0.05, 0.3, 1.0, 2.0, 3.0])
+    cq, sq = np.cos(q), np.sin(q)
+    for seg in schedule.segments:
+        rates = seg.rates()
+        epsdot, deltadot = lat.eps_delta(*rates, cq, sq)
+        modes = (cq, sq, epsdot, deltadot)
+
+        def at(t):
+            g, _, jy = seg.eval(t)
+            return g, jy
+
+        for x in (0.1, 0.5, 0.9):
+            t = seg.t_start + x * seg.duration
+            h = 1e-4 * seg.duration
+            alpha = [ev._sa_angle(modes, *at(t + j * h)) for j in (-2, -1, 1, 2)]
+            fd = (alpha[0] - 8 * alpha[1] + 8 * alpha[2] - alpha[3]) / (12 * h)
+            w, z = ev._generator("adiabatic", (*modes, True), *at(t))
+            w_ad, z_ad = ev._generator("adiabatic", (*modes, False), *at(t))
+            assert np.allclose(w, fd, rtol=1e-6, atol=1e-12 * np.max(np.abs(w_ad)))
+            assert np.allclose(z, np.hypot(z_ad, w_ad), rtol=1e-14)
+
+
+@pytest.mark.parametrize("schedule, share", [
+    (proto.round_trip(0.0, 10.0, 1.0), 0.7),
+    (proto.round_trip(0.5, 128.0, 2.0), 0.7),
+    # g stays within [0, 1.5]: every mode is too close to a crossing
+    (proto.reversed_round_trip(1.5, 8.0, 1.0), 0.0),
+    (proto.quarter_turn(1.5, 10.0, 1.0), 0.6)])
+def test_sa_windows_exclude_gap_minima(schedule, share):
+    # no window holds a mode's gap minimum, and inside every window each mode's
+    # 1.5 |omega'| / (omega^2 + theta'^2) stays at or below the threshold
+    q = np.linspace(0.01, math.pi - 0.01, 40)
+    cq, sq = np.cos(q), np.sin(q)
+    total = 0.0
+    for seg in schedule.segments:
+        windows = ev._sa_windows(seg, q)
+        om2, _ = seg.closest_approach(q)
+        e0, d0 = lat.eps_delta(*seg.params_start, cq, sq)
+        e1, d1 = lat.eps_delta(*seg.rates(), cq, sq)
+        t_min = seg.t_start - (e0 * e1 + d0 * d1) / (e1 * e1 + d1 * d1)
+        for ta, tb in windows:
+            assert seg.t_start <= ta < tb <= seg.t_end
+            assert not np.any((t_min >= ta) & (t_min <= tb))
+            t = np.linspace(ta, tb, 801)[:, None]
+            eps, delta = e0 + e1 * (t - seg.t_start), d0 + d1 * (t - seg.t_start)
+            w2 = eps * eps + delta * delta
+            thetadot = (eps * d1 - delta * e1) / (2 * w2)
+            omdot = (eps * e1 + delta * d1) / np.sqrt(w2)
+            factor = 1.5 * np.abs(omdot) / (w2 + thetadot ** 2)
+            assert np.max(factor) <= ev.SA_THRESHOLD * (1 + 1e-9)
+            total += tb - ta
+        assert all(b0[1] < b1[0] for b0, b1 in zip(windows[:-1], windows[1:]))
+    assert total >= share * (schedule.t_end - schedule.t_start)
+
+
+def test_sa_windows_accuracy_tau32():
+    # rel_tol 1e-8 against a rel_tol 1e-12 reference on 32 Gauss nodes of the
+    # tau_Q = 32 round trip.  With SA windows: 1,470 steps, |dn|/n = 3.2e-9 and a
+    # largest amplitude error of 3.4e-8; in the adiabatic frame alone: 4,476
+    # steps, 3.2e-9 and 1.7e-8.
+    sch = proto.round_trip(0.0, 32.0, 1.0)
+    q, w = support_panels(sch, order=4, n_support=3)
+    ref = ev.evolve_modes(sch, q, ev.SolverOptions(1e-12, 1e-14))
+    res = ev.evolve_modes(sch, q, ev.SolverOptions(1e-8, 1e-10))
+    n, n_ref = np.sum(w * res.p), np.sum(w * ref.p)
+    assert abs(n - n_ref) / n_ref <= 1e-8
+    assert max(np.max(np.abs(res.u - ref.u)), np.max(np.abs(res.v - ref.v))) <= 1e-7
+    assert res.meta["steps"] <= 4476 / 2 and res.meta["sa_windows"] == 2
