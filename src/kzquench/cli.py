@@ -24,6 +24,7 @@ import numpy as np
 
 from . import closedform, correlators, edoracle, evolver, protocol
 from .evolver import NumericalFailure, SolverOptions
+from .lattice import mode_grid
 
 CONFIG_VERSION = 1
 
@@ -38,7 +39,8 @@ class ConfigError(ValueError):
 
 
 # Each protocol kind: its schedule builder and the config keys it reads, with
-# their defaults.  build_schedule is the one reader of protocol parameters.
+# their defaults.  load_config fills a section's absent keys in from here, and
+# build_schedule is the one reader of protocol parameters.
 PROTOCOLS = {
     "round_trip": (protocol.round_trip,
                    {"g_rt": 0.0, "R": 1.0, "g_i": protocol.DEFAULT_G_INITIAL,
@@ -60,8 +62,8 @@ MAX_QUADRATURE_ORDER = 256
 
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
-    "protocol": {"kind": "round_trip", "g_rt": 0.0, "R": 1.0,
-                 "g_i": protocol.DEFAULT_G_INITIAL, "g_f": protocol.DEFAULT_G_FINAL},
+    # load_config fills in the chosen kind's keys from PROTOCOLS
+    "protocol": {"kind": "round_trip"},
     "solver": {"rel_tol": 1e-8, "abs_tol": 1e-10},
     "quadrature": {"order": 16, "n_support": 12},
     "sweep": {"tau_q": {"start": 10.0, "stop": 60.0, "step": 0.25}},
@@ -107,6 +109,13 @@ def load_config(path=None, overrides=()):
             if not isinstance(node, dict):
                 raise ConfigError("--set %s: %r is not an object" % (key, p))
         node[parts[-1]] = value
+    pcfg = cfg.get("protocol")
+    if isinstance(pcfg, dict):
+        # the config, its hash and the sidecar hold every parameter the run reads
+        kind = pcfg.setdefault("kind", DEFAULT_CONFIG["protocol"]["kind"])
+        if isinstance(kind, str) and kind in PROTOCOLS:
+            for key, default in PROTOCOLS[kind][1].items():
+                pcfg.setdefault(key, default)
     return cfg
 
 
@@ -132,12 +141,15 @@ def _write_csv(path, header, rows, cfg):
 
 
 def build_schedule(pcfg, tau_q):
-    """The configured protocol's schedule at tau_q, built from the PROTOCOLS table."""
-    kind = pcfg.get("kind", "round_trip")
+    """The configured protocol's schedule at tau_q, built from the PROTOCOLS table.
+
+    ``pcfg`` is a loaded protocol section, which holds every key its kind reads.
+    """
+    kind = pcfg["kind"]
     if not isinstance(kind, str) or kind not in PROTOCOLS:
         raise ConfigError("unknown protocol kind %r" % (kind,))
     builder, keys = PROTOCOLS[kind]
-    return builder(tau_q=tau_q, **{k: pcfg.get(k, d) for k, d in keys.items()})
+    return builder(tau_q=tau_q, **{k: pcfg[k] for k in keys})
 
 
 def _number(value, key, positive=False):
@@ -411,8 +423,8 @@ def cmd_validate(cfg):
     pairs = [(protocol.round_trip(0.0, tau, 1.0), protocol.reversed_round_trip(1.5, tau, 1.0))
              for tau in taus]
     # every BdG spectrum in one lock-step batch, the N = 64 sample last
-    spectra = evolver.evolve_spectra([(s, N) for pair in pairs for s in pair]
-                                     + [(protocol.round_trip(0.0, 10.0, 1.0), 64)], opts)
+    spectra = evolver.evolve([(s, mode_grid(N).q) for pair in pairs for s in pair]
+                             + [(protocol.round_trip(0.0, 10.0, 1.0), mode_grid(64).q)], opts)
     for tau, (sch, schr), sp, spr in zip(taus, pairs, spectra[:-1:2], spectra[1::2]):
         st = edoracle.evolve_exact(sch, N, opts)
         n_ed = edoracle.measure_defects(st, "paramagnetic")

@@ -119,15 +119,14 @@ def psi_reduced(q, tau_q, R, g_rt=0.0):
             + q * q * tau_q * coeff)
 
 
-def interference_terms_roundtrip(q, tau_q, R, g_rt=0.0, g_f=10.0, psi_mode="exact"):
+def interference_terms_roundtrip(q, tau_q, R, g_rt=0.0, g_f=10.0):
     """A, B and psi of the final excitation probability after a round trip.
 
     A = e^(-pi q^2 tau) sqrt(1 - e^(-2 pi q^2 tau R)),
     B = e^(-pi q^2 tau R) sqrt(1 - e^(-2 pi q^2 tau)).
 
-    ``psi_mode`` selects the exact-asymptotic phase (g_rt = 0 only) or the
-    reduced long-wave phase; for 0 < g_rt < 1 only the reduced phase exists
-    and is used regardless.
+    psi is the exact-asymptotic phase at g_rt = 0 and the reduced long-wave
+    phase for 0 < g_rt < 1, where only that one exists.
     """
     if not 0.0 <= g_rt < 1.0:
         raise OutOfRegimeError("g_rt must lie in [0, 1); use pqf_critical_turn at g_rt = 1")
@@ -137,7 +136,7 @@ def interference_terms_roundtrip(q, tau_q, R, g_rt=0.0, g_f=10.0, psi_mode="exac
     x = math.pi * tau_q * q * q
     A = np.exp(-x) * np.sqrt(-np.expm1(-2.0 * x * R))
     B = np.exp(-x * R) * np.sqrt(-np.expm1(-2.0 * x))
-    if psi_mode == "exact" and g_rt == 0.0:
+    if g_rt == 0.0:
         psi = _psi_exact_roundtrip(q, tau_q, R, g_f)
     else:
         psi = psi_reduced(q, tau_q, R, g_rt)
@@ -399,18 +398,19 @@ def density_quarter_turn(tau_q, R, g_qt):
     return _density_from_components(tau_q, R, n0, f, Omega, b, X, c)
 
 
-def density_quarter_turn_quadrature(tau_q, R, g_qt, n_nodes=2400, q_max=math.pi):
-    """Brillouin-zone quadrature of the closed-form quarter-turn probability.
+def density_quarter_turn_quadrature(tau_q, R, g_qt):
+    """Quadrature of the closed-form quarter-turn probability over (0, pi/2).
 
     The closed form is built from the near-critical Landau-Zener asymptotics,
     whose sin(q) symmetry reflects a spurious copy of the second-ramp
     transition weight to q ~ pi (modes there never cross any boundary, the
-    evolved probability is at kink-response level).  ``q_max`` restricts the
-    integration to the physical support when that artifact matters; the
-    default integrates the printed form over the whole zone.
+    evolved probability is at kink-response level).  So the integral stops
+    at pi/2: at R = 1 and tau_q = 10 it is within 0.5% of the evolved density
+    at g_qt = 1.5, 2.5 and 3, where the whole zone overshoots it by 18%, 68%
+    and 108%.
     """
     x, w = np.polynomial.legendre.leggauss(64)
-    edges = np.linspace(0.0, q_max, max(8, n_nodes // 64) + 1)
+    edges = np.linspace(0.0, math.pi / 2.0, 38)  # 37 panels of 64 Gauss-Legendre points
     lo, hi = edges[:-1, None], edges[1:, None]
     q = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
     wq = (0.5 * (hi - lo) * w[None, :]).ravel()

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evolver
 from .evolver import NumericalFailure, SolverOptions
 
 
@@ -159,7 +160,7 @@ def _evolve_sector(ker, schedule, y, opts):
 
     A step is accepted when the 2-norm of the difference between one step of
     h and two of h/2 is at most abs_tol + rel_tol, and keeps the two half
-    steps.  Raises NumericalFailure once ``opts.max_steps`` steps were tried
+    steps.  Raises NumericalFailure once ``evolver.MAX_STEPS`` steps were tried
     or when a step fails its tolerance at h <= 1e-12.
     """
     tol = opts.abs_tol + opts.rel_tol
@@ -169,7 +170,7 @@ def _evolve_sector(ker, schedule, y, opts):
     for seg in schedule.segments:
         t = seg.t_start
         while t < seg.t_end:
-            if steps >= opts.max_steps:
+            if steps >= evolver.MAX_STEPS:
                 raise NumericalFailure("ED step budget exhausted at t=%g (h=%g)" % (t, h))
             rest = seg.t_end - t
             last = 1.001 * h >= rest        # stretch h a little rather than leave a sliver

@@ -45,12 +45,12 @@ t, h, segment, window, step counts and norm drift, and its controller does
 the same scalar arithmetic as for the group alone; groups inside and outside
 their windows share one pass, with the generator picked per mode.  Its
 results are therefore bitwise the same whichever groups share the batch and
-in whatever order; ``evolve_spectra_quadrature`` and ``evolve_spectra`` batch
-many schedules, and the one-schedule entry points are calls into the same
-loop.  A result's ``meta`` records the attempted ``steps``, of them
-``accepted`` and ``rejected``, the smallest accepted step ``h_min``, the
-number of ``lab_modes``, the number of ``sa_windows`` and ``sa_share``, the
-share of the schedule's time spent in them.
+in whatever order.  There are two entry points: ``evolve`` takes given
+modes of any number of schedules, and ``evolve_spectra_quadrature`` each
+schedule's Gauss-Legendre panels.  A result's ``meta`` records the attempted
+``steps``, of them ``accepted`` and ``rejected``, the smallest accepted step
+``h_min``, the number of ``lab_modes``, the number of ``sa_windows`` and
+``sa_share``, the share of the schedule's time spent in them.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice
-from .lattice import mode_grid
 from .quadrature import support_panels
 
 _SQRT3 = math.sqrt(3.0)
@@ -74,26 +73,23 @@ class NumericalFailure(RuntimeError):
     """The adaptive integrator could not reach the requested tolerance."""
 
 
+# Modes whose smallest gap along the schedule is at or below GAP_FLOOR integrate
+# in the lab frame, all others in the adiabatic frame (inf: all lab, -inf: none).
+GAP_FLOOR = 1e-4
+# attempted steps per segment (the evolver) or per evolution (edoracle)
+MAX_STEPS = 2_000_000
+
+
 @dataclass
 class SolverOptions:
-    """Tolerances and frame selection for the mode evolver."""
+    """Tolerances of the mode evolver and of the ED oracle."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float | None = None
-    frame: str = "auto"          # "auto" | "adiabatic" | "lab"
-    gap_floor: float = 1e-4      # below this min gap a mode integrates in the lab frame
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-3 and 0.0 < self.abs_tol <= 1e-3):
             raise ValueError("tolerances must lie in (0, 1e-3]")
-        if self.frame not in ("auto", "adiabatic", "lab"):
-            raise ValueError("unknown frame %r" % (self.frame,))
-        if not (self.max_step is None or self.max_step > 0.0):
-            raise ValueError("max_step must be None or > 0")
-        if not (self.gap_floor >= 0.0 and self.max_steps >= 1):
-            raise ValueError("gap_floor must be >= 0 and max_steps >= 1")
 
 
 @dataclass
@@ -173,16 +169,14 @@ class _Group:
         self.h = min(self.h, self.t_end - self.t)
         return True
 
-    def clip(self, max_step, max_steps):
+    def clip(self):
         """The step size to try next; raises once the step budget or size runs out."""
-        if self.seg_steps > max_steps:
+        if self.seg_steps > MAX_STEPS:
             raise self.fail("step budget exhausted at t=%g (h=%g)" % (self.t, self.h))
         if self.h < self.h_tiny:
             raise self.fail("step underflow at t=%g" % (self.t,))
         self.lands = self.h >= self.t_end - self.t
         self.h = min(self.h, self.t_end - self.t)
-        if max_step is not None and max_step < self.h:
-            self.h, self.lands = max_step, False
         return self.h
 
     def control(self, err):
@@ -467,7 +461,7 @@ def _lockstep(frame, groups, opts):
         enter(i, g)
     while groups:
         t = np.array([g.t for g in groups])
-        h = np.array([g.clip(opts.max_step, opts.max_steps) for g in groups])
+        h = np.array([g.clip() for g in groups])
         rows = _step_rows(t, h, seg)
         if len(groups) > 1:
             rows = np.repeat(rows, counts, axis=2)
@@ -518,15 +512,18 @@ def _min_gap(schedule, q):
 
 
 def _bogoliubov_angle(schedule, q, t):
-    eps, delta = lattice.eps_delta(*schedule.eval(t), np.cos(q), np.sin(q))
+    eps, delta = lattice.eps_delta(*schedule.params_at(t), np.cos(q), np.sin(q))
     return 0.5 * np.arctan2(delta, eps)
 
 
-def _evolve(jobs, opts):
-    """Evolve the modes q of every (schedule, q) job; one SpectrumResult per job.
+def evolve(jobs, opts=None):
+    """Evolve the positive quasimomenta q of every (schedule, q) job; one SpectrumResult per job.
 
-    Each job's modes are split by frame into groups, and the groups of each
-    frame advance together in one lock-step batch.
+    A result carries no weights: lab-frame (u, v), final-equilibrium-frame
+    (u_rot, v_rot), p = |v_rot|^2, the worst norm drift and the solver
+    statistics in ``meta``.  Each job's modes are split by frame into groups,
+    and the groups of each frame advance together in one lock-step batch, so
+    each result is bitwise what its job gives alone.
     """
     opts = opts or SolverOptions()
     groups = {"adiabatic": [], "lab": []}
@@ -535,12 +532,7 @@ def _evolve(jobs, opts):
         q = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any(q <= 0.0) or np.any(q >= math.pi):
             raise ValueError("quasimomenta must lie in (0, pi)")
-        if opts.frame == "auto":
-            lab_mask = _min_gap(schedule, q) <= opts.gap_floor
-        elif opts.frame == "lab":
-            lab_mask = np.ones(q.shape, dtype=bool)
-        else:
-            lab_mask = np.zeros(q.shape, dtype=bool)
+        lab_mask = _min_gap(schedule, q) <= GAP_FLOOR
         u, v, u_rot, v_rot = (np.empty(q.shape, dtype=complex) for _ in range(4))
         out = SpectrumResult(schedule, q, None, u, v, u_rot, v_rot, meta={
             "steps": 0, "accepted": 0, "rejected": 0, "h_min": math.inf,
@@ -561,57 +553,21 @@ def _evolve(jobs, opts):
     return outs
 
 
-def evolve_modes(schedule, q, opts=None):
-    """Evolve an array of positive quasimomenta through the schedule.
-
-    Returns a SpectrumResult without weights: lab-frame (u, v),
-    final-equilibrium-frame (u_rot, v_rot), p = |v_rot|^2, the worst norm
-    drift and, in ``meta``, the solver statistics: ``steps`` attempted, of
-    them ``accepted`` and ``rejected``, the smallest accepted step ``h_min``,
-    the number of ``lab_modes``, the number of SA windows ``sa_windows`` and
-    ``sa_share``, the share of the schedule's time spent in them.
-    """
-    return _evolve([(schedule, q)], opts)[0]
-
-
-def evolve_spectra(jobs, opts=None):
-    """Evolve every positive mode of an N-site chain (midpoint grid) for each (schedule, N) job.
-
-    All jobs advance in one lock-step batch; each result is bitwise the same
-    as ``evolve_spectrum`` of its job alone.
-    """
-    results = _evolve([(s, mode_grid(N).q) for s, N in jobs], opts)
-    for res, (_, N) in zip(results, jobs):
-        res.meta["N"] = N
-    return results
-
-
-def evolve_spectrum(schedule, N, opts=None):
-    """Evolve every positive mode of an N-site chain (midpoint quadrature grid)."""
-    return evolve_spectra([(schedule, N)], opts)[0]
-
-
 def evolve_spectra_quadrature(schedules, opts=None, order=16, n_support=12, max_r=0.0):
     """Evolve each schedule's modes on its own Gauss-Legendre panels over (0, pi).
 
     ``max_r`` is one panel-width distance for every schedule or a sequence
-    of one per schedule.  All schedules advance in one lock-step batch; each
-    result is bitwise the same as ``evolve_spectrum_quadrature`` of its
-    schedule alone.
+    of one per schedule.  All schedules advance in one lock-step batch, as
+    in ``evolve``, and each result also carries the quadrature weights.
     """
     max_rs = np.broadcast_to(np.asarray(max_r, dtype=float), (len(schedules),))
     panels = [support_panels(s, order=order, n_support=n_support, max_r=float(r))
               for s, r in zip(schedules, max_rs)]
-    results = _evolve([(s, q) for s, (q, _) in zip(schedules, panels)], opts)
+    results = evolve([(s, q) for s, (q, _) in zip(schedules, panels)], opts)
     for res, (_, w) in zip(results, panels):
         res.weights = w
         res.meta["order"] = order
     return results
-
-
-def evolve_spectrum_quadrature(schedule, opts=None, order=16, n_support=12, max_r=0.0):
-    """Evolve modes on schedule-adapted Gauss-Legendre panels over (0, pi)."""
-    return evolve_spectra_quadrature([schedule], opts, order, n_support, max_r)[0]
 
 
 def defect_density(spectrum):

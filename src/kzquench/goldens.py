@@ -19,6 +19,7 @@ from importlib import resources
 import numpy as np
 
 from . import analysis, closedform, correlators, edoracle, evolver, protocol
+from .lattice import mode_grid
 from .specfun import LN2, constants
 
 ACCEPTANCE_CRITERIA = tuple(range(1, 15))
@@ -43,7 +44,7 @@ def _frozen():
 
 def _one_way_density():
     sch = protocol.one_way(10.0, 0.0, 20.0)
-    sp = evolver.evolve_spectrum_quadrature(sch, evolver.SolverOptions(1e-8, 1e-10))
+    sp = evolver.evolve_spectra_quadrature([sch], evolver.SolverOptions(1e-8, 1e-10))[0]
     return evolver.defect_density(sp), closedform.kz_density(20.0)
 
 
@@ -55,7 +56,7 @@ def _simp_dd_regression():
 
 def _bounds_sample():
     sch = protocol.round_trip(0.0, 10.0, 1.0)
-    sp = evolver.evolve_spectrum(sch, 64, evolver.SolverOptions(1e-10, 1e-12))
+    sp = evolver.evolve([(sch, mode_grid(64).q)], evolver.SolverOptions(1e-10, 1e-12))[0]
     t = closedform.interference_terms_roundtrip(sp.q, 10.0, 1.0)
     worst = float(np.max(np.maximum((t.A - t.B) ** 2 - sp.p, sp.p - (t.A + t.B) ** 2)))
     return worst, 0.0
@@ -89,7 +90,7 @@ def _ed_reversed_fast():
     sch = protocol.reversed_round_trip(1.5, 1.0, 1.0)
     st = edoracle.evolve_exact(sch, 8)
     n_ed = edoracle.measure_defects(st, "ferromagnetic")
-    n_bdg = evolver.defect_density(evolver.evolve_spectrum(sch, 8))
+    n_bdg = evolver.defect_density(evolver.evolve([(sch, mode_grid(8).q)])[0])
     return n_ed, n_bdg
 
 
@@ -151,7 +152,7 @@ def _ed_roundtrip_fast():
     sch = protocol.round_trip(0.0, 1.0, 1.0, g_i=5.0, g_f=5.0)
     st = edoracle.evolve_exact(sch, 8)
     n_ed = edoracle.measure_defects(st, "paramagnetic")
-    n_bdg = evolver.fermion_density(evolver.evolve_spectrum(sch, 8))
+    n_bdg = evolver.fermion_density(evolver.evolve([(sch, mode_grid(8).q)])[0])
     return n_ed, n_bdg
 
 

@@ -17,6 +17,7 @@ structure, so having them attached helps diagnostics.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -119,56 +120,13 @@ class Schedule:
     def R(self):
         return self.labels.get("R")
 
-    def eval(self, t):
-        """(g, J_x, J_y) at time t; raises if t is outside the schedule span."""
-        tarr = np.asarray(t, dtype=float)
-        if np.any(tarr < self.t_start) or np.any(tarr > self.t_end):
-            raise ValueError("t outside schedule span [%g, %g]" % (self.t_start, self.t_end))
-        joints = np.array([s.t_start for s in self.segments[1:]])
-        idx = np.searchsorted(joints, tarr, side="right")
-        if tarr.ndim == 0:
-            return self.segments[int(idx)].eval(tarr)
-        out = np.empty((3,) + tarr.shape)
-        for i, seg in enumerate(self.segments):
-            m = idx == i
-            if np.any(m):
-                vals = seg.eval(tarr[m])
-                for c in range(3):
-                    out[c][m] = vals[c]
-        return tuple(out)
-
     def params_at(self, t):
-        """Schedule parameters at t as an (g, J_x, J_y) tuple of floats."""
-        g, jx, jy = self.eval(float(t))
-        return float(g), float(jx), float(jy)
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "labels": dict(self.labels),
-            "segments": [
-                {
-                    "t_start": s.t_start,
-                    "t_end": s.t_end,
-                    "params_start": list(s.params_start),
-                    "params_end": list(s.params_end),
-                }
-                for s in self.segments
-            ],
-            "crossings": [
-                {"t": c.t, "q_c": c.q_c, "label": c.label} for c in self.crossings
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        segs = tuple(
-            Segment(s["t_start"], s["t_end"], tuple(s["params_start"]), tuple(s["params_end"]))
-            for s in d["segments"]
-        )
-        cross = tuple(Crossing(c["t"], c["q_c"], c["label"]) for c in d.get("crossings", []))
-        return Schedule(segments=segs, kind=d["kind"], labels=dict(d.get("labels", {})),
-                        crossings=cross)
+        """(g, J_x, J_y) at time t as floats; raises if t is outside the schedule span."""
+        t = float(t)
+        if not self.t_start <= t <= self.t_end:
+            raise ValueError("t outside schedule span [%g, %g]" % (self.t_start, self.t_end))
+        k = bisect.bisect_right([s.t_start for s in self.segments[1:]], t)
+        return tuple(float(v) for v in self.segments[k].eval(t))
 
 
 def _validated_positive(name, value):

@@ -1,7 +1,7 @@
 """Special-function kernels used by the closed-form predictions.
 
-Only a handful of kernels are required (gamma magnitude/phase on the line
-1+ix, real gamma, digamma at 1/2, real Airy functions), so they are
+Only a handful of kernels are required (the gamma phase on the line a+ix,
+real gamma, digamma at 1/2, real Airy functions), so they are
 implemented here rather than pulled in from an external package.  This keeps
 the golden tests bit-stable across platforms.
 """
@@ -55,29 +55,6 @@ def constants():
     digamma(1/2) = -gamma_E - 2 ln 2 exactly.
     """
     return GAMMA_E, -GAMMA_E - 2.0 * LN2, gamma_real(7.0 / 6.0)
-
-
-def gamma_abs_1_plus_ix(x):
-    """sqrt(2*pi) / |Gamma(1 + i x)| = sqrt(2 sinh(pi x) / x).
-
-    Even in x; the x -> 0 limit is sqrt(2*pi).  Stable against sinh overflow.
-    """
-    x = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    small = x < 1e-4
-    xs = x[small]
-    # 2 sinh(pi x)/x = 2 pi (1 + (pi x)^2/6 + (pi x)^4/120 + ...)
-    px2 = (math.pi * xs) ** 2
-    out[small] = np.sqrt(2.0 * math.pi * (1.0 + px2 / 6.0 + px2 * px2 / 120.0))
-    mid = (~small) & (x < 150.0)
-    out[mid] = np.sqrt(2.0 * np.sinh(math.pi * x[mid]) / x[mid])
-    big = x >= 150.0
-    if np.any(big):
-        xb = x[big]
-        out[big] = np.exp(math.pi * xb / 2.0) / np.sqrt(xb)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def _arg_gamma_series_tail(x, a, kmax):
@@ -135,16 +112,6 @@ def arg_gamma(a, x):
     if np.any(~small):
         out[~small] = _arg_gamma_stirling(a, x[~small])
     return float(out[0]) if scalar else out
-
-
-def arg_gamma_1_plus_ix(x, linearized=False):
-    """arg Gamma(1 + i x), exact by default.
-
-    With ``linearized=True`` returns the small-x linearization -gamma_E * x.
-    """
-    if linearized:
-        return -GAMMA_E * np.asarray(x, dtype=float)
-    return arg_gamma(1.0, x)
 
 
 # ---------------------------------------------------------------------------

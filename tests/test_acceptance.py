@@ -30,6 +30,7 @@ from kzquench import closedform as cf
 from kzquench import correlators as corr
 from kzquench import edoracle as ed
 from kzquench import evolver as ev
+from kzquench import lattice as lat
 from kzquench import protocol as proto
 from kzquench.specfun import LN2
 
@@ -88,7 +89,7 @@ def test_criterion_02_roundtrip_interference(roundtrip_sweep):
 # -------------------------------------------------------------- criterion 3
 def _bounds_violation(tau, R):
     sch = proto.round_trip(0.0, tau, R)
-    sp = ev.evolve_spectrum(sch, 1000, TIGHT)
+    sp = ev.evolve([(sch, lat.mode_grid(1000).q)], TIGHT)[0]
     t = cf.interference_terms_roundtrip(sp.q, tau, R)
     return max(float(np.max((t.A - t.B) ** 2 - sp.p)),
                float(np.max(sp.p - (t.A + t.B) ** 2)))
@@ -195,7 +196,7 @@ def test_criterion_06_reversed_protocol():
     for tau in (1.0, 2.0):
         sch = proto.reversed_round_trip(1.5, tau, 1.0)
         k_ed = ed.measure_defects(ed.evolve_exact(sch, 8, TIGHT), "ferromagnetic")
-        k_bdg = ev.defect_density(ev.evolve_spectrum(sch, 8, TIGHT))
+        k_bdg = ev.defect_density(ev.evolve([(sch, lat.mode_grid(8).q)], TIGHT)[0])
         diffs.append(abs(k_ed - k_bdg))
     ok = period_ok and max(diffs) < 1e-6
     report(6, ok, "reversed: fitted period %.4f vs 2pi (+- 5%%); ED kink density "
@@ -293,7 +294,7 @@ def test_criterion_09_dephasing_law_frozen_truth():
 def correlator_spectrum():
     ls = corr.length_scales_roundtrip(32.0, 10.0)
     sch = proto.round_trip(0.0, 32.0, 1.0)
-    sp = ev.evolve_spectrum_quadrature(sch, OPTS, max_r=2.0 * ls.l_beta[3])
+    sp = ev.evolve_spectra_quadrature([sch], OPTS, max_r=2.0 * ls.l_beta[3])[0]
     return ls, sp
 
 
@@ -352,7 +353,7 @@ def _beta_catalog(tau, r, g_f_values):
         a = proto.linear((10.0, 1.0, 0.0), (0.0, 1.0, 0.0), duration=10.0 * tau,
                          t_start=-10.0 * tau, tau_q=tau)
         b = proto.linear((0.0, 1.0, 0.0), (g_f, 1.0, 0.0), duration=tf, tau_q=tau)
-        sp = ev.evolve_spectrum_quadrature(proto.chain(a, b), OPTS, max_r=r)
+        sp = ev.evolve_spectra_quadrature([proto.chain(a, b)], OPTS, max_r=r)[0]
         out[g_f] = abs(corr.fermionic_correlators_numeric(sp, [r]).beta[0])
     return out
 
@@ -410,7 +411,7 @@ def test_criterion_13_ed_equivalence():
             sch = proto.round_trip(0.0, tau, 1.0)
             st = ed.evolve_exact(sch, N, TIGHT)
             n_ed = ed.measure_defects(st, "paramagnetic")
-            n_bdg = ev.fermion_density(ev.evolve_spectrum(sch, N, TIGHT))
+            n_bdg = ev.fermion_density(ev.evolve([(sch, lat.mode_grid(N).q)], TIGHT)[0])
             worst_n = max(worst_n, abs(n_ed - n_bdg))
             worst_par = max(worst_par, abs(ed.parity_expectation(st) - 1.0))
     ok = worst_n < 1e-6 and worst_par < 1e-9

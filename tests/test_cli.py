@@ -148,6 +148,11 @@ def test_validate_odd_n_rejected(tmp_path):
                  id="range-too-long"),
     pytest.param(["--set", "solver.rel_tol=1", "sweep"], id="solver-value"),
     pytest.param(["--set", "solver.foo=1", "sweep"], id="solver-unknown-option"),
+    # the solver section takes rel_tol and abs_tol only
+    pytest.param(["--set", "solver.frame=lab", "sweep"], id="solver-frame"),
+    pytest.param(["--set", "solver.gap_floor=0.3", "sweep"], id="solver-gap-floor"),
+    pytest.param(["--set", "solver.max_step=0.5", "sweep"], id="solver-max-step"),
+    pytest.param(["--set", "solver.max_steps=10", "sweep"], id="solver-max-steps"),
     # leggauss(100000) would build a 100,000 x 100,000 matrix (80 GB)
     pytest.param(["--set", "quadrature.order=100000", "sweep"], id="quadrature-order-too-large"),
     # 16 x 5,000 = 80,000 nodes per support region
@@ -229,10 +234,9 @@ def test_parallel_sweep_matches_serial(tmp_path):
            (tmp_path / "p1_sweep.csv").read_text().splitlines()[1:]
 
 
-# Each kind on the default protocol section, which holds g_rt = 0 and
-# g_i = g_f = 10: the reversed protocol needs g_rt > 1, and the one-way ramp
-# 10 -> 2 never crosses g = 1.  The same kinds with the protocol object
-# replaced wholesale run on the table's defaults.
+# Each kind chosen by protocol.kind runs on the table's defaults plus the
+# values set; the one-way ramp 10 -> 2 never crosses g = 1.  The same kinds
+# with the protocol object replaced wholesale run on the table's defaults.
 TABLE_CASES = [
     pytest.param(kind, sets, id=kind + "-section") for kind, sets in (
         ("round_trip", ["protocol.kind=round_trip"]),
@@ -312,3 +316,36 @@ def test_closed_forms_describe_the_evolved_schedule(tmp_path, monkeypatch, kind,
         alpha, beta = correlators.primed_correlators_closed(r, 8.0, lab["g_rt"])
         c_closed = np.abs(beta) ** 2 - alpha ** 2
     np.testing.assert_allclose(curve[:, 3], c_closed, rtol=1e-12, atol=1e-15)
+
+
+def test_protocol_kind_runs_on_its_own_defaults(tmp_path, monkeypatch):
+    # the chosen kind's keys come from cli.PROTOCOLS, not from another kind's
+    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
+    prefix = str(tmp_path / "k")
+    sets = ["protocol.kind=one_way", "sweep.tau_q=[8.0]", "output.prefix=" + prefix] + FAST
+    cfg = cli.load_config(None, sets)
+    assert cfg["protocol"] == {"kind": "one_way", "g_i": 10.0, "g_f": 0.0}
+    assert cli.main([a for s in sets for a in ("--set", s)] + ["sweep"]) == cli.EXIT_OK
+    sidecar = json.loads((tmp_path / "k_sweep.json").read_text())
+    assert sidecar["config"]["protocol"] == cfg["protocol"]
+    assert sidecar["config_hash"] == cli.config_hash(cfg)
+    (row,) = _read_rows(tmp_path / "k_sweep.csv")
+    assert row[2] == closedform.kz_density(8.0)  # the ramp 10 -> 0 crosses g = 1
+    # the default round trip keeps its config and hash
+    default = cli.load_config(None, [])
+    assert default["protocol"] == {"kind": "round_trip", "g_rt": 0.0, "R": 1.0,
+                                   "g_i": 10.0, "g_f": 10.0}
+    assert cli.config_hash(default) == "bb94347e2a1bc773"
+
+
+@pytest.mark.parametrize("g_qt", [1.5, 2.5])
+def test_quarter_turn_closed_form_column_tracks_evolution(tmp_path, monkeypatch, g_qt):
+    # n_closed_form integrates the closed form over (0, pi/2), where it holds;
+    # over the whole zone it was 18% (g_qt 1.5) and 68% (2.5) above n_numeric
+    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
+    args = ["--set", "protocol.kind=quarter_turn", "--set", "protocol.g_qt=%r" % g_qt,
+            "--set", "sweep.tau_q=[10.0]", "--set", "output.prefix=" + str(tmp_path / "q"),
+            "sweep"]
+    assert cli.main(args) == cli.EXIT_OK
+    (row,) = _read_rows(tmp_path / "q_sweep.csv")
+    assert abs(row[2] - row[1]) <= 0.01 * row[1]

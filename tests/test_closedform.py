@@ -58,7 +58,7 @@ def test_two_lz_compose_limits():
 def test_two_lz_compose_reproduces_pqf():
     q = np.linspace(1e-3, 0.6, 41)
     tau, R, g_f = 23.0, 1.7, 10.0
-    terms = cf.interference_terms_roundtrip(q, tau, R, 0.0, g_f, psi_mode="exact")
+    terms = cf.interference_terms_roundtrip(q, tau, R, 0.0, g_f)
     p_ref = cf.pqf(terms)
     s2 = np.sin(q) ** 2
     c2 = np.cos(q) ** 2
@@ -274,11 +274,9 @@ def test_airy_density_structure():
 
 def test_quarter_turn_closed_quadrature_fade_out():
     # oscillation amplitude of the tricritical case decays ~ tau^{-3/2};
-    # integrate over the physical support q <= pi/2 (the full-zone integral is
-    # polluted by the spurious reflected transition weight near q = pi, see
-    # the density_quarter_turn_quadrature docstring)
+    # density_quarter_turn_quadrature integrates over the physical support q <= pi/2
     def amp(tau):
-        vals = [cf.density_quarter_turn_quadrature(t, 1.0, 2.0, q_max=math.pi / 2.0)
+        vals = [cf.density_quarter_turn_quadrature(t, 1.0, 2.0)
                 - cf.density_quarter_turn(t, 1.0, 2.0).n_nonoscillatory
                 for t in np.linspace(tau, tau + math.pi / 2.0, 17)]
         return 0.5 * (max(vals) - min(vals))

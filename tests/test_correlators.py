@@ -6,6 +6,7 @@ import pytest
 from kzquench import closedform as cf
 from kzquench import correlators as corr
 from kzquench import evolver as ev
+from kzquench import lattice as lat
 from kzquench import protocol as proto
 from kzquench.specfun import LN2
 
@@ -15,7 +16,7 @@ def rt_spectrum(fast_opts):
     """Round-trip spectrum at tau = 32, g_f = 10, resolved up to r ~ 2 l_beta_4."""
     ls = corr.length_scales_roundtrip(32.0, 10.0)
     sch = proto.round_trip(0.0, 32.0, 1.0)
-    return ev.evolve_spectrum_quadrature(sch, fast_opts, max_r=2.0 * ls.l_beta[3])
+    return ev.evolve_spectra_quadrature([sch], fast_opts, max_r=2.0 * ls.l_beta[3])[0]
 
 
 def test_numeric_correlators_basics(rt_spectrum):
@@ -28,7 +29,7 @@ def test_numeric_correlators_basics(rt_spectrum):
 
 
 def test_numeric_requires_weights(fast_opts):
-    sp = ev.evolve_spectrum(proto.round_trip(0.0, 8.0, 1.0), 16, fast_opts)
+    sp = ev.evolve([(proto.round_trip(0.0, 8.0, 1.0), lat.mode_grid(16).q)], fast_opts)[0]
     with pytest.raises(ValueError):
         corr.fermionic_correlators_numeric(sp, [1.0])
 
@@ -36,7 +37,7 @@ def test_numeric_requires_weights(fast_opts):
 def test_ground_state_has_no_correlations(fast_opts):
     # a state with no excitations has alpha_r = 0 exactly
     sch = proto.one_way(10.0, 2.0, 30.0)
-    sp = ev.evolve_spectrum_quadrature(sch, fast_opts)
+    sp = ev.evolve_spectra_quadrature([sch], fast_opts)[0]
     ideal = ev.SpectrumResult(schedule=sch, q=sp.q, p=np.zeros_like(sp.q),
                               u=sp.u, v=sp.v, u_rot=np.ones_like(sp.u_rot),
                               v_rot=np.zeros_like(sp.v_rot), weights=sp.weights)
@@ -167,7 +168,7 @@ def test_clustering(fast_opts):
     ls = corr.length_scales_roundtrip(tau, 10.0)
     sch = proto.round_trip(0.0, tau, 1.0)
     r_far = np.array([10.0 * ls.l_beta[3]])
-    sp = ev.evolve_spectrum_quadrature(sch, fast_opts, max_r=float(r_far[0]))
+    sp = ev.evolve_spectra_quadrature([sch], fast_opts, max_r=float(r_far[0]))[0]
     fc = corr.fermionic_correlators_numeric(sp, r_far)
     assert abs(corr.czz(fc)[0]) < 1e-8
 
@@ -207,7 +208,7 @@ def test_primed_correlators_regime_structure(fast_opts):
     sch = proto.reversed_round_trip(g_rt, tau, 1.0)
     ls = corr.primed_length_scales(tau, g_rt)
     r = np.arange(1.0, 500.0, 3.0)
-    sp = ev.evolve_spectrum_quadrature(sch, fast_opts, max_r=float(r[-1]))
+    sp = ev.evolve_spectra_quadrature([sch], fast_opts, max_r=float(r[-1]))[0]
     fc = corr.fermionic_correlators_numeric(sp, r)
     a_cl, b_cl = corr.primed_correlators_closed(r, tau, g_rt)
     # short-distance diagonal part matches to a few percent

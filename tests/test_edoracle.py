@@ -135,7 +135,7 @@ def test_roundtrip_matches_bdg():
     sch = proto.round_trip(0.0, tau, 1.0)
     st = ed.evolve_exact(sch, N)
     n_ed = ed.measure_defects(st, "paramagnetic")
-    n_bdg = ev.fermion_density(ev.evolve_spectrum(sch, N))
+    n_bdg = ev.fermion_density(ev.evolve([(sch, lat.mode_grid(N).q)])[0])
     assert abs(n_ed - n_bdg) < 1e-6
 
 
@@ -144,7 +144,7 @@ def test_reversed_kinks_match_bdg():
     sch = proto.reversed_round_trip(1.5, tau, 1.0)
     st = ed.evolve_exact(sch, N)
     k_ed = ed.measure_defects(st, "ferromagnetic")
-    k_bdg = ev.defect_density(ev.evolve_spectrum(sch, N))
+    k_bdg = ev.defect_density(ev.evolve([(sch, lat.mode_grid(N).q)])[0])
     assert abs(k_ed - k_bdg) < 1e-6
 
 
@@ -154,7 +154,7 @@ def test_quarter_turn_matches_bdg():
     sch = proto.quarter_turn(1.5, tau, 1.0, jy_initial=4.0)
     st = ed.evolve_exact(sch, N)
     k_ed = ed.measure_defects(st, "ferromagnetic")
-    k_bdg = ev.defect_density(ev.evolve_spectrum(sch, N))
+    k_bdg = ev.defect_density(ev.evolve([(sch, lat.mode_grid(N).q)])[0])
     assert abs(k_ed - k_bdg) < 1e-6
 
 
@@ -165,7 +165,7 @@ def test_paramagnetic_measure_approaches_excitation_count():
     gaps = {}
     for g_f in (5.0, 20.0):
         sch = proto.round_trip(0.0, tau, 1.0, g_i=10.0, g_f=g_f)
-        sp = ev.evolve_spectrum(sch, N)
+        sp = ev.evolve([(sch, lat.mode_grid(N).q)])[0]
         n_p = ev.fermion_density(sp)           # sigma^z measure
         n_exc = ev.defect_density(sp)          # quasiparticle count
         gaps[g_f] = abs(n_p - n_exc)
@@ -214,9 +214,12 @@ def test_matches_full_space_reference(N, kind, tau):
 
 @pytest.mark.parametrize("opts, match", [
     (ev.SolverOptions(rel_tol=1e-300, abs_tol=1e-300), "fails its tolerance"),
-    (ev.SolverOptions(max_steps=3), "step budget exhausted"),
+    # default tolerances under a budget of 3 attempted steps
+    (ev.SolverOptions(), "step budget exhausted"),
 ])
-def test_failing_evolution_raises(opts, match):
+def test_failing_evolution_raises(opts, match, monkeypatch):
+    if "budget" in match:
+        monkeypatch.setattr(ev, "MAX_STEPS", 3)
     with pytest.raises(ev.NumericalFailure, match=match):
         ed.evolve_exact(proto.reversed_round_trip(1.5, 1.0, 1.0), 8, opts)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ def test_sudden_limit_state_frozen():
     # state equals the frozen-amplitude overlap
     q = 0.9
     sch = proto.one_way(10.0, 0.2, 1e-7)
-    res = ev.evolve_modes(sch, [q], ev.SolverOptions(1e-10, 1e-12))
+    (res,) = ev.evolve([(sch, [q])], ev.SolverOptions(1e-10, 1e-12))
     eq0 = lat.equilibrium_amplitudes(lat.ising_bdg(lat.IsingParams(10.0), q))
     assert abs(res.u[0] - eq0.u) < 1e-5 and abs(res.v[0] - eq0.v) < 1e-5
     eqf = lat.equilibrium_amplitudes(lat.ising_bdg(lat.IsingParams(0.2), q))
@@ -25,7 +26,7 @@ def test_sudden_limit_state_frozen():
 
 def test_adiabatic_limit_gapped_mode():
     sch = proto.round_trip(0.0, 500.0, 1.0, g_i=3.0, g_f=3.0)
-    res = ev.evolve_modes(sch, [math.pi / 2], ev.SolverOptions(1e-9, 1e-11))
+    (res,) = ev.evolve([(sch, [math.pi / 2])], ev.SolverOptions(1e-9, 1e-11))
     assert res.p[0] < 1e-6
 
 
@@ -34,22 +35,22 @@ def test_one_way_matches_landau_zener(fast_opts):
     tau = 20.0
     sch = proto.one_way(10.0, 0.0, tau)
     q = np.array([0.02, 0.05, 0.08, 0.1])
-    res = ev.evolve_modes(sch, q, fast_opts)
+    (res,) = ev.evolve([(sch, q)], fast_opts)
     ref = cf.pq0(q, tau)
     assert np.max(np.abs(res.p / ref - 1.0)) < 0.02
 
 
 def test_norm_conservation_along_trajectory(tight_opts):
     sch = proto.round_trip(0.0, 12.0, 1.0)
-    sp = ev.evolve_spectrum(sch, 128, tight_opts)
+    (sp,) = ev.evolve([(sch, lat.mode_grid(128).q)], tight_opts)
     assert sp.norm_drift <= 10.0 * tight_opts.rel_tol
     assert np.max(np.abs(np.abs(sp.u) ** 2 + np.abs(sp.v) ** 2 - 1.0)) <= 10.0 * tight_opts.rel_tol
 
 
 def test_determinism_bitwise(fast_opts):
     sch = proto.round_trip(0.0, 9.0, 1.3)
-    a = ev.evolve_modes(sch, lat.mode_grid(64).q, fast_opts)
-    b = ev.evolve_modes(sch, lat.mode_grid(64).q, fast_opts)
+    (a,) = ev.evolve([(sch, lat.mode_grid(64).q)], fast_opts)
+    (b,) = ev.evolve([(sch, lat.mode_grid(64).q)], fast_opts)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
@@ -57,16 +58,20 @@ def test_batch_independence_of_composition(fast_opts):
     # evolving a mode alone or inside a batch gives the same result to tolerance
     sch = proto.round_trip(0.0, 9.0, 1.0)
     q = lat.mode_grid(32).q
-    batch = ev.evolve_modes(sch, q, fast_opts)
-    single = ev.evolve_modes(sch, [q[5]], fast_opts)
+    (batch,) = ev.evolve([(sch, q)], fast_opts)
+    (single,) = ev.evolve([(sch, [q[5]])], fast_opts)
     assert abs(batch.p[5] - single.p[0]) < 1e-6
 
 
-def test_frames_agree(tight_opts):
+def test_frames_agree(monkeypatch):
+    # GAP_FLOOR = inf puts every mode in the lab frame, -inf none
     sch = proto.round_trip(0.0, 11.0, 1.0)
     q = np.array([0.05, 0.2, 0.7])
-    lab = ev.evolve_modes(sch, q, ev.SolverOptions(1e-10, 1e-12, frame="lab"))
-    adi = ev.evolve_modes(sch, q, ev.SolverOptions(1e-10, 1e-12, frame="adiabatic"))
+    monkeypatch.setattr(ev, "GAP_FLOOR", math.inf)
+    (lab,) = ev.evolve([(sch, q)], ev.SolverOptions(1e-10, 1e-12))
+    monkeypatch.setattr(ev, "GAP_FLOOR", -math.inf)
+    (adi,) = ev.evolve([(sch, q)], ev.SolverOptions(1e-10, 1e-12))
+    assert lab.meta["lab_modes"] == 3 and adi.meta["lab_modes"] == 0
     assert np.max(np.abs(lab.p - adi.p)) < 1e-8
 
 
@@ -77,8 +82,7 @@ def test_interference_revival_smallest_mode(fast_opts):
     q = math.pi / 1000.0
     half = proto.one_way(10.0, 0.0, tau)
     full = proto.round_trip(0.0, tau, 1.0)
-    p_half = ev.evolve_modes(half, [q], fast_opts).p[0]
-    p_full = ev.evolve_modes(full, [q], fast_opts).p[0]
+    p_half, p_full = (r.p[0] for r in ev.evolve([(half, [q]), (full, [q])], fast_opts))
     assert p_half > 0.99
     assert p_full < 0.01
 
@@ -86,7 +90,7 @@ def test_interference_revival_smallest_mode(fast_opts):
 def test_interference_peak_not_at_origin(fast_opts):
     # p_q^f peaks near q* ~ sqrt(ln2/(2 pi tau)), not at q -> 0
     tau = 12.87
-    sp = ev.evolve_spectrum(proto.round_trip(0.0, tau, 1.0), 1000, fast_opts)
+    (sp,) = ev.evolve([(proto.round_trip(0.0, tau, 1.0), lat.mode_grid(1000).q)], fast_opts)
     qpk = sp.q[int(np.argmax(sp.p))]
     assert abs(qpk - cf.qstar(tau, 1.0)) < 0.03
 
@@ -104,7 +108,7 @@ def test_defect_density_trivial_cases():
 def test_one_way_density_baseline(fast_opts):
     tau = 50.0
     sch = proto.one_way(10.0, 0.0, tau)
-    n = ev.defect_density(ev.evolve_spectrum_quadrature(sch, fast_opts))
+    n = ev.defect_density(ev.evolve_spectra_quadrature([sch], fast_opts)[0])
     assert abs(n - 1.0 / (2.0 * math.pi * math.sqrt(2.0 * tau))) < 0.03 / (2.0 * math.pi * math.sqrt(2.0 * tau))
 
 
@@ -115,7 +119,7 @@ def test_short_wave_modes_contribute_negligibly(fast_opts):
     # n is bounded by that envelope and is a vanishing fraction of the core.
     tau = 10.0
     sch = proto.one_way(10.0, 0.0, tau)
-    sp = ev.evolve_spectrum_quadrature(sch, fast_opts)
+    (sp,) = ev.evolve_spectra_quadrature([sch], fast_opts)
     m = sp.q > math.pi / 2.0
     envelope = np.sin(sp.q[m]) ** 2 / (64.0 * tau * tau)
     assert np.all(sp.p[m] <= 3.0 * envelope + 1e-12)
@@ -128,10 +132,9 @@ def test_time_reversal_sanity(fast_opts):
     # a gapped mode driven out and back adiabatically returns to the ground
     # state; the residual is the turning-point kink response ~ sin^2 q/(16 tau^2)
     q = 1.2
-    p200 = ev.evolve_modes(proto.round_trip(0.0, 200.0, 1.0, g_i=4.0, g_f=4.0),
-                           [q], fast_opts).p[0]
-    p400 = ev.evolve_modes(proto.round_trip(0.0, 400.0, 1.0, g_i=4.0, g_f=4.0),
-                           [q], fast_opts).p[0]
+    p200, p400 = (r.p[0] for r in ev.evolve(
+        [(proto.round_trip(0.0, tau, 1.0, g_i=4.0, g_f=4.0), [q]) for tau in (200.0, 400.0)],
+        fast_opts))
     assert p200 < 1e-5
     assert p400 < 0.5 * p200  # -> 0 as tau grows
 
@@ -139,26 +142,24 @@ def test_time_reversal_sanity(fast_opts):
 def test_spectrum_rejects_bad_modes(fast_opts):
     sch = proto.one_way(10.0, 0.0, 5.0)
     with pytest.raises(ValueError):
-        ev.evolve_modes(sch, [0.0], fast_opts)
+        ev.evolve([(sch, [0.0])], fast_opts)
     with pytest.raises(ValueError):
-        ev.evolve_modes(sch, [math.pi], fast_opts)
+        ev.evolve([(sch, [math.pi])], fast_opts)
 
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         ev.SolverOptions(rel_tol=1e-2)
     with pytest.raises(ValueError):
-        ev.SolverOptions(frame="bogus")
-    with pytest.raises(ValueError):
-        ev.SolverOptions(max_step=0.0)
-    with pytest.raises(ValueError):
-        ev.SolverOptions(max_steps=0)
+        ev.SolverOptions(abs_tol=0.0)
+    # the tolerances are the only options
+    assert [f.name for f in dataclasses.fields(ev.SolverOptions)] == ["rel_tol", "abs_tol"]
 
 
 def test_evolved_bounds_sample(fast_opts):
     # evolved p within the long-wave interference bounds at R=1 (1e-3 slack)
     tau = 10.0
-    sp = ev.evolve_spectrum(proto.round_trip(0.0, tau, 1.0), 200, fast_opts)
+    (sp,) = ev.evolve([(proto.round_trip(0.0, tau, 1.0), lat.mode_grid(200).q)], fast_opts)
     t = cf.interference_terms_roundtrip(sp.q, tau, 1.0)
     assert np.all(sp.p >= (t.A - t.B) ** 2 - 1e-3)
     assert np.all(sp.p <= (t.A + t.B) ** 2 + 1e-3)
@@ -169,8 +170,8 @@ def test_closed_form_pqf_matches_evolved(fast_opts):
     tau = 32.0
     sch = proto.round_trip(0.0, tau, 1.0)
     q = np.linspace(0.01, 3.0 / math.sqrt(tau), 40)
-    res = ev.evolve_modes(sch, q, fast_opts)
-    p_cf = cf.pqf(cf.interference_terms_roundtrip(q, tau, 1.0, psi_mode="exact"))
+    (res,) = ev.evolve([(sch, q)], fast_opts)
+    p_cf = cf.pqf(cf.interference_terms_roundtrip(q, tau, 1.0))
     assert np.max(np.abs(res.p - p_cf)) < 0.01
 
 
@@ -179,19 +180,27 @@ def test_failing_step_is_never_accepted():
     # the solver stops there instead of accepting the failing step
     sch = proto.linear((2.0, 1.0, 0.0), (0.0, 1.0, 0.0), 1.0)
     with pytest.raises(ev.NumericalFailure, match=r"at t=0 fails its tolerance at h=8.192e-13"):
-        ev.evolve_modes(sch, [0.5], ev.SolverOptions(rel_tol=1e-300, abs_tol=1e-300))
+        ev.evolve([(sch, [0.5])], ev.SolverOptions(rel_tol=1e-300, abs_tol=1e-300))
 
 
-def test_solver_statistics(fast_opts):
+def test_step_budget_is_enforced(monkeypatch):
+    # a segment that needs more than MAX_STEPS attempted steps stops with an error
+    monkeypatch.setattr(ev, "MAX_STEPS", 3)
+    with pytest.raises(ev.NumericalFailure, match="step budget exhausted"):
+        ev.evolve([(proto.one_way(10.0, 0.0, 5.0), [0.5])])
+
+
+def test_solver_statistics(fast_opts, monkeypatch):
     sch = proto.round_trip(0.0, 6.0, 1.0)
-    sp = ev.evolve_spectrum_quadrature(sch, fast_opts, order=8, n_support=4)
+    (sp,) = ev.evolve_spectra_quadrature([sch], fast_opts, order=8, n_support=4)
     meta = sp.meta
     assert meta["accepted"] + meta["rejected"] == meta["steps"]
     assert meta["accepted"] > 0 and meta["rejected"] >= 0
     assert 0.0 < meta["h_min"] <= 1e-3 and meta["lab_modes"] == 0
     # one superadiabatic window on each ramp, away from both crossings
     assert meta["sa_windows"] == 2 and 0.5 < meta["sa_share"] < 1.0
-    lab = ev.evolve_spectrum(sch, 16, ev.SolverOptions(1e-7, 1e-9, frame="lab")).meta
+    monkeypatch.setattr(ev, "GAP_FLOOR", math.inf)
+    lab = ev.evolve([(sch, lat.mode_grid(16).q)], ev.SolverOptions(1e-7, 1e-9))[0].meta
     assert lab["lab_modes"] == 8 and lab["sa_windows"] == 0 and lab["sa_share"] == 0.0
     assert lab["accepted"] + lab["rejected"] == lab["steps"]
 
@@ -212,14 +221,16 @@ def _batch_cases():
 
 
 @pytest.mark.parametrize("frame", ["auto", "lab", "adiabatic"])
-def test_batch_bitwise_equals_solo(frame):
+def test_batch_bitwise_equals_solo(frame, monkeypatch):
     # every schedule in a lock-step batch gets exactly what it gets alone,
     # whatever else is in the batch and in whatever order
-    opts = ev.SolverOptions(1e-7, 1e-9, frame=frame)
+    floor = {"auto": ev.GAP_FLOOR, "lab": math.inf, "adiabatic": -math.inf}[frame]
+    monkeypatch.setattr(ev, "GAP_FLOOR", floor)
+    opts = ev.SolverOptions(1e-7, 1e-9)
     schedules = _batch_cases()
     if frame == "lab":
         schedules = schedules[:-2]  # the lab frame has no SA windows
-    solo = [ev.evolve_spectrum_quadrature(s, opts, order=8, n_support=4, max_r=4.0)
+    solo = [ev.evolve_spectra_quadrature([s], opts, order=8, n_support=4, max_r=4.0)[0]
             for s in schedules]
     for order in (1, -1):
         batch = ev.evolve_spectra_quadrature(schedules[::order], opts, order=8, n_support=4,
@@ -310,8 +321,8 @@ def test_sa_windows_accuracy_tau32():
     # steps, 3.2e-9 and 1.7e-8.
     sch = proto.round_trip(0.0, 32.0, 1.0)
     q, w = support_panels(sch, order=4, n_support=3)
-    ref = ev.evolve_modes(sch, q, ev.SolverOptions(1e-12, 1e-14))
-    res = ev.evolve_modes(sch, q, ev.SolverOptions(1e-8, 1e-10))
+    (ref,) = ev.evolve([(sch, q)], ev.SolverOptions(1e-12, 1e-14))
+    (res,) = ev.evolve([(sch, q)], ev.SolverOptions(1e-8, 1e-10))
     n, n_ref = np.sum(w * res.p), np.sum(w * ref.p)
     assert abs(n - n_ref) / n_ref <= 1e-8
     assert max(np.max(np.abs(res.u - ref.u)), np.max(np.abs(res.v - ref.v))) <= 1e-7
