@@ -11,7 +11,7 @@ exact on data generated from its own model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,10 @@ class InsufficientData(ValueError):
 
 @dataclass(frozen=True)
 class Sweep:
-    """Strictly increasing x against y samples, with free-form metadata."""
+    """Strictly increasing x against y samples."""
 
     x: np.ndarray
     y: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -74,7 +73,7 @@ def _lstsq_residual(x, y, omega, exponent, harmonics):
 
 
 def fit_oscillation(sweep, expected_period, exponent=-0.5, harmonics=1,
-                    max_residual=0.05, scan=1201, span=(0.5, 1.5)):
+                    max_residual=0.05):
     """Fit n(x) = x^exponent (b0 + M cos(Omega x + delta)) with Omega near
     2 pi / expected_period.
 
@@ -92,7 +91,7 @@ def fit_oscillation(sweep, expected_period, exponent=-0.5, harmonics=1,
     if np.median(np.diff(x)) > expected_period / 4.0:
         raise InsufficientData("need >= 4 samples per expected period")
     omega0 = 2.0 * math.pi / expected_period
-    grid = np.linspace(span[0] * omega0, span[1] * omega0, scan)
+    grid = np.linspace(0.5 * omega0, 1.5 * omega0, 1201)
     res = np.array([_lstsq_residual(x, y, om, exponent, harmonics)[0] for om in grid])
     i = int(np.argmin(res))
     lo = grid[max(i - 1, 0)]
@@ -172,13 +171,13 @@ def find_peaks(x, y):
     return np.array(peaks)
 
 
-def scaled_collapse(sweeps, match_window=None):
+def scaled_collapse(sweeps):
     """Maximum relative dispersion of matched peak positions across sweeps.
 
     ``sweeps`` maps labels (e.g. turning points) to Sweep objects sampled on a
     common scaled-time axis.  Peaks of the first sweep anchor the matching;
-    each other sweep must have a peak within ``match_window`` (default: half
-    the median anchor spacing).  A single sweep trivially collapses (0.0).
+    each other sweep must have a peak within half the median anchor spacing.
+    A single sweep trivially collapses (0.0).
     """
     items = list(sweeps.items()) if isinstance(sweeps, dict) else list(enumerate(sweeps))
     if len(items) == 1:
@@ -190,8 +189,7 @@ def scaled_collapse(sweeps, match_window=None):
             raise InsufficientData("fewer than 2 peaks detected in a sweep")
         all_peaks.append(p)
     anchors = all_peaks[0]
-    if match_window is None:
-        match_window = 0.5 * float(np.median(np.diff(anchors)))
+    match_window = 0.5 * float(np.median(np.diff(anchors)))
     worst = 0.0
     matched_any = False
     for a in anchors:

@@ -7,8 +7,11 @@ all numeric formatting uses shortest round-trip decimals, so reruns with the
 same configuration are byte-identical.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical failure.  ``check_config`` rejects bad values before any
-evolution starts, so a configuration error never surfaces as a traceback.
+3 numerical failure.  ``load_config`` refuses unknown sections and keys and
+fills absent keys in from the defaults; each value is then checked by the one
+function that reads it (protocol values must be finite numbers), and every
+command reads its whole configuration before it evolves or writes anything,
+so a configuration error never surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -84,14 +87,20 @@ def _merge(base, override):
 
 
 def load_config(path=None, overrides=()):
+    """The configuration: DEFAULT_CONFIG, then the file at ``path``, then ``overrides``.
+
+    Raises ConfigError unless the document has this version, only known
+    sections, each an object holding only known keys, and an output prefix
+    in an existing directory.  Absent keys are filled in from the defaults
+    (protocol keys from the chosen kind's PROTOCOLS entry), so the config,
+    its hash and the sidecar hold every parameter the run reads.
+    """
     cfg = DEFAULT_CONFIG
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ConfigError("%s must hold a JSON object" % path)
-        if user.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-            raise ConfigError("unsupported config version %r" % user.get("version"))
         cfg = _merge(cfg, user)
     cfg = json.loads(json.dumps(cfg))  # deep copy
     for item in overrides:
@@ -109,13 +118,31 @@ def load_config(path=None, overrides=()):
             if not isinstance(node, dict):
                 raise ConfigError("--set %s: %r is not an object" % (key, p))
         node[parts[-1]] = value
-    pcfg = cfg.get("protocol")
-    if isinstance(pcfg, dict):
-        # the config, its hash and the sidecar hold every parameter the run reads
-        kind = pcfg.setdefault("kind", DEFAULT_CONFIG["protocol"]["kind"])
-        if isinstance(kind, str) and kind in PROTOCOLS:
-            for key, default in PROTOCOLS[kind][1].items():
-                pcfg.setdefault(key, default)
+    version = cfg["version"]
+    if isinstance(version, bool) or version != CONFIG_VERSION:
+        raise ConfigError("unsupported config version %r" % (version,))
+    for name, section in cfg.items():
+        if name not in DEFAULT_CONFIG:
+            raise ConfigError("unknown section %r" % name)
+        if name == "version":
+            continue
+        if not isinstance(section, dict):
+            raise ConfigError("%s must be a JSON object, got %r" % (name, section))
+        defaults = json.loads(json.dumps(DEFAULT_CONFIG[name]))  # deep copy
+        if name == "protocol":
+            kind = section.setdefault("kind", defaults["kind"])
+            if isinstance(kind, str) and kind in PROTOCOLS:
+                defaults.update(PROTOCOLS[kind][1])
+        for key in section:
+            if key not in (PROTOCOL_KEYS if name == "protocol" else defaults):
+                raise ConfigError("%s: unknown key %r" % (name, key))
+        for key, default in defaults.items():
+            section.setdefault(key, default)
+    prefix = cfg["output"]["prefix"]
+    if not isinstance(prefix, str):
+        raise ConfigError("output.prefix must be a string, got %r" % (prefix,))
+    if not os.path.isdir(os.path.dirname(prefix) or "."):
+        raise ConfigError("output.prefix: no directory %r" % os.path.dirname(prefix))
     return cfg
 
 
@@ -143,19 +170,25 @@ def _write_csv(path, header, rows, cfg):
 def build_schedule(pcfg, tau_q):
     """The configured protocol's schedule at tau_q, built from the PROTOCOLS table.
 
-    ``pcfg`` is a loaded protocol section, which holds every key its kind reads.
+    ``pcfg`` is a loaded protocol section, which holds every key its kind
+    reads.  ConfigError unless each is a finite number the builder accepts.
     """
     kind = pcfg["kind"]
     if not isinstance(kind, str) or kind not in PROTOCOLS:
         raise ConfigError("unknown protocol kind %r" % (kind,))
     builder, keys = PROTOCOLS[kind]
-    return builder(tau_q=tau_q, **{k: pcfg[k] for k in keys})
+    values = {k: _number(pcfg[k], "protocol." + k) for k in keys}
+    try:
+        return builder(tau_q=tau_q, **values)
+    except ValueError as exc:
+        raise ConfigError("protocol: %s" % exc) from None
 
 
 def _number(value, key, positive=False):
     """value as a float; ConfigError unless it is a finite number (> 0 if positive)."""
+    # an int too large for a float is refused before float() overflows
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+            or not abs(value) < 1e308:
         raise ConfigError("%s must be a finite number, got %r" % (key, value))
     if positive and not value > 0:
         raise ConfigError("%s must be > 0, got %r" % (key, value))
@@ -169,17 +202,16 @@ def _tau_list(cfg, section):
     numbers; a range may hold at most MAX_TAU_POINTS of them.
     """
     key = section + ".tau_q"
-    entry = cfg[section].get("tau_q", DEFAULT_CONFIG[section]["tau_q"])
-    if isinstance(entry, dict) and "values" in entry:
+    entry = cfg[section]["tau_q"]
+    if isinstance(entry, dict) and set(entry) == {"values"}:
         entry = entry["values"]
     if isinstance(entry, dict):
-        try:
-            start, stop, step = (entry[k] for k in ("start", "stop", "step"))
-        except KeyError as exc:
-            raise ConfigError("%s dict needs start/stop/step or values" % key) from exc
-        start = _number(start, key + ".start")
-        stop = _number(stop, key + ".stop")
-        step = _number(step, key + ".step", positive=True)
+        if set(entry) != {"start", "stop", "step"}:
+            raise ConfigError("%s dict needs exactly start/stop/step or values, got %s"
+                              % (key, sorted(entry)))
+        start = _number(entry["start"], key + ".start")
+        stop = _number(entry["stop"], key + ".stop")
+        step = _number(entry["step"], key + ".step", positive=True)
         # np.arange makes ceil of this many points; count them before allocating
         if (stop + 0.5 * step - start) / step > MAX_TAU_POINTS:
             raise ConfigError("%s range holds more than %d points" % (key, MAX_TAU_POINTS))
@@ -190,6 +222,27 @@ def _tau_list(cfg, section):
     if not taus:
         raise ConfigError("%s resolved to an empty list" % key)
     return taus
+
+
+def _solver_settings(cfg):
+    """(SolverOptions, quadrature keywords) from the solver and quadrature sections."""
+    try:
+        opts = SolverOptions(**cfg["solver"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("solver: %s" % exc) from None
+    quad = cfg["quadrature"]
+    for key, value in quad.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError("quadrature.%s must be a positive integer, got %r"
+                              % (key, value))
+    # each support region gets n_support panels of order nodes
+    if quad["order"] > MAX_QUADRATURE_ORDER \
+            or quad["order"] * quad["n_support"] > MAX_QUADRATURE_NODES:
+        raise ConfigError("quadrature.order=%d, n_support=%d: order must be <= %d and "
+                          "order * n_support <= %d" % (quad["order"], quad["n_support"],
+                                                       MAX_QUADRATURE_ORDER,
+                                                       MAX_QUADRATURE_NODES))
+    return opts, quad
 
 
 def correlator_closed_forms(schedule):
@@ -222,79 +275,14 @@ def correlator_closed_forms(schedule):
 def _r_grid(ccfg, ls):
     """The r grid [0, r_max_factor * max(l_beta)], refused before it is made if it
     holds more than MAX_R_POINTS points or needs more than MAX_QUADRATURE_NODES."""
-    r_max = _number(ccfg.get("r_max_factor", 2.0), "correlator.r_max_factor",
+    r_max = _number(ccfg["r_max_factor"], "correlator.r_max_factor",
                     positive=True) * max(ls.l_beta)
-    r_step = _number(ccfg.get("r_step", 1.0), "correlator.r_step", positive=True)
+    r_step = _number(ccfg["r_step"], "correlator.r_step", positive=True)
     if r_max / r_step + 1.0 > MAX_R_POINTS or 3.0 * r_max > MAX_QUADRATURE_NODES:
         raise ConfigError("correlator r grid [0, %g] at step %g: more than %d points, or "
                           "about 3 r_max > %d quadrature nodes"
                           % (r_max, r_step, MAX_R_POINTS, MAX_QUADRATURE_NODES))
     return np.arange(0.0, r_max + 1e-9, r_step)
-
-
-def check_config(cfg, command):
-    """Reject a configuration that ``command`` cannot run with.
-
-    Runs before any evolution starts, so that bad input ends with
-    EXIT_CONFIG and one line.  Errors raised later, inside the numerics,
-    are not configuration errors and are not mapped to one.
-    """
-    for name in DEFAULT_CONFIG:
-        if name != "version" and not isinstance(cfg.get(name), dict):
-            raise ConfigError("%s must be a JSON object, got %r" % (name, cfg.get(name)))
-    for key in cfg["protocol"]:
-        if key not in PROTOCOL_KEYS:
-            raise ConfigError("protocol: unknown key %r" % key)
-    prefix = cfg["output"].get("prefix")
-    if not isinstance(prefix, str):
-        raise ConfigError("output.prefix must be a string, got %r" % (prefix,))
-    if not os.path.isdir(os.path.dirname(prefix) or "."):
-        raise ConfigError("output.prefix: no directory %r" % os.path.dirname(prefix))
-    if command in ("sweep", "correlator"):
-        try:
-            SolverOptions(**cfg["solver"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("solver: %s" % exc) from None
-        for key, value in cfg["quadrature"].items():
-            if key not in ("order", "n_support"):
-                raise ConfigError("quadrature: unknown option %r" % key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError("quadrature.%s must be a positive integer, got %r"
-                                  % (key, value))
-        order = cfg["quadrature"].get("order", DEFAULT_CONFIG["quadrature"]["order"])
-        n_support = cfg["quadrature"].get("n_support", DEFAULT_CONFIG["quadrature"]["n_support"])
-        # each support region gets n_support panels of order nodes
-        if order > MAX_QUADRATURE_ORDER or order * n_support > MAX_QUADRATURE_NODES:
-            raise ConfigError("quadrature.order=%d, n_support=%d: order must be <= %d and "
-                              "order * n_support <= %d" % (order, n_support,
-                                                           MAX_QUADRATURE_ORDER,
-                                                           MAX_QUADRATURE_NODES))
-    if command == "validate":
-        # validate runs at SolverOptions() and its own mode grids
-        for name in ("solver", "quadrature"):
-            if cfg[name] != DEFAULT_CONFIG[name]:
-                raise ConfigError("%s: validate runs at fixed settings and reads no %s "
-                                  "section; leave it at its default" % (name, name))
-        try:
-            edoracle.check_chain_length(cfg["validate"].get("N", 8))
-        except ValueError as exc:
-            raise ConfigError("validate.N: %s" % exc) from None
-        _tau_list(cfg, "validate")
-        return
-    if command == "correlator":
-        taus = _tau_list(cfg, "correlator")
-    else:
-        taus = _tau_list(cfg, "sweep")
-        if command == "sweep":
-            worker_count()
-    try:
-        build_schedule(cfg["protocol"], taus[0])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("protocol: %s" % exc) from None
-    if command == "correlator":
-        for tau in taus:
-            ls, _ = correlator_closed_forms(build_schedule(cfg["protocol"], tau))
-            _r_grid(cfg["correlator"], ls)
 
 
 def closed_form_density(schedule):
@@ -329,13 +317,11 @@ def closed_form_density(schedule):
 
 
 def _sweep_rows(args):
-    """CSV rows of one contiguous run of quench times, evolved in one batch."""
-    cfg, taus = args
-    schedules = [build_schedule(cfg["protocol"], tau) for tau in taus]
-    spectra = evolver.evolve_spectra_quadrature(schedules, SolverOptions(**cfg["solver"]),
-                                                **cfg["quadrature"])
-    return [[tau, evolver.defect_density(sp), *closed_form_density(sch)]
-            for tau, sch, sp in zip(taus, schedules, spectra)]
+    """CSV rows of one contiguous run of schedules, evolved in one batch."""
+    schedules, opts, quad = args
+    spectra = evolver.evolve_spectra_quadrature(schedules, opts, **quad)
+    return [[sch.tau_q, evolver.defect_density(sp), *closed_form_density(sch)]
+            for sch, sp in zip(schedules, spectra)]
 
 
 def worker_count():
@@ -347,18 +333,19 @@ def worker_count():
 
 
 def cmd_sweep(cfg):
-    taus = _tau_list(cfg, "sweep")
-    workers = min(worker_count(), len(taus))
+    schedules = [build_schedule(cfg["protocol"], tau) for tau in _tau_list(cfg, "sweep")]
+    opts, quad = _solver_settings(cfg)
+    workers = min(worker_count(), len(schedules))
     if workers > 1:
         import multiprocessing
 
         # each worker batches one contiguous chunk; a row does not depend on its batch
-        bounds = [len(taus) * i // workers for i in range(workers + 1)]
-        jobs = [(cfg, taus[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        bounds = [len(schedules) * i // workers for i in range(workers + 1)]
+        jobs = [(schedules[lo:hi], opts, quad) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with multiprocessing.Pool(workers) as pool:
             rows = [row for chunk in pool.map(_sweep_rows, jobs) for row in chunk]
     else:
-        rows = _sweep_rows((cfg, taus))
+        rows = _sweep_rows((schedules, opts, quad))
     prefix = cfg["output"]["prefix"]
     csv_path = prefix + "_sweep.csv"
     _write_csv(csv_path,
@@ -378,10 +365,10 @@ def cmd_correlator(cfg):
     schedules = [build_schedule(cfg["protocol"], tau) for tau in taus]
     forms = [correlator_closed_forms(sch) for sch in schedules]
     grids = [_r_grid(cfg["correlator"], ls) for ls, _ in forms]
+    opts, quad = _solver_settings(cfg)
     # one lock-step batch; each spectrum is bitwise what its tau gives alone
     spectra = evolver.evolve_spectra_quadrature(
-        schedules, SolverOptions(**cfg["solver"]), max_r=[float(r[-1]) for r in grids],
-        **cfg["quadrature"])
+        schedules, opts, max_r=[float(r[-1]) for r in grids], **quad)
     files = []
     for tau, (ls, closed), r, sp in zip(taus, forms, grids, spectra):
         fc = correlators.fermionic_correlators_numeric(sp, r)
@@ -410,8 +397,17 @@ def cmd_correlator(cfg):
 
 def cmd_validate(cfg):
     """ED-oracle comparison plus invariant checks; machine-readable report."""
-    vcfg = cfg["validate"]
-    N = int(vcfg.get("N", 8))
+    # validate runs at SolverOptions() and its own mode grids
+    for name in ("solver", "quadrature"):
+        if cfg[name] != DEFAULT_CONFIG[name]:
+            raise ConfigError("%s: validate runs at fixed settings and reads no %s "
+                              "section; leave it at its default" % (name, name))
+    N = cfg["validate"]["N"]
+    try:
+        edoracle.check_chain_length(N)
+    except ValueError as exc:
+        raise ConfigError("validate.N: %s" % exc) from None
+    taus = _tau_list(cfg, "validate")
     checks = []
 
     def record(name, passed, detail, tolerance):
@@ -419,7 +415,6 @@ def cmd_validate(cfg):
                        "tolerance": tolerance})
 
     opts = SolverOptions()
-    taus = _tau_list(cfg, "validate")
     pairs = [(protocol.round_trip(0.0, tau, 1.0), protocol.reversed_round_trip(1.5, tau, 1.0))
              for tau in taus]
     # every BdG spectrum in one lock-step batch, the N = 64 sample last
@@ -489,7 +484,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
-        check_config(cfg, args.command)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

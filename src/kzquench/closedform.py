@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import gauss_legendre_panels
 from .specfun import GAMMA_E, LN2, airy_ai_bi, arg_gamma, constants
 
 _TINY = 1e-300
@@ -409,10 +410,7 @@ def density_quarter_turn_quadrature(tau_q, R, g_qt):
     at g_qt = 1.5, 2.5 and 3, where the whole zone overshoots it by 18%, 68%
     and 108%.
     """
-    x, w = np.polynomial.legendre.leggauss(64)
-    edges = np.linspace(0.0, math.pi / 2.0, 38)  # 37 panels of 64 Gauss-Legendre points
-    lo, hi = edges[:-1, None], edges[1:, None]
-    q = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
-    wq = (0.5 * (hi - lo) * w[None, :]).ravel()
+    # 37 panels of 64 Gauss-Legendre points
+    q, wq = gauss_legendre_panels(np.linspace(0.0, math.pi / 2.0, 38), order=64)
     p = pqf_quarter_turn(q, tau_q, R, g_qt)
     return float(np.sum(wq * p) / math.pi)

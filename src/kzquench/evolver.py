@@ -333,12 +333,9 @@ def _sa_windows(seg, q):
     F <= SA_THRESHOLD, found by bisection; the windows are what no mode
     excludes.
     """
-    c, s = np.cos(q), np.sin(q)
-    e0, d0 = lattice.eps_delta(*seg.params_start, c, s)
-    e1, d1 = lattice.eps_delta(*seg.rates(), c, s)
-    v2 = e1 * e1 + d1 * d1
+    e0, d0, e1, d1, v2, s_v = seg.affine(q)
     moving = v2 > 0.0           # a mode whose (eps, delta) stands still never couples
-    e0, d0, e1, d1, v2 = e0[moving], d0[moving], e1[moving], d1[moving], v2[moving]
+    e0, d0, e1, d1, v2, s_v = (x[moving] for x in (e0, d0, e1, d1, v2, s_v))
     cross = np.abs(e0 * d1 - d0 * e1)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = v2 * np.sqrt(v2) / (cross * cross)
@@ -355,7 +352,7 @@ def _sa_windows(seg, q):
         half = np.sqrt(hi - 1.0) * cross / v2
     # a closed gap (k infinite) excludes the whole line
     half = np.where(np.isfinite(half), half, np.inf)
-    t_v = seg.t_start - (e0 * e1 + d0 * d1) / v2
+    t_v = seg.t_start + s_v
     order = np.argsort(t_v - half, kind="stable")
     starts = np.concatenate(([-np.inf], np.maximum.accumulate((t_v + half)[order])))
     ends = np.concatenate(((t_v - half)[order], [np.inf]))

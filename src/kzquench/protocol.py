@@ -60,21 +60,28 @@ class Segment:
         # convex form: exact at both endpoints
         return tuple(s * (1.0 - x) + e * x for s, e in zip(self.params_start, self.params_end))
 
-    def closest_approach(self, q):
-        """(smallest omega_q^2, speed |d(epsilon_q, delta_q)/dt|) on this segment, per mode.
+    def affine(self, q):
+        """Per-mode (e0, d0, e1, d1, v2, s_v) of (epsilon_q, delta_q) on this segment.
 
         epsilon = e0 + e1 (t - t_start) and delta = d0 + d1 (t - t_start),
-        with (e0, d0) from the starting parameters and (e1, d1) from the rates.
+        with (e0, d0) from the starting parameters and (e1, d1) from the rates;
+        v2 = e1^2 + d1^2 is the squared speed, and omega_q^2 is smallest at the
+        vertex t = t_start + s_v on the whole line (s_v = 0 where v2 = 0).
         """
         q = np.asarray(q, dtype=float)
         c, s = np.cos(q), np.sin(q)
         e0, d0 = eps_delta(*self.params_start, c, s)
         e1, d1 = eps_delta(*self.rates(), c, s)
-        denom = e1 * e1 + d1 * d1
-        tmin = np.where(denom > 0.0, -(e0 * e1 + d0 * d1) / np.where(denom > 0, denom, 1.0), 0.0)
-        tmin = np.clip(tmin, 0.0, self.duration)
+        v2 = e1 * e1 + d1 * d1
+        s_v = np.where(v2 > 0.0, -(e0 * e1 + d0 * d1) / np.where(v2 > 0, v2, 1.0), 0.0)
+        return e0, d0, e1, d1, v2, s_v
+
+    def closest_approach(self, q):
+        """(smallest omega_q^2, speed |d(epsilon_q, delta_q)/dt|) on this segment, per mode."""
+        e0, d0, e1, d1, v2, s_v = self.affine(q)
+        tmin = np.clip(s_v, 0.0, self.duration)
         om2 = (e0 + e1 * tmin) ** 2 + (d0 + d1 * tmin) ** 2
-        return om2, np.sqrt(denom)
+        return om2, np.sqrt(v2)
 
 
 @dataclass(frozen=True)

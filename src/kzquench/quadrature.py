@@ -46,11 +46,11 @@ def lz_exponent(schedule, q):
     return best
 
 
-def support_regions(schedule, cap=EXPONENT_CAP, scan_points=4000, pad=1.3):
+def support_regions(schedule):
     """(q_lo, q_hi) intervals on (0, pi) where modes get appreciably excited."""
-    qs = np.linspace(0.0, math.pi, scan_points + 1)[1:-1]
+    qs = np.linspace(0.0, math.pi, 4001)[1:-1]
     e = lz_exponent(schedule, qs)
-    mask = e < cap
+    mask = e < EXPONENT_CAP
     if not np.any(mask):
         return []
     regions = []
@@ -63,11 +63,11 @@ def support_regions(schedule, cap=EXPONENT_CAP, scan_points=4000, pad=1.3):
             start = i
         prev = i
     regions.append((qs[start], qs[prev]))
-    # pad and merge
+    # widen each region by 30% and merge
     padded = []
     for lo, hi in regions:
         mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * pad + 0.02 * (hi - lo + 1e-3)
+        half = 0.5 * (hi - lo) * 1.3 + 0.02 * (hi - lo + 1e-3)
         padded.append([max(mid - half, 0.0), min(mid + half, math.pi)])
     padded.sort()
     merged = [padded[0]]
@@ -83,13 +83,13 @@ def _split(lo, hi, n):
     return np.linspace(lo, hi, n + 1)
 
 
-def support_panels(schedule, order=16, n_support=12, max_r=0.0, cap=EXPONENT_CAP):
+def support_panels(schedule, order=16, n_support=12, max_r=0.0):
     """Quadrature nodes/weights on (0, pi) adapted to the schedule's mode support.
 
     ``max_r`` caps the panel width so that oscillatory cos(qr)/sin(qr) factors
     up to distance r are resolved by the Gauss-Legendre order.
     """
-    regions = support_regions(schedule, cap=cap)
+    regions = support_regions(schedule)
     width_cap = np.inf
     if max_r > 0.0:
         # keep >= ~6 nodes per oscillation wavelength 2 pi / r

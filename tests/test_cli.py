@@ -168,6 +168,27 @@ def test_validate_odd_n_rejected(tmp_path):
     # r_max = 37,300 is 374 points at this step, but needs about 112,000 nodes
     pytest.param(["--set", "correlator.r_max_factor=200", "--set", "correlator.r_step=100",
                   "correlator"], id="r-max-too-many-nodes"),
+    # protocol values must be finite numbers: not inf, a bool or an int beyond a float
+    pytest.param(["--set", "protocol.R=Infinity", "--set", "sweep.tau_q=[10]", "sweep"],
+                 id="protocol-infinite-R"),
+    pytest.param(["--set", "protocol.g_f=Infinity", "--set", "sweep.tau_q=[10]", "sweep"],
+                 id="protocol-infinite-g-f"),
+    pytest.param(["--set", "protocol.kind=quarter_turn", "--set", "protocol.jy_initial=Infinity",
+                  "--set", "sweep.tau_q=[10]", "sweep"], id="protocol-infinite-jy-initial"),
+    pytest.param(["--set", "protocol.R=true", "--set", "sweep.tau_q=[10]", "sweep"],
+                 id="protocol-bool"),
+    pytest.param(["--set", "protocol.R=1" + "0" * 400, "--set", "sweep.tau_q=[10]", "sweep"],
+                 id="protocol-int-beyond-float"),
+    # unknown sections and keys, and another version, are refused, not ignored
+    pytest.param(["--set", "foo.bar=1", "protocol-render"], id="unknown-section"),
+    pytest.param(["--set", "version=2", "protocol-render"], id="version-override"),
+    pytest.param(["--set", "sweep.tauq=[10]", "protocol-render"], id="sweep-unknown-key"),
+    pytest.param(["--set", "correlator.tau_q=[8.0]", "--set", "correlator.rstep=4",
+                  "correlator"], id="correlator-unknown-key"),
+    pytest.param(["--set", 'sweep.tau_q={"start": 10, "stop": 12, "step": 1, "stpe": 5}',
+                  "protocol-render"], id="tau-range-unknown-key"),
+    pytest.param(["--set", 'sweep.tau_q={"values": [10], "stop": 3}', "protocol-render"],
+                 id="tau-values-unknown-key"),
 ])
 def test_invalid_config_is_config_error(tmp_path, args):
     r = run_cli(args, tmp_path)
@@ -176,6 +197,29 @@ def test_invalid_config_is_config_error(tmp_path, args):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), r.stderr
     assert list(tmp_path.iterdir()) == []  # rejected before anything ran
+
+
+def test_absent_keys_come_from_the_defaults():
+    # a section replaced wholesale runs on the defaults of the keys it leaves out
+    cfg = cli.load_config(None, ['solver={"rel_tol": 1e-6}', "correlator={}"])
+    assert cfg["solver"] == {"rel_tol": 1e-6, "abs_tol": 1e-10}
+    assert cfg["correlator"] == cli.DEFAULT_CONFIG["correlator"]
+
+
+def test_correlator_reads_each_tau_once(tmp_path, monkeypatch):
+    # every schedule and closed form is built once, by the command that uses it
+    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
+    calls = {"build_schedule": [], "correlator_closed_forms": []}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name].append(args)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    args = [a for s in FAST + ["correlator.tau_q=[8.0, 9.0]", "correlator.r_step=4.0",
+                               "output.prefix=" + str(tmp_path / "c")] for a in ("--set", s)]
+    assert cli.main(args + ["correlator"]) == cli.EXIT_OK
+    assert [a[1] for a in calls["build_schedule"]] == [8.0, 9.0]
+    assert [a[0].tau_q for a in calls["correlator_closed_forms"]] == [8.0, 9.0]
 
 
 def test_run_errors_are_not_config_errors(tmp_path, monkeypatch):
@@ -207,13 +251,10 @@ def test_worker_env(tmp_path, monkeypatch):
     # capped at the usable CPUs; no process is started here
     monkeypatch.setenv("KZQUENCH_WORKERS", str(cli.MAX_TAU_POINTS))
     assert cli.worker_count() == cpus
-    cfg = cli.load_config(None, ["output.prefix=" + str(tmp_path / "w")])
     for bad in ("junk", "0", "-3", "1.5", ""):
         monkeypatch.setenv("KZQUENCH_WORKERS", bad)
         with pytest.raises(cli.ConfigError, match="KZQUENCH_WORKERS"):
             cli.worker_count()
-        with pytest.raises(cli.ConfigError, match="KZQUENCH_WORKERS"):
-            cli.check_config(cfg, "sweep")
         assert cli.main(["--set", "output.prefix=" + str(tmp_path / "w"),
                          "--set", "sweep.tau_q=[10.0]", "sweep"]) == cli.EXIT_CONFIG
     assert list(tmp_path.iterdir()) == []
