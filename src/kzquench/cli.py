@@ -53,9 +53,6 @@ PROTOCOLS = {
                      {"g_qt": 1.5, "R": 1.0, "jy_initial": protocol.DEFAULT_JY_INITIAL}),
     "one_way": (protocol.one_way, {"g_i": 10.0, "g_f": 0.0}),
 }
-# the keys any builder reads; any other key is a typo
-PROTOCOL_KEYS = tuple(dict.fromkeys(["kind"] + [k for _, keys in PROTOCOLS.values()
-                                                for k in keys]))
 MAX_TAU_POINTS = 100_000  # longest {start, stop, step} range of quench times
 MAX_R_POINTS = 10_000  # longest correlator r grid
 MAX_QUADRATURE_NODES = 30_000  # the panel-width cap asks for about 3 r_max nodes
@@ -77,23 +74,25 @@ DEFAULT_CONFIG = {
 
 
 def _merge(base, override):
+    """base with override's sections merged key by key; a value below a section is replaced."""
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
+        both = isinstance(v, dict) and isinstance(out.get(k), dict)
+        out[k] = {**out[k], **v} if both else v
     return out
 
 
 def load_config(path=None, overrides=()):
     """The configuration: DEFAULT_CONFIG, then the file at ``path``, then ``overrides``.
 
-    Raises ConfigError unless the document has this version, only known
-    sections, each an object holding only known keys, and an output prefix
-    in an existing directory.  Absent keys are filled in from the defaults
-    (protocol keys from the chosen kind's PROTOCOLS entry), so the config,
-    its hash and the sidecar hold every parameter the run reads.
+    A file or the overrides replace each key they name within a section
+    whole, so ``--set a.b.c=v`` gives what a file holding {"a": {"b": {"c": v}}}
+    gives.  Raises ConfigError unless the document has this version, only
+    known sections, each an object holding only known keys (protocol: the
+    chosen kind's), and an output prefix in an existing directory.  Absent
+    keys are filled in from the defaults (protocol keys from the chosen
+    kind's PROTOCOLS entry), so the config, its hash and the sidecar hold
+    every parameter the run reads.
     """
     cfg = DEFAULT_CONFIG
     if path is not None:
@@ -102,7 +101,8 @@ def load_config(path=None, overrides=()):
         if not isinstance(user, dict):
             raise ConfigError("%s must hold a JSON object" % path)
         cfg = _merge(cfg, user)
-    cfg = json.loads(json.dumps(cfg))  # deep copy
+    # the overrides form one more document, merged like a file
+    user = {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError("--set expects dotted.key=value, got %r" % item)
@@ -111,13 +111,14 @@ def load_config(path=None, overrides=()):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
+        node = user
         parts = key.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
                 raise ConfigError("--set %s: %r is not an object" % (key, p))
         node[parts[-1]] = value
+    cfg = json.loads(json.dumps(_merge(cfg, user)))  # deep copy
     version = cfg["version"]
     if isinstance(version, bool) or version != CONFIG_VERSION:
         raise ConfigError("unsupported config version %r" % (version,))
@@ -131,10 +132,11 @@ def load_config(path=None, overrides=()):
         defaults = json.loads(json.dumps(DEFAULT_CONFIG[name]))  # deep copy
         if name == "protocol":
             kind = section.setdefault("kind", defaults["kind"])
-            if isinstance(kind, str) and kind in PROTOCOLS:
-                defaults.update(PROTOCOLS[kind][1])
+            if not isinstance(kind, str) or kind not in PROTOCOLS:
+                raise ConfigError("unknown protocol kind %r" % (kind,))
+            defaults.update(PROTOCOLS[kind][1])
         for key in section:
-            if key not in (PROTOCOL_KEYS if name == "protocol" else defaults):
+            if key not in defaults:
                 raise ConfigError("%s: unknown key %r" % (name, key))
         for key, default in defaults.items():
             section.setdefault(key, default)
@@ -173,10 +175,7 @@ def build_schedule(pcfg, tau_q):
     ``pcfg`` is a loaded protocol section, which holds every key its kind
     reads.  ConfigError unless each is a finite number the builder accepts.
     """
-    kind = pcfg["kind"]
-    if not isinstance(kind, str) or kind not in PROTOCOLS:
-        raise ConfigError("unknown protocol kind %r" % (kind,))
-    builder, keys = PROTOCOLS[kind]
+    builder, keys = PROTOCOLS[pcfg["kind"]]
     values = {k: _number(pcfg[k], "protocol." + k) for k in keys}
     try:
         return builder(tau_q=tau_q, **values)
@@ -186,9 +185,11 @@ def build_schedule(pcfg, tau_q):
 
 def _number(value, key, positive=False):
     """value as a float; ConfigError unless it is a finite number (> 0 if positive)."""
-    # an int too large for a float is refused before float() overflows
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) < 1e308:
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond a float
+        finite = False
+    if not finite:
         raise ConfigError("%s must be a finite number, got %r" % (key, value))
     if positive and not value > 0:
         raise ConfigError("%s must be > 0, got %r" % (key, value))

@@ -189,6 +189,8 @@ def test_validate_odd_n_rejected(tmp_path):
                   "protocol-render"], id="tau-range-unknown-key"),
     pytest.param(["--set", 'sweep.tau_q={"values": [10], "stop": 3}', "protocol-render"],
                  id="tau-values-unknown-key"),
+    # a key of another protocol kind would be ignored, yet change the hash
+    pytest.param(["--set", "protocol.g_qt=2", "protocol-render"], id="protocol-other-kind-key"),
 ])
 def test_invalid_config_is_config_error(tmp_path, args):
     r = run_cli(args, tmp_path)
@@ -204,6 +206,19 @@ def test_absent_keys_come_from_the_defaults():
     cfg = cli.load_config(None, ['solver={"rel_tol": 1e-6}', "correlator={}"])
     assert cfg["solver"] == {"rel_tol": 1e-6, "abs_tol": 1e-10}
     assert cfg["correlator"] == cli.DEFAULT_CONFIG["correlator"]
+
+
+def test_config_file_and_set_replace_values_within_a_section(tmp_path):
+    # a tau_q object replaces the default range whole, from a file as from --set
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sweep": {"tau_q": {"values": [10, 12]}}}))
+    cfg = cli.load_config(str(path))
+    assert cfg["sweep"]["tau_q"] == {"values": [10, 12]}
+    assert cli.load_config(None, ["sweep.tau_q.values=[10, 12]"]) == cfg
+    assert cli.load_config(None, ['sweep.tau_q={"values": [10, 12]}']) == cfg
+    r = run_cli(["--config", str(path), "protocol-render"], tmp_path)
+    assert r.returncode == cli.EXIT_OK, r.stderr
+    assert cli.config_hash(cli.load_config()) == "bb94347e2a1bc773"
 
 
 def test_correlator_reads_each_tau_once(tmp_path, monkeypatch):
