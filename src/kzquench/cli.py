@@ -7,11 +7,14 @@ all numeric formatting uses shortest round-trip decimals, so reruns with the
 same configuration are byte-identical.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical failure.  ``load_config`` refuses unknown sections and keys and
-fills absent keys in from the defaults; each value is then checked by the one
-function that reads it (protocol values must be finite numbers), and every
-command reads its whole configuration before it evolves or writes anything,
-so a configuration error never surfaces as a traceback.
+3 numerical failure; a reader that closes stdout early ends the run with the
+code it had reached, without a traceback.  ``load_config`` refuses unknown
+sections and keys and fills absent keys in from the defaults; each value is
+then checked by the one function that reads it (protocol values must be
+finite numbers, and no schedule segment may last over
+``protocol.MAX_DURATION``), and every command reads its whole configuration
+before it evolves or writes anything, so a configuration error never
+surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -416,8 +419,11 @@ def cmd_validate(cfg):
                        "tolerance": tolerance})
 
     opts = SolverOptions()
-    pairs = [(protocol.round_trip(0.0, tau, 1.0), protocol.reversed_round_trip(1.5, tau, 1.0))
-             for tau in taus]
+    try:
+        pairs = [(protocol.round_trip(0.0, tau, 1.0), protocol.reversed_round_trip(1.5, tau, 1.0))
+                 for tau in taus]
+    except ValueError as exc:
+        raise ConfigError("validate.tau_q: %s" % exc) from None
     # every BdG spectrum in one lock-step batch, the N = 64 sample last
     spectra = evolver.evolve([(s, mode_grid(N).q) for pair in pairs for s in pair]
                              + [(protocol.round_trip(0.0, 10.0, 1.0), mode_grid(64).q)], opts)
@@ -452,7 +458,8 @@ def cmd_validate(cfg):
     return report
 
 
-def cmd_protocol_render(cfg, stream=sys.stdout):
+def cmd_protocol_render(cfg):
+    stream = sys.stdout
     taus = _tau_list(cfg, "sweep")
     sch = build_schedule(cfg["protocol"], taus[0])
     stream.write("schedule kind=%s  span=[%g, %g]\n" % (sch.kind, sch.t_start, sch.t_end))
@@ -488,6 +495,7 @@ def main(argv=None):
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    code = EXIT_OK
     try:
         if args.command == "sweep":
             for f in cmd_sweep(cfg):
@@ -497,18 +505,23 @@ def main(argv=None):
                 print(f)
         elif args.command == "validate":
             report = cmd_validate(cfg)
-            print(json.dumps(report, indent=2, sort_keys=True))
             if not report["all_passed"]:
-                return EXIT_VALIDATION
+                code = EXIT_VALIDATION
+            print(json.dumps(report, indent=2, sort_keys=True))
         elif args.command == "protocol-render":
             cmd_protocol_render(cfg)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
+    except BrokenPipeError:
+        # the reader closed stdout: drop the rest, so the interpreter's last
+        # flush at exit has nowhere to fail
+        sys.stdout = open(os.devnull, "w")
+    return code
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ superpositions over orbits of z-basis configurations (18 states at N = 8, 122
 at N = 12).  The ground state is a dense eigh of the sector H.  Steps are
 commutator-free Magnus-4 (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519),
 exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6)) for H affine on a segment,
-under step-doubling control.  Each exponential acts through its Taylor
-series, cut below the unit roundoff; a dense eigh per exponential would cost
-O(D^3), which at N = 12 is no faster than full-space Runge-Kutta.
+under ``evolver.StepControl``, the step-doubling control of the mode evolver.
+Each exponential acts through its Taylor series, cut below the unit roundoff;
+a dense eigh per exponential would cost O(D^3), which at N = 12 is no faster
+than full-space Runge-Kutta.
 Observables are measured on the state expanded to the full 2^N z basis.
 """
 
@@ -23,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evolver
-from .evolver import NumericalFailure, SolverOptions
+from .evolver import SolverOptions, StepControl
 
 
 @dataclass
@@ -158,37 +158,20 @@ def _step(ker, seg, t, h, y):
 def _evolve_sector(ker, schedule, y, opts):
     """Evolve sector vector y, as (real, imag) columns, across the schedule.
 
-    A step is accepted when the 2-norm of the difference between one step of
-    h and two of h/2 is at most abs_tol + rel_tol, and keeps the two half
-    steps.  Raises NumericalFailure once ``evolver.MAX_STEPS`` steps were tried
-    or when a step fails its tolerance at h <= 1e-12.
+    A step's error is the 2-norm of the difference between one step of h and
+    two of h/2, over abs_tol + rel_tol; ``evolver.StepControl`` sets the
+    steps, and an accepted step keeps the two half steps.
     """
     tol = opts.abs_tol + opts.rel_tol
-    h = 1e-3
-    steps = accepted = 0
-    h_min = math.inf
+    ctl = StepControl("ED")
     for seg in schedule.segments:
-        t = seg.t_start
-        while t < seg.t_end:
-            if steps >= evolver.MAX_STEPS:
-                raise NumericalFailure("ED step budget exhausted at t=%g (h=%g)" % (t, h))
-            rest = seg.t_end - t
-            last = 1.001 * h >= rest        # stretch h a little rather than leave a sliver
-            h = rest if last else h
-            fine, coarse = _step(ker, seg, t, h, y)
-            err = float(np.linalg.norm(fine - coarse)) / tol
-            steps += 1
-            if err <= 1.0:
+        ctl.enter(seg.t_start, seg.t_end, seg)
+        while ctl.t < seg.t_end:
+            fine, coarse = _step(ker, seg, ctl.t, ctl.clip(), y)
+            if ctl.control(float(np.linalg.norm(fine - coarse)) / tol):
                 y = fine
-                t = seg.t_end if last else t + h
-                accepted += 1
-                h_min = min(h_min, h)
-            elif h <= 1e-12:
-                raise NumericalFailure("ED step at t=%g fails its tolerance at h=%g (err=%g)"
-                                       % (t, h, err))
-            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
-    return y, {"steps": steps, "accepted": accepted, "rejected": steps - accepted,
-               "h_min": h_min, "sector_dim": ker.D}
+    return y, {"steps": ctl.steps, "accepted": ctl.accepted,
+               "rejected": ctl.steps - ctl.accepted, "h_min": ctl.h_min, "sector_dim": ker.D}
 
 
 def evolve_exact(schedule, N, opts=None):

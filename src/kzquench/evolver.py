@@ -76,7 +76,7 @@ class NumericalFailure(RuntimeError):
 # Modes whose smallest gap along the schedule is at or below GAP_FLOOR integrate
 # in the lab frame, all others in the adiabatic frame (inf: all lab, -inf: none).
 GAP_FLOOR = 1e-4
-# attempted steps per segment (the evolver) or per evolution (edoracle)
+# attempted steps per segment
 MAX_STEPS = 2_000_000
 
 
@@ -114,41 +114,20 @@ class SpectrumResult:
     meta: dict = field(default_factory=dict)
 
 
-class _Group:
-    """One schedule's modes in one frame, advanced under its own step controller.
+class StepControl:
+    """The step-size policy of the mode evolver and the ED oracle.
 
-    The controller state (t, h, segment, step counts, drift) is scalar and
-    belongs to the group alone; its modes hold one contiguous slice of the
-    lock-step batch.  ``out`` is the schedule's SpectrumResult and ``mask``
-    picks the group's modes out of it.  The group walks its schedule in
-    pieces (segment index, t_a, t_b, sa): the segments, cut at the edges of
-    the group's superadiabatic windows in the adiabatic frame.
+    The caller tries a step-doubled step of h = ``clip()`` from t and passes
+    its error, in units of the tolerance, to ``control``.  h starts at 1e-3
+    and scales by 0.9 err^(-1/5), clamped to [0.2, 5]; a step that reaches the
+    end of its piece lands exactly on it.  NumericalFailure, prefixed by
+    ``where``, stops a segment after MAX_STEPS tries, a step below
+    1e-13 max(1, duration) and a step that fails its tolerance at h <= 1e-12.
     """
 
-    def __init__(self, schedule, q, mask, out, where, frame):
-        self.schedule = schedule
-        self.q = q
-        self.mask = mask
-        self.out = out
-        self.where = where          # prefix of a failure message
-        self.pieces = []
-        for k, seg in enumerate(schedule.segments):
-            t = seg.t_start
-            for ta, tb in _sa_windows(seg, q) if frame == "adiabatic" else ():
-                if ta > t:
-                    self.pieces.append((k, t, ta, False))
-                self.pieces.append((k, ta, tb, True))
-                t = tb
-            if t < seg.t_end:
-                self.pieces.append((k, t, seg.t_end, False))
-        windows = [tb - ta for _, ta, tb, sa in self.pieces if sa]
-        self.sa_windows = len(windows)
-        self.sa_share = sum(windows) / (schedule.t_end - schedule.t_start)
-        self.piece = -1
-        self.seg = -1
-        self.sa = False
+    def __init__(self, where):
+        self.where = where
         self.h = 1e-3
-        self.drift = 0.0
         self.steps = 0              # attempted, over all segments
         self.accepted = 0
         self.h_min = math.inf
@@ -156,22 +135,17 @@ class _Group:
     def fail(self, msg):
         return NumericalFailure("%s: %s" % (self.where, msg))
 
-    def next_piece(self):
-        """Enter the next piece; False once the schedule is done."""
-        self.piece += 1
-        if self.piece == len(self.pieces):
-            return False
-        k, self.t, self.t_end, self.sa = self.pieces[self.piece]
-        if k != self.seg:
-            self.seg = k
-            self.h_tiny = 1e-13 * max(1.0, self.schedule.segments[k].duration)
+    def enter(self, t, t_end, segment=None):
+        """Start the piece [t, t_end], the first of ``segment`` if one is given."""
+        if segment is not None:
+            self.h_tiny = 1e-13 * max(1.0, segment.duration)
             self.seg_steps = 0
-        self.h = min(self.h, self.t_end - self.t)
-        return True
+        self.t, self.t_end = t, t_end
+        self.h = min(self.h, t_end - t)
 
     def clip(self):
         """The step size to try next; raises once the step budget or size runs out."""
-        if self.seg_steps > MAX_STEPS:
+        if self.seg_steps >= MAX_STEPS:
             raise self.fail("step budget exhausted at t=%g (h=%g)" % (self.t, self.h))
         if self.h < self.h_tiny:
             raise self.fail("step underflow at t=%g" % (self.t,))
@@ -180,10 +154,7 @@ class _Group:
         return self.h
 
     def control(self, err):
-        """Accept or reject the step just tried (err in units of the tolerance).
-
-        A step that reaches the end of its piece lands exactly on it.
-        """
+        """Accept or reject the step just tried (err in units of the tolerance)."""
         self.seg_steps += 1
         self.steps += 1
         accepted = err <= 1.0
@@ -197,6 +168,51 @@ class _Group:
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         self.h = self.h * min(5.0, max(0.2, factor))
         return accepted
+
+
+class _Group(StepControl):
+    """One schedule's modes in one frame, advanced under its own step controller.
+
+    The controller state and the drift are scalar and belong to the group
+    alone; its modes hold one contiguous slice of the lock-step batch.
+    ``out`` is the schedule's SpectrumResult and ``mask`` picks the group's
+    modes out of it.  The group walks its schedule in pieces (segment index,
+    t_a, t_b, sa): the segments, cut at the edges of the group's
+    superadiabatic windows in the adiabatic frame.
+    """
+
+    def __init__(self, schedule, q, mask, out, where, frame):
+        super().__init__(where)
+        self.schedule = schedule
+        self.q = q
+        self.mask = mask
+        self.out = out
+        self.pieces = []
+        for k, seg in enumerate(schedule.segments):
+            t = seg.t_start
+            for ta, tb in _sa_windows(seg, q) if frame == "adiabatic" else ():
+                if ta > t:
+                    self.pieces.append((k, t, ta, False))
+                self.pieces.append((k, ta, tb, True))
+                t = tb
+            if t < seg.t_end:
+                self.pieces.append((k, t, seg.t_end, False))
+        windows = [tb - ta for _, ta, tb, sa in self.pieces if sa]
+        self.sa_windows = len(windows)
+        self.sa_share = sum(windows) / (schedule.t_end - schedule.t_start)
+        self.piece = self.seg = -1
+        self.sa = False
+        self.drift = 0.0
+
+    def next_piece(self):
+        """Enter the next piece; False once the schedule is done."""
+        self.piece += 1
+        if self.piece == len(self.pieces):
+            return False
+        k, t, t_end, self.sa = self.pieces[self.piece]
+        self.enter(t, t_end, self.schedule.segments[k] if k != self.seg else None)
+        self.seg = k
+        return True
 
     def finish(self, frame, a, b):
         """Rotate the final amplitudes and write them and the statistics to ``out``."""

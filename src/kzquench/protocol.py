@@ -31,6 +31,10 @@ from .lattice import eps_delta
 DEFAULT_G_INITIAL = 10.0
 DEFAULT_G_FINAL = 10.0
 DEFAULT_JY_INITIAL = 10.0
+# Longest segment.  The step controller refuses steps below 1e-13 of a
+# segment's duration and starts at h = 1e-3, so past 1e10 every evolution
+# would stop at its first step with "step underflow".
+MAX_DURATION = 1e10
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,9 @@ class Segment:
     def __post_init__(self):
         if not self.t_end > self.t_start:
             raise ValueError("segment must have t_end > t_start")
+        if self.duration > MAX_DURATION:
+            raise ValueError("segment lasts %g, more than %g time units"
+                             % (self.duration, MAX_DURATION))
 
     @property
     def duration(self):

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import math
 import os
@@ -191,6 +193,11 @@ def test_validate_odd_n_rejected(tmp_path):
                  id="tau-values-unknown-key"),
     # a key of another protocol kind would be ignored, yet change the hash
     pytest.param(["--set", "protocol.g_qt=2", "protocol-render"], id="protocol-other-kind-key"),
+    # finite values whose schedule has a segment longer than protocol.MAX_DURATION
+    pytest.param(["--set", "protocol.R=1e300", "--set", "sweep.tau_q=[10]", "sweep"],
+                 id="protocol-huge-R"),
+    pytest.param(["--set", "sweep.tau_q=[1e300]", "sweep"], id="sweep-huge-tau"),
+    pytest.param(["--set", "validate.tau_q=[1e12]", "validate"], id="validate-huge-tau"),
 ])
 def test_invalid_config_is_config_error(tmp_path, args):
     r = run_cli(args, tmp_path)
@@ -199,6 +206,26 @@ def test_invalid_config_is_config_error(tmp_path, args):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), r.stderr
     assert list(tmp_path.iterdir()) == []  # rejected before anything ran
+
+
+class _ClosedPipe(io.StringIO):
+    """stdout whose reader is gone, as in ``kzquench protocol-render | head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("command, code", [("protocol-render", cli.EXIT_OK),
+                                           ("validate", cli.EXIT_VALIDATION)])
+def test_closed_output_pipe_is_not_an_error(monkeypatch, capsys, command, code):
+    # the command's own exit code, no traceback, and later output goes nowhere
+    monkeypatch.setattr(cli, "cmd_validate", lambda cfg: {"all_passed": False, "checks": []})
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main([command]) == code
+    with sys.stdout as devnull:
+        assert devnull.name == os.devnull
+        print("more output", file=devnull, flush=True)
+    assert capsys.readouterr().err == ""
 
 
 def test_absent_keys_come_from_the_defaults():

@@ -224,6 +224,20 @@ def test_failing_evolution_raises(opts, match, monkeypatch):
         ed.evolve_exact(proto.reversed_round_trip(1.5, 1.0, 1.0), 8, opts)
 
 
+def test_step_underflow_raises():
+    # h falls below 1e-13 of the 15-long segment before it reaches 1e-12
+    with pytest.raises(ev.NumericalFailure, match="ED: step underflow at t=-15"):
+        ed.evolve_exact(proto.reversed_round_trip(1.5, 10.0, 1.0), 8,
+                        ev.SolverOptions(rel_tol=1e-300, abs_tol=1e-300))
+
+
+def test_step_budget_counts_per_segment(monkeypatch):
+    # 217 steps in all, at most 150 in each of the two segments
+    monkeypatch.setattr(ev, "MAX_STEPS", 150)
+    st = ed.evolve_exact(proto.reversed_round_trip(1.5, 1.0, 1.0), 8)
+    assert st.meta["steps"] == 217
+
+
 def test_evolution_statistics():
     st = ed.evolve_exact(proto.reversed_round_trip(1.5, 1.0, 1.0), 8)
     m = st.meta

@@ -190,6 +190,19 @@ def test_step_budget_is_enforced(monkeypatch):
         ev.evolve([(proto.one_way(10.0, 0.0, 5.0), [0.5])])
 
 
+def test_step_budget_is_the_limit(monkeypatch):
+    # a segment may try exactly MAX_STEPS steps, and not one more
+    job = (proto.one_way(10.0, 0.0, 5.0), [0.5])
+    (res,) = ev.evolve([job])
+    steps = res.meta["steps"]
+    monkeypatch.setattr(ev, "MAX_STEPS", steps)
+    (again,) = ev.evolve([job])
+    assert again.meta["steps"] == steps and again.p.tobytes() == res.p.tobytes()
+    monkeypatch.setattr(ev, "MAX_STEPS", steps - 1)
+    with pytest.raises(ev.NumericalFailure, match="step budget exhausted"):
+        ev.evolve([job])
+
+
 def test_solver_statistics(fast_opts, monkeypatch):
     sch = proto.round_trip(0.0, 6.0, 1.0)
     (sp,) = ev.evolve_spectra_quadrature([sch], fast_opts, order=8, n_support=4)

@@ -157,6 +157,20 @@ def test_schedule_refuses_jx_other_than_one():
         proto.chain(proto.one_way(10.0, 0.5, 5.0), ramp)
 
 
+def test_segment_duration_limit():
+    # a segment may last MAX_DURATION and no longer; at that length the
+    # evolver's first step still clears its underflow floor
+    sch = proto.one_way(10.0, 0.0, 1e9)
+    assert sch.segments[0].duration == proto.MAX_DURATION == 1e10
+    (res,) = ev.evolve([(sch, [0.5])], ev.SolverOptions(rel_tol=1e-6, abs_tol=1e-6))
+    assert res.meta["accepted"] > 0
+    longer = math.nextafter(proto.MAX_DURATION, math.inf)
+    with pytest.raises(ValueError, match="more than 1e\\+10"):
+        proto.Segment(0.0, longer, (10.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="more than 1e\\+10"):
+        proto.round_trip(0.0, 1e300)
+
+
 def test_closest_approach_matches_dense_scan():
     # on the first segment of the quarter turn both epsilon and delta move
     sch = proto.quarter_turn(1.5, 20.0)
