@@ -310,16 +310,13 @@ def pqf_quarter_turn(q, tau_q, R, g_qt):
     return A * A + B * B - 2.0 * A * B * np.cos(psi)
 
 
-def period(protocol_kind, g_turn, R):
+def period(g_turn, R):
     """Oscillation period T_Q = pi / ((g_turn - 1)^2 (1 + R)) in tau_Q.
 
     g_turn is the protocol's turning parameter (g_rt, g_0 or g_qt); the
     period measured against tau_Q' is T_Q / R.  A turning point exactly at
     the critical point has infinite period.
     """
-    if protocol_kind not in ("round_trip", "reversed_round_trip", "xy_round_trip",
-                             "quarter_turn"):
-        raise ValueError("unknown protocol kind %r" % (protocol_kind,))
     if R <= 0.0:
         raise ValueError("R must be positive")
     if g_turn == 1.0:

@@ -13,7 +13,9 @@ under ``evolver.StepControl``, the step-doubling control of the mode evolver.
 Each exponential acts through its Taylor series, cut below the unit roundoff;
 a dense eigh per exponential would cost O(D^3), which at N = 12 is no faster
 than full-space Runge-Kutta.
-Observables are measured on the state expanded to the full 2^N z basis.
+Observables are measured in the sector: flips from the representatives' spin
+counts, kinks from the sector matrix of X, and parity, +1 by construction of
+the basis, from the representatives' spin-count parity.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from .evolver import SolverOptions, StepControl
 
 @dataclass
 class ManyBodyState:
-    """Full 2^N z-basis amplitudes; ``meta`` holds the evolution's attempted
-    ``steps``, ``accepted``, ``rejected``, smallest accepted step ``h_min`` and
-    ``sector_dim``."""
+    """Amplitudes on the sector basis of ``_kernels(N)``, the uniform
+    superpositions over orbits ordered by representative; ``meta`` holds the
+    evolution's attempted ``steps``, ``accepted``, ``rejected``, smallest
+    accepted step ``h_min`` and ``sector_dim``."""
 
     amplitudes: np.ndarray
     N: int
@@ -51,17 +54,15 @@ def check_chain_length(N):
 
 
 class _Kernels:
-    """Bit tables of the full space and the symmetric sector's basis and matrices."""
+    """The symmetric sector's basis and matrices, built from the full space's orbits."""
 
     def __init__(self, N):
         check_chain_length(N)
         self.N = N
-        dim = self.dim = 1 << N
+        dim = 1 << N
         states = np.arange(dim, dtype=np.int64)
-        pop = self.popcount = np.bitwise_count(states).astype(np.int64)
-        self.parity = 1.0 - 2.0 * (pop % 2)
+        pop = np.bitwise_count(states).astype(np.int64)
         masks = [(1 << j) | (1 << (j + 1) % N) for j in range(N)]
-        self.perms = [states ^ m for m in masks]
 
         # orbit representative: the smallest image under translation and reflection
         mirror = np.zeros_like(states)
@@ -71,19 +72,20 @@ class _Kernels:
         for s in (states, mirror):
             for r in range(N):
                 rep = np.minimum(rep, ((s << r) | (s >> (N - r))) & (dim - 1))
-        self.even = np.flatnonzero(pop % 2 == 0)
-        reps, orbit, size = np.unique(rep[self.even], return_inverse=True, return_counts=True)
-        self.orbit = np.full(dim, -1)
-        self.orbit[self.even] = orbit
-        self.reps, self.sqrt_size, self.D = reps, np.sqrt(size), len(reps)
+        even = np.flatnonzero(pop % 2 == 0)
+        reps, inverse, size = np.unique(rep[even], return_inverse=True, return_counts=True)
+        orbit = np.full(dim, -1)
+        orbit[even] = inverse
+        self.D, sqrt_size = len(reps), np.sqrt(size)
+        self.down = pop[reps]                   # flipped spins, the same across an orbit
+        self.z = (N - 2 * self.down).astype(float)
 
         # <a|A|b> = sqrt(|b|/|a|) sum_{s in a} <s|A|r_b>: apply each bond to the representatives
-        self.z = (N - 2 * pop[reps]).astype(float)
         self.X, self.Y = np.zeros((self.D, self.D)), np.zeros((self.D, self.D))
         cols = np.arange(self.D)
         for j, m in enumerate(masks):
-            rows = self.orbit[reps ^ m]
-            amp = self.sqrt_size / self.sqrt_size[rows]
+            rows = orbit[reps ^ m]
+            amp = sqrt_size / sqrt_size[rows]
             # <s'|yy|s> = -1 when the two bits agree, +1 when they differ
             differ = ((reps >> j) ^ (reps >> (j + 1) % N)) & 1
             np.add.at(self.X, (rows, cols), amp)
@@ -94,12 +96,6 @@ class _Kernels:
         g, jx, jy = (np.asarray(p, dtype=float)[..., None, None] for p in (g, jx, jy))
         return -g * np.diag(self.z) - jx * self.X - jy * self.Y
 
-    def expand(self, c):
-        """Full 2^N amplitudes of the sector vector c."""
-        amps = np.zeros(self.dim, dtype=complex)
-        amps[self.even] = (c / self.sqrt_size)[self.orbit[self.even]]
-        return amps
-
 
 @functools.cache
 def _kernels(N):
@@ -108,9 +104,8 @@ def _kernels(N):
 
 def ground_state(N, params):
     """Even-parity ground state of H(g, J_x, J_y), from a dense eigh in the sector."""
-    ker = _kernels(N)
-    vecs = np.linalg.eigh(ker.hamiltonians(*params))[1]
-    return ManyBodyState(amplitudes=ker.expand(vecs[:, 0]), N=N)
+    vecs = np.linalg.eigh(_kernels(N).hamiltonians(*params))[1]
+    return ManyBodyState(amplitudes=vecs[:, 0], N=N)
 
 
 # Exponential nodes and lengths, in units of h, of one step-doubled step: the
@@ -177,19 +172,16 @@ def _evolve_sector(ker, schedule, y, opts):
 def evolve_exact(schedule, N, opts=None):
     """Evolve the even-parity ground state at schedule start through the schedule."""
     opts = opts or SolverOptions()
-    ker = _kernels(N)
-    psi0 = ground_state(N, schedule.params_at(schedule.t_start)).amplitudes
-    c = psi0[ker.reps] * ker.sqrt_size
-    y, meta = _evolve_sector(ker, schedule, np.column_stack([c.real, c.imag]), opts)
-    return ManyBodyState(amplitudes=ker.expand(y[:, 0] + 1j * y[:, 1]), N=N,
-                         t=schedule.t_end, meta=meta)
+    c = ground_state(N, schedule.params_at(schedule.t_start)).amplitudes
+    y, meta = _evolve_sector(_kernels(N), schedule, np.column_stack([c.real, c.imag]), opts)
+    return ManyBodyState(amplitudes=y[:, 0] + 1j * y[:, 1], N=N, t=schedule.t_end, meta=meta)
 
 
 def parity_expectation(state):
-    """<prod_j sigma^z_j>; +1 throughout an even-sector evolution."""
+    """<prod_j sigma^z_j>; +1 by construction of the even sector."""
     ker = _kernels(state.N)
     w = np.abs(state.amplitudes) ** 2
-    return float((ker.parity * w).sum() / w.sum())
+    return float(((1 - 2 * (ker.down % 2)) * w).sum() / w.sum())
 
 
 def measure_defects(state, basis_kind):
@@ -199,12 +191,12 @@ def measure_defects(state, basis_kind):
     ferromagnetic: (1/2N) sum_j <1 - sigma^x_j sigma^x_{j+1}>
     """
     ker = _kernels(state.N)
-    psi = state.amplitudes
-    w = np.abs(psi) ** 2
+    c = state.amplitudes
+    w = np.abs(c) ** 2
     nrm = w.sum()
     if basis_kind == "paramagnetic":
-        return float((w * ker.popcount).sum() / nrm / state.N)
+        return float((w * ker.down).sum() / nrm / state.N)
     if basis_kind == "ferromagnetic":
-        acc = sum(float(np.real(np.vdot(psi, psi[perm]))) for perm in ker.perms)
+        acc = float(np.real(np.vdot(c, ker.X @ c)))
         return float(0.5 * (state.N - acc / nrm) / state.N)
     raise ValueError("basis_kind must be 'paramagnetic' or 'ferromagnetic'")

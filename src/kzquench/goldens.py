@@ -63,7 +63,7 @@ def _bounds_sample():
 
 
 def _period_scaling():
-    measured = [closedform.period("round_trip", g, 1.0) for g in (0.0, 0.2, 0.4, 0.6, 0.8)]
+    measured = [closedform.period(g, 1.0) for g in (0.0, 0.2, 0.4, 0.6, 0.8)]
     expected = [math.pi / (2.0 * (g - 1.0) ** 2) for g in (0.0, 0.2, 0.4, 0.6, 0.8)]
     return measured, expected
 
@@ -83,7 +83,7 @@ def _digamma_constant():
 
 
 def _reversed_period():
-    return closedform.period("reversed_round_trip", 1.5, 1.0), 2.0 * math.pi
+    return closedform.period(1.5, 1.0), 2.0 * math.pi
 
 
 def _ed_reversed_fast():
@@ -95,7 +95,7 @@ def _ed_reversed_fast():
 
 
 def _quarter_periods():
-    measured = [closedform.period("quarter_turn", g, 1.0) for g in (1.5, 2.0, 2.5)]
+    measured = [closedform.period(g, 1.0) for g in (1.5, 2.0, 2.5)]
     return measured, [2.0 * math.pi, math.pi / 2.0, 2.0 * math.pi / 9.0]
 
 

@@ -1,4 +1,4 @@
-"""Hamiltonian parameterization, mode grids, dispersions and equilibrium amplitudes.
+"""Mode grids and the BdG coefficients (epsilon_q, delta_q) of the XY chain.
 
 Transverse Ising chain:  H = -sum_j (J sigma^x_j sigma^x_{j+1} + g sigma^z_j)
 Quantum XY chain:        H = -sum_j (J_x sx sx + J_y sy sy + g sz)
@@ -16,62 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateModeError(ValueError):
-    """A gapless mode was passed where equilibrium amplitudes are required."""
-
-
-@dataclass(frozen=True)
-class IsingParams:
-    """Transverse Ising chain couplings; J is pinned to 1 (energy unit)."""
-
-    g: float
-    J: float = 1.0
-
-    def __post_init__(self):
-        if self.J != 1.0:
-            raise ValueError("J is the reference energy scale and must be 1")
-        if not np.isfinite(self.g):
-            raise ValueError("g must be finite")
-
-
-@dataclass(frozen=True)
-class XYParams:
-    """Quantum XY chain couplings; J_x is pinned to 1, J_y >= 0."""
-
-    g: float
-    J_x: float = 1.0
-    J_y: float = 0.0
-
-    def __post_init__(self):
-        if self.J_x != 1.0:
-            raise ValueError("J_x is the reference energy scale and must be 1")
-        if self.J_y < 0.0:
-            raise ValueError("J_y must be >= 0")
-
-
 @dataclass(frozen=True)
 class ModeGrid:
     """Positive-branch quasimomenta q_j = (2j-1) pi / N, j = 1..N/2."""
 
     N: int
     q: np.ndarray
-
-
-@dataclass(frozen=True)
-class BdGCoefficients:
-    """Single-mode Bogoliubov-de Gennes coefficients (scalars or arrays)."""
-
-    epsilon: np.ndarray
-    delta: np.ndarray
-    omega: np.ndarray
-
-
-@dataclass(frozen=True)
-class EquilibriumAmplitudes:
-    """Static Bogoliubov amplitudes with u >= 0 and sign(v) = sign(delta)."""
-
-    u: np.ndarray
-    v: np.ndarray
 
 
 def mode_grid(N):
@@ -96,44 +46,3 @@ def eps_delta(g, jx, jy, cq, sq):
     formula gives d/dt (epsilon_q, delta_q).
     """
     return 2.0 * (g - (jx + jy) * cq), 2.0 * (jx - jy) * sq
-
-
-def xy_bdg(params, q):
-    """BdG coefficients of the XY chain at quasimomentum q (see ``eps_delta``),
-    with omega_q = sqrt(epsilon_q^2 + delta_q^2)."""
-    q = np.asarray(q, dtype=float)
-    eps, delta = eps_delta(params.g, params.J_x, params.J_y, np.cos(q), np.sin(q))
-    return BdGCoefficients(epsilon=eps, delta=delta, omega=np.hypot(eps, delta))
-
-
-def ising_bdg(params, q):
-    """BdG coefficients of the transverse Ising chain (XY chain with J_y = 0)."""
-    return xy_bdg(XYParams(g=params.g, J_x=params.J, J_y=0.0), q)
-
-
-def equilibrium_amplitudes(coeffs):
-    """Ground-state Bogoliubov amplitudes for gapped coefficients.
-
-    u^2 = (omega + epsilon) / (2 omega), v^2 = (omega - epsilon) / (2 omega),
-    u >= 0 and sign(v) = sign(delta); the delta = 0, epsilon < 0 limit takes
-    v = +1 (continuous from delta -> 0+).
-
-    Raises
-    ------
-    DegenerateModeError
-        If any omega is zero (gapless mode).
-    """
-    eps = np.asarray(coeffs.epsilon, dtype=float)
-    omega = np.asarray(coeffs.omega, dtype=float)
-    delta = np.asarray(coeffs.delta, dtype=float)
-    if np.any(omega == 0.0):
-        raise DegenerateModeError("gapless mode: omega = 0 has no unique ground state")
-    sign = np.where(delta != 0.0, np.sign(delta), 1.0)
-    # evaluate the small amplitude from delta to avoid cancellation in omega -+ |eps|
-    big = np.sqrt(np.clip((omega + np.abs(eps)) / (2.0 * omega), 0.0, 1.0))
-    small = np.abs(delta) / np.sqrt(2.0 * omega * (omega + np.abs(eps)))
-    u = np.where(eps >= 0.0, big, small)
-    v = sign * np.where(eps >= 0.0, small, big)
-    if u.ndim == 0:
-        return EquilibriumAmplitudes(u=float(u), v=float(v))
-    return EquilibriumAmplitudes(u=u, v=v)

@@ -2,8 +2,8 @@
 
 A schedule is an ordered list of contiguous segments, each interpolating the
 Hamiltonian parameters (g, J_x, J_y) linearly in time.  J_x is the energy
-unit and is pinned to 1, as in ``lattice.XYParams``: a schedule with J_x != 1
-at any breakpoint is refused when it is built.  Along each segment the BdG
+unit and is pinned to 1: a schedule with J_x != 1 at any breakpoint is
+refused when it is built.  Along each segment the BdG
 coefficients (epsilon_q, delta_q) are then affine in t.  Builders are provided
 for the round-trip, reversed round-trip, quarter-turn and one-way protocols;
 ``linear`` builds a single generic ramp.  Quench times follow the convention

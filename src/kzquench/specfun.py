@@ -15,12 +15,10 @@ import numpy as np
 GAMMA_E = 0.5772156649015328606065  # Euler-Mascheroni constant
 LN2 = math.log(2.0)
 
-# Series/asymptotic crossover points, fixed by dual-evaluation agreement
-# sweeps (see tests/test_specfun.py::test_crossover_agreement).
-ARG_GAMMA_SERIES_CUTOFF = 8.0   # |x| above which recurrence+Stirling is used
-ARG_GAMMA_SERIES_TERMS = 4000
+# Series/asymptotic crossover, fixed by dual-evaluation agreement (see
+# tests/test_specfun.py::test_airy_crossover_dual_method_agreement).
 AIRY_SERIES_CUTOFF = 7.2        # |x| above which the oscillatory asymptotics are used
-_STIRLING_RADIUS = 10.0
+_STIRLING_RADIUS = 10.0         # |z| from which arg_gamma uses the Stirling series
 
 # Lanczos coefficients, g = 7, n = 9 (double precision set).
 _LANCZOS_G = 7.0
@@ -57,31 +55,9 @@ def constants():
     return GAMMA_E, -GAMMA_E - 2.0 * LN2, gamma_real(7.0 / 6.0)
 
 
-def _arg_gamma_series_tail(x, a, kmax):
-    """Euler-Maclaurin tail of sum_{k>kmax} [x/k - arctan(x/(k+a))]."""
-    m = kmax + 0.5
-    u = m + a
-    integral = -x * np.log(m) - x + u * np.arctan(x / u) + 0.5 * x * np.log(u * u + x * x)
-    # f'(u) at the midpoint, f(k) = x/k - arctan(x/(k+a))
-    fprime = -x / (m * m) + x / (u * u + x * x)
-    return integral + fprime / 24.0
-
-
-def _arg_gamma_series(x, a=1.0, kmax=ARG_GAMMA_SERIES_TERMS):
-    """arg Gamma(a + i x) by the convergent product series with tail correction.
-
-    arg Gamma(a+ix) = -gamma_E x - arctan(x/a) + sum_{k>=1} [x/k - arctan(x/(k+a))]
-    (for a = 1 this is the familiar sum_k [x/k - arctan(x/k)] - gamma_E x).
-    """
-    x = np.asarray(x, dtype=float)
-    k = np.arange(1.0, kmax + 1.0)
-    xx = x[..., None]
-    s = np.sum(xx / k - np.arctan(xx / (k + a)), axis=-1)
-    return -GAMMA_E * x - np.arctan(x / a) + s + _arg_gamma_series_tail(x, a, kmax)
-
-
-def _arg_gamma_stirling(a, x):
-    """arg Gamma(a + i x) via recurrence into |z| >= 10 plus the Stirling series."""
+def arg_gamma(a, x):
+    """arg Gamma(a + i x) for real a > 0 (vectorized in x), by upward
+    recurrence into |z| >= 10 and the Stirling series there."""
     x = np.asarray(x, dtype=float)
     z = a + 1j * x
     shift = np.zeros_like(x)
@@ -97,21 +73,8 @@ def _arg_gamma_stirling(a, x):
     corr = zi * (1.0 / 12.0 + zi2 * (-1.0 / 360.0 + zi2 * (1.0 / 1260.0
            + zi2 * (-1.0 / 1680.0 + zi2 * (1.0 / 1188.0)))))
     val = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + corr
-    return val.imag + shift
-
-
-def arg_gamma(a, x):
-    """arg Gamma(a + i x) for real a > 0 (vectorized in x)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = np.abs(x) <= ARG_GAMMA_SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _arg_gamma_series(x[small], a=a)
-    if np.any(~small):
-        out[~small] = _arg_gamma_stirling(a, x[~small])
-    return float(out[0]) if scalar else out
+    out = val.imag + shift
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +82,12 @@ def arg_gamma(a, x):
 # ---------------------------------------------------------------------------
 
 def _airy_series(x):
-    """Ai, Ai', Bi, Bi' by the Maclaurin series (reliable for |x| <= ~6)."""
+    """Ai, Bi by the Maclaurin series (reliable for |x| <= ~6)."""
     x = np.asarray(x, dtype=float)
     # y'' = x y with two independent solutions f (f(0)=1, f'(0)=0) and
     # g (g(0)=0, g'(0)=1); a_{n+3} = a_n / ((n+3)(n+2)).
     f = np.ones_like(x)
-    fp = np.zeros_like(x)
     g = x.copy()
-    gp = np.ones_like(x)
     tf = np.ones_like(x)   # current f term, power n
     tg = x.copy()          # current g term, power n+1
     x3 = x ** 3
@@ -136,59 +97,41 @@ def _airy_series(x):
         tg = tg * x3 / ((n + 4.0) * (n + 3.0))
         f += tf
         g += tg
-        fp += (n + 3.0) * tf / np.where(x != 0.0, x, 1.0)
-        gp += (n + 4.0) * tg / np.where(x != 0.0, x, 1.0)
         n += 3
         if np.all(np.abs(tf) < 1e-18) and np.all(np.abs(tg) < 1e-18):
             break
     c1 = 1.0 / (3.0 ** (2.0 / 3.0) * gamma_real(2.0 / 3.0))   # Ai(0)
     c2 = 1.0 / (3.0 ** (1.0 / 3.0) * gamma_real(1.0 / 3.0))   # -Ai'(0)
-    ai = c1 * f - c2 * g
-    aip = c1 * fp - c2 * gp
-    bi = math.sqrt(3.0) * (c1 * f + c2 * g)
-    bip = math.sqrt(3.0) * (c1 * fp + c2 * gp)
-    return ai, aip, bi, bip
+    return c1 * f - c2 * g, math.sqrt(3.0) * (c1 * f + c2 * g)
 
 
 def _airy_asymptotic_neg(x):
-    """Oscillatory asymptotics for Ai, Ai', Bi, Bi' at x <= -AIRY_SERIES_CUTOFF."""
+    """Oscillatory asymptotics for Ai, Bi at x <= -AIRY_SERIES_CUTOFF."""
     z = -np.asarray(x, dtype=float)
     zeta = (2.0 / 3.0) * z ** 1.5
     nterms = 14
     u = np.zeros(nterms)
-    v = np.zeros(nterms)
     u[0] = 1.0
-    v[0] = 1.0
     for k in range(1, nterms):
         u[k] = u[k - 1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        v[k] = (6 * k + 1) / (1.0 - 6 * k) * u[k]
     zi = 1.0 / zeta
     # Alternating even/odd tails: P = sum (-1)^k u_{2k} zeta^{-2k}, etc.
     pu = np.zeros_like(z)
     qu = np.zeros_like(z)
-    pv = np.zeros_like(z)
-    qv = np.zeros_like(z)
     for k in range(nterms - 1, -1, -1):
         sign = -1.0 if (k // 2) % 2 else 1.0
         if k % 2 == 0:
             pu = pu + sign * u[k] * zi ** k
-            pv = pv + sign * v[k] * zi ** k
         else:
             qu = qu + sign * u[k] * zi ** k
-            qv = qv + sign * v[k] * zi ** k
     ang = zeta - math.pi / 4.0
     c, s = np.cos(ang), np.sin(ang)
     rt = 1.0 / (math.sqrt(math.pi) * z ** 0.25)
-    rtp = z ** 0.25 / math.sqrt(math.pi)
-    ai = rt * (c * pu + s * qu)
-    bi = rt * (-s * pu + c * qu)
-    aip = rtp * (s * pv - c * qv)
-    bip = rtp * (c * pv + s * qv)
-    return ai, aip, bi, bip
+    return rt * (c * pu + s * qu), rt * (-s * pu + c * qu)
 
 
-def airy_with_derivatives(x):
-    """(Ai, Ai', Bi, Bi') for real x <= AIRY_SERIES_CUTOFF, abs error <= 1e-10 on [-1e3, 0]."""
+def airy_ai_bi(x):
+    """(Ai(x), Bi(x)) for real x <= AIRY_SERIES_CUTOFF, abs error <= 1e-10 on [-1e3, 0]."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x).astype(float)
@@ -197,22 +140,14 @@ def airy_with_derivatives(x):
             "airy evaluation requested at x > %.1f, outside the supported domain"
             % AIRY_SERIES_CUTOFF
         )
-    out = [np.empty_like(x) for _ in range(4)]
+    out = [np.empty_like(x) for _ in range(2)]
     ser = x >= -AIRY_SERIES_CUTOFF
     if np.any(ser):
-        vals = _airy_series(x[ser])
-        for o, v in zip(out, vals):
+        for o, v in zip(out, _airy_series(x[ser])):
             o[ser] = v
     if np.any(~ser):
-        vals = _airy_asymptotic_neg(x[~ser])
-        for o, v in zip(out, vals):
+        for o, v in zip(out, _airy_asymptotic_neg(x[~ser])):
             o[~ser] = v
     if scalar:
         return tuple(float(o[0]) for o in out)
     return tuple(out)
-
-
-def airy_ai_bi(x):
-    """(Ai(x), Bi(x)) for real x on the needed domain x <= ~7 (use x <= 0 mainly)."""
-    ai, _, bi, _ = airy_with_derivatives(x)
-    return ai, bi

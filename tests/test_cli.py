@@ -355,7 +355,7 @@ def _library_density(sch):
         g_turn = lab["g_rt"]
         pred = closedform.density_prediction_roundtrip(tau, R, g_turn)
         n = pred.n
-    assert pred.T_Q == pytest.approx(closedform.period(sch.kind, g_turn, R), rel=1e-14)
+    assert pred.T_Q == pytest.approx(closedform.period(g_turn, R), rel=1e-14)
     return [n, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q]
 
 

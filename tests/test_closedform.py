@@ -210,13 +210,11 @@ def test_critical_turn_values():
 
 
 def test_period_formulas():
-    assert abs(cf.period("round_trip", 0.0, 1.0) - math.pi / 2.0) < 1e-15
-    assert abs(cf.period("reversed_round_trip", 1.5, 1.0) - 2.0 * math.pi) < 1e-15
+    assert abs(cf.period(0.0, 1.0) - math.pi / 2.0) < 1e-15
+    assert abs(cf.period(1.5, 1.0) - 2.0 * math.pi) < 1e-15
     for g, T in [(1.5, 2 * math.pi), (2.0, math.pi / 2), (2.5, 2 * math.pi / 9)]:
-        assert abs(cf.period("quarter_turn", g, 1.0) - T) < 1e-14
-    assert cf.period("round_trip", 1.0, 1.0) == math.inf
-    with pytest.raises(ValueError):
-        cf.period("bogus", 0.0, 1.0)
+        assert abs(cf.period(g, 1.0) - T) < 1e-14
+    assert cf.period(1.0, 1.0) == math.inf
 
 
 def test_xy_roundtrip_factors():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -32,21 +33,57 @@ def _dense_h(N, g, jx, jy):
     return H
 
 
+@functools.cache
+def _isometry(N):
+    """Columns: the sector basis in the full space, from orbits enumerated one by one.
+
+    Each k = 0, reflection-even, even-parity basis state is the uniform
+    superposition over the rotations and reflections of one even z-basis
+    configuration; columns are ordered by the smallest configuration of the orbit.
+    """
+    orbits = set()
+    for s in range(1 << N):
+        if bin(s).count("1") % 2:
+            continue
+        bits = [(s >> j) & 1 for j in range(N)]
+        images = {sum(b << j for j, b in enumerate(seq[r:] + seq[:r]))
+                  for seq in (bits, bits[::-1]) for r in range(N)}
+        orbits.add(tuple(sorted(images)))
+    P = np.zeros((1 << N, len(orbits)))
+    for a, orbit in enumerate(sorted(orbits)):
+        P[list(orbit), a] = 1.0 / math.sqrt(len(orbit))
+    return P
+
+
 def _energy(state, params):
-    psi = state.amplitudes
+    psi = _isometry(state.N) @ state.amplitudes
     return float(np.real(np.vdot(psi, _dense_h(state.N, *params) @ psi)))
 
 
-def _sector_map(N):
-    ker = ed._kernels(N)
-    return np.column_stack([ker.expand(e).real for e in np.eye(ker.D)])
+def _dense_measures(N, psi):
+    """Flip and kink densities and parity of the full-space state psi, from Pauli matrices."""
+    w = np.vdot(psi, psi).real
+
+    def mean(op):
+        return np.vdot(psi, op @ psi).real / w
+
+    flips = sum(0.5 * (1.0 - mean(_site_product(N, {j: _SZ}))) for j in range(N)) / N
+    kinks = sum(0.5 * (1.0 - mean(_site_product(N, {j: _SX, (j + 1) % N: _SX})))
+                for j in range(N)) / N
+    return flips, kinks, mean(_site_product(N, {j: _SZ for j in range(N)}))
+
+
+def _sector_measures(state):
+    return (ed.measure_defects(state, "paramagnetic"), ed.measure_defects(state, "ferromagnetic"),
+            ed.parity_expectation(state))
 
 
 @pytest.mark.parametrize("N", [4, 6])
 def test_sector_matches_dense_hamiltonian(N):
     rng = np.random.default_rng(N)
     ker = ed._kernels(N)
-    P = _sector_map(N)
+    P = _isometry(N)
+    assert P.shape[1] == ker.D
     assert np.allclose(P.T @ P, np.eye(ker.D), atol=1e-14)
     for _ in range(3):
         g, jy = rng.uniform(-2.0, 2.0, size=2)
@@ -54,6 +91,23 @@ def test_sector_matches_dense_hamiltonian(N):
         Hs = ker.hamiltonians(g, 1.0, jy)
         assert np.allclose(Hs, P.T @ H @ P, atol=1e-12)
         assert np.allclose(H @ P, P @ Hs, atol=1e-12)      # the sector is closed under H
+
+
+@pytest.mark.parametrize("N", [4, 6])
+def test_sector_measures_match_dense(N):
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        c = rng.normal(size=(ed._kernels(N).D, 2)) @ [1.0, 1j]
+        st = ed.ManyBodyState(amplitudes=c, N=N)
+        assert np.allclose(_sector_measures(st), _dense_measures(N, _isometry(N) @ c),
+                           rtol=0.0, atol=1e-14)
+
+
+def test_evolved_state_measures_match_dense():
+    N = 8
+    st = ed.evolve_exact(proto.reversed_round_trip(1.5, 1.0, 1.0), N)
+    assert np.allclose(_sector_measures(st), _dense_measures(N, _isometry(N) @ st.amplitudes),
+                       rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("s", [1e-3, 0.05, 0.7])
@@ -77,8 +131,8 @@ def test_ground_state_energy_matches_free_fermions():
     for N, g in [(8, 10.0), (10, 0.0), (8, 2.5)]:
         gs = ed.ground_state(N, (g, 1.0, 0.0))
         e0 = _energy(gs, (g, 1.0, 0.0))
-        grid = lat.mode_grid(N)
-        e_ff = -float(np.sum(lat.ising_bdg(lat.IsingParams(g), grid.q).omega))
+        q = lat.mode_grid(N).q
+        e_ff = -float(np.sum(np.hypot(*lat.eps_delta(g, 1.0, 0.0, np.cos(q), np.sin(q)))))
         assert abs(e0 - e_ff) < 1e-10 * max(1.0, abs(e_ff))
         assert abs(ed.parity_expectation(gs) - 1.0) < 1e-12
 
@@ -87,8 +141,8 @@ def test_ground_state_xy_energy():
     N, g, jy = 8, 1.3, 0.7
     gs = ed.ground_state(N, (g, 1.0, jy))
     e0 = _energy(gs, (g, 1.0, jy))
-    grid = lat.mode_grid(N)
-    e_ff = -float(np.sum(lat.xy_bdg(lat.XYParams(g=g, J_y=jy), grid.q).omega))
+    q = lat.mode_grid(N).q
+    e_ff = -float(np.sum(np.hypot(*lat.eps_delta(g, 1.0, jy, np.cos(q), np.sin(q)))))
     assert abs(e0 - e_ff) < 1e-9
 
 
@@ -104,13 +158,15 @@ def test_static_schedule_preserves_eigenstate():
 
 def test_measure_defects_product_states():
     N = 8
-    psi = np.zeros(1 << N, dtype=complex)
+    P = _isometry(N)
+    psi = np.zeros(1 << N)
     psi[0] = 1.0  # all spins up
-    st = ed.ManyBodyState(amplitudes=psi, N=N)
+    st = ed.ManyBodyState(amplitudes=P.T @ psi, N=N)
     assert ed.measure_defects(st, "paramagnetic") == 0.0
     # Neel-in-x state: uniform superposition with alternating x-signs gives
-    # kink density 1; build it from product of (|0> +- |1>)/sqrt(2)
-    amps = np.ones(1 << N, dtype=complex)
+    # kink density 1; build it from product of (|0> +- |1>)/sqrt(2).  Its
+    # sector part is the even sum of the two Neel states, kink density 1 too.
+    amps = np.ones(1 << N)
     for s in range(1 << N):
         sign = 1.0
         for j in range(1, N, 2):  # minus on odd sites
@@ -118,7 +174,7 @@ def test_measure_defects_product_states():
                 sign = -sign
         amps[s] = sign
     amps /= np.linalg.norm(amps)
-    neel = ed.ManyBodyState(amplitudes=amps, N=N)
+    neel = ed.ManyBodyState(amplitudes=P.T @ amps, N=N)
     assert abs(ed.measure_defects(neel, "ferromagnetic") - 1.0) < 1e-12
     with pytest.raises(ValueError):
         ed.measure_defects(st, "bogus")

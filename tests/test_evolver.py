@@ -11,16 +11,23 @@ from kzquench import protocol as proto
 from kzquench.quadrature import support_panels
 
 
+def _bdg_ground(g, q):
+    """(u, v): the +omega eigenvector of [[eps, delta], [delta, -eps]], u >= 0."""
+    eps, delta = lat.eps_delta(g, 1.0, 0.0, math.cos(q), math.sin(q))
+    vec = np.linalg.eigh([[eps, delta], [delta, -eps]])[1][:, 1]
+    return vec * np.sign(vec[0])
+
+
 def test_sudden_limit_state_frozen():
     # tau_Q -> 0+: the state cannot follow; excitation against the new ground
     # state equals the frozen-amplitude overlap
     q = 0.9
     sch = proto.one_way(10.0, 0.2, 1e-7)
     (res,) = ev.evolve([(sch, [q])], ev.SolverOptions(1e-10, 1e-12))
-    eq0 = lat.equilibrium_amplitudes(lat.ising_bdg(lat.IsingParams(10.0), q))
-    assert abs(res.u[0] - eq0.u) < 1e-5 and abs(res.v[0] - eq0.v) < 1e-5
-    eqf = lat.equilibrium_amplitudes(lat.ising_bdg(lat.IsingParams(0.2), q))
-    p_frozen = abs(eq0.u * eqf.v - eq0.v * eqf.u) ** 2
+    u0, v0 = _bdg_ground(10.0, q)
+    assert abs(res.u[0] - u0) < 1e-5 and abs(res.v[0] - v0) < 1e-5
+    uf, vf = _bdg_ground(0.2, q)
+    p_frozen = abs(u0 * vf - v0 * uf) ** 2
     assert abs(res.p[0] - p_frozen) < 1e-5
 
 

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kzquench import lattice as lat
 
@@ -28,80 +26,27 @@ def test_mode_grid_rejects_bad_n(bad):
         lat.mode_grid(bad)
 
 
+def _omega(g, jy, q):
+    return np.hypot(*lat.eps_delta(g, 1.0, jy, np.cos(q), np.sin(q)))
+
+
 def test_ising_bdg_critical_point():
-    c = lat.ising_bdg(lat.IsingParams(g=1.0), 0.0)
-    assert c.epsilon == 0.0 and c.delta == 0.0 and c.omega == 0.0
+    assert lat.eps_delta(1.0, 1.0, 0.0, 1.0, 0.0) == (0.0, 0.0)
 
 
 def test_ising_bdg_values():
-    c = lat.ising_bdg(lat.IsingParams(g=0.0), math.pi / 2)
-    assert abs(c.epsilon) < 1e-15 and abs(c.delta - 2.0) < 1e-15 and abs(c.omega - 2.0) < 1e-15
-    c2 = lat.ising_bdg(lat.IsingParams(g=2.0), 0.0)
-    assert c2.epsilon == 2.0 and c2.delta == 0.0 and c2.omega == 2.0
+    eps, delta = lat.eps_delta(0.0, 1.0, 0.0, math.cos(math.pi / 2), math.sin(math.pi / 2))
+    assert abs(eps) < 1e-15 and abs(delta - 2.0) < 1e-15
+    assert abs(_omega(0.0, 0.0, math.pi / 2) - 2.0) < 1e-15
+    assert lat.eps_delta(2.0, 1.0, 0.0, 1.0, 0.0) == (2.0, 0.0) and _omega(2.0, 0.0, 0.0) == 2.0
 
 
 def test_gap_law():
     # omega(q=0) = 2|g-1|
     for g in np.linspace(0.0, 3.0, 13):
-        c = lat.ising_bdg(lat.IsingParams(g=float(g)), 0.0)
-        assert abs(c.omega - 2.0 * abs(g - 1.0)) < 1e-14
-
-
-def test_xy_reduces_to_ising_bitwise():
-    q = lat.mode_grid(64).q
-    for g in (0.3, 1.7, 10.0):
-        ci = lat.ising_bdg(lat.IsingParams(g=g), q)
-        cx = lat.xy_bdg(lat.XYParams(g=g, J_y=0.0), q)
-        assert np.array_equal(ci.epsilon, cx.epsilon)
-        assert np.array_equal(ci.delta, cx.delta)
-        assert np.array_equal(ci.omega, cx.omega)
+        assert abs(_omega(float(g), 0.0, 0.0) - 2.0 * abs(g - 1.0)) < 1e-14
 
 
 def test_xy_tricritical_and_boundary():
-    c = lat.xy_bdg(lat.XYParams(g=2.0, J_y=1.0), 0.0)
-    assert c.omega == 0.0
-    c2 = lat.xy_bdg(lat.XYParams(g=1.0 + 0.4, J_y=0.4), 0.0)
-    assert c2.omega == 0.0
-
-
-def test_equilibrium_polarized_limits():
-    eq = lat.equilibrium_amplitudes(lat.BdGCoefficients(1.0, 0.0, 1.0))
-    assert eq.u == 1.0 and eq.v == 0.0
-    eq2 = lat.equilibrium_amplitudes(lat.BdGCoefficients(0.0, 2.0, 2.0))
-    assert abs(eq2.u - 1.0 / math.sqrt(2.0)) < 1e-15
-    assert abs(eq2.v - 1.0 / math.sqrt(2.0)) < 1e-15
-    # delta -> 0 with epsilon < 0: v = +1 by the continuity convention
-    eq3 = lat.equilibrium_amplitudes(lat.BdGCoefficients(-1.0, 0.0, 1.0))
-    assert eq3.u == 0.0 and eq3.v == 1.0
-
-
-def test_equilibrium_rejects_gapless():
-    with pytest.raises(lat.DegenerateModeError):
-        lat.equilibrium_amplitudes(lat.BdGCoefficients(0.0, 0.0, 0.0))
-
-
-@settings(max_examples=80, deadline=None)
-@given(g=st.floats(-3.0, 4.0), jy=st.floats(0.0, 3.0),
-       q=st.floats(1e-6, math.pi - 1e-6))
-def test_equilibrium_invariants_property(g, jy, q):
-    c = lat.xy_bdg(lat.XYParams(g=g, J_y=jy), q)
-    assert c.omega >= abs(c.epsilon)
-    assert c.omega == np.hypot(c.epsilon, c.delta)
-    if c.omega == 0.0:
-        return
-    eq = lat.equilibrium_amplitudes(c)
-    assert abs(eq.u ** 2 + eq.v ** 2 - 1.0) < 1e-14
-    assert eq.u >= 0.0
-    if c.delta != 0.0:
-        assert np.sign(eq.v) == np.sign(c.delta)
-    # 2 u v = delta / omega (Bogoliubov sign convention)
-    assert abs(2.0 * eq.u * eq.v - c.delta / c.omega) < 1e-13
-
-
-def test_param_validation():
-    with pytest.raises(ValueError):
-        lat.IsingParams(g=1.0, J=2.0)
-    with pytest.raises(ValueError):
-        lat.XYParams(g=1.0, J_y=-0.1)
-    with pytest.raises(ValueError):
-        lat.IsingParams(g=float("inf"))
+    assert _omega(2.0, 1.0, 0.0) == 0.0
+    assert _omega(1.0 + 0.4, 0.4, 0.0) == 0.0

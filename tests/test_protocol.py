@@ -179,12 +179,13 @@ def test_closest_approach_matches_dense_scan():
     for seg in sch.segments:
         om2, speed = seg.closest_approach(q)
         t = np.linspace(seg.t_start, seg.t_end, 4001)
-        om2_t = np.array([lat.xy_bdg(lat.XYParams(*seg.eval(ti)), q).omega ** 2 for ti in t])
+        om2_t = np.array([np.hypot(*lat.eps_delta(*seg.eval(ti), np.cos(q), np.sin(q))) ** 2
+                          for ti in t])
         assert np.all(om2 <= om2_t.min(axis=0) + 1e-12)
         assert np.max(np.abs(om2_t.min(axis=0) - om2)) < 1e-5
-        start = lat.xy_bdg(lat.XYParams(*seg.params_start), q)
-        end = lat.xy_bdg(lat.XYParams(*seg.params_end), q)
-        rate = np.hypot(end.epsilon - start.epsilon, end.delta - start.delta) / seg.duration
+        eps0, delta0 = lat.eps_delta(*seg.params_start, np.cos(q), np.sin(q))
+        eps1, delta1 = lat.eps_delta(*seg.params_end, np.cos(q), np.sin(q))
+        rate = np.hypot(eps1 - eps0, delta1 - delta0) / seg.duration
         assert np.allclose(speed, rate, rtol=1e-12, atol=0.0)
         scan_min.append(om2_t.min(axis=0))
         scan_expo.append(math.pi * om2_t.min(axis=0) / rate)
