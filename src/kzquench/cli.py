@@ -99,8 +99,12 @@ def load_config(path=None, overrides=()):
     """
     cfg = DEFAULT_CONFIG
     if path is not None:
-        with open(path) as fh:
-            user = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                user = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            # unreadable, not UTF-8, not JSON, or nested past the parser's depth
+            raise ConfigError("%s: %s" % (path, exc)) from None
         if not isinstance(user, dict):
             raise ConfigError("%s must hold a JSON object" % path)
         cfg = _merge(cfg, user)
@@ -114,6 +118,8 @@ def load_config(path=None, overrides=()):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError:
+            raise ConfigError("--set %s: value nested too deeply" % key) from None
         node = user
         parts = key.split(".")
         for p in parts[:-1]:
@@ -121,7 +127,10 @@ def load_config(path=None, overrides=()):
             if not isinstance(node, dict):
                 raise ConfigError("--set %s: %r is not an object" % (key, p))
         node[parts[-1]] = value
-    cfg = json.loads(json.dumps(_merge(cfg, user)))  # deep copy
+    try:
+        cfg = json.loads(json.dumps(_merge(cfg, user)))  # deep copy
+    except RecursionError:
+        raise ConfigError("configuration nested too deeply") from None
     version = cfg["version"]
     if isinstance(version, bool) or version != CONFIG_VERSION:
         raise ConfigError("unsupported config version %r" % (version,))
@@ -366,6 +375,14 @@ def cmd_sweep(cfg):
 def cmd_correlator(cfg):
     prefix = cfg["output"]["prefix"]
     taus = _tau_list(cfg, "correlator")
+    # each tau names its files by its %g tag, so no two taus may share one
+    tags = {}
+    for tau in taus:
+        tag = ("%g" % tau).replace(".", "p")
+        if tag in tags:
+            raise ConfigError("correlator.tau_q: %r and %r would both write the files "
+                              "tagged tau%s" % (tags[tag], tau, tag))
+        tags[tag] = tau
     schedules = [build_schedule(cfg["protocol"], tau) for tau in taus]
     forms = [correlator_closed_forms(sch) for sch in schedules]
     grids = [_r_grid(cfg["correlator"], ls) for ls, _ in forms]
@@ -374,7 +391,7 @@ def cmd_correlator(cfg):
     spectra = evolver.evolve_spectra_quadrature(
         schedules, opts, max_r=[float(r[-1]) for r in grids], **quad)
     files = []
-    for tau, (ls, closed), r, sp in zip(taus, forms, grids, spectra):
+    for tau, tag, (ls, closed), r, sp in zip(taus, tags, forms, grids, spectra):
         fc = correlators.fermionic_correlators_numeric(sp, r)
         c_quad = correlators.czz(fc)
         n0 = closedform.kz_density(tau)
@@ -382,7 +399,6 @@ def cmd_correlator(cfg):
         c_closed = np.abs(beta) ** 2 - alpha ** 2
         rows = [[ri, n0 * ri, cq, cc, -a * a, abs(b) ** 2, dp]
                 for ri, cq, cc, a, b, dp in zip(r, c_quad, c_closed, alpha, beta, dephased)]
-        tag = ("%g" % tau).replace(".", "p")
         path = "%s_correlator_tau%s.csv" % (prefix, tag)
         _write_csv(path,
                    ["r", "n0_r_scaled", "Czz_quadrature", "Czz_closed",
@@ -492,7 +508,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     code = EXIT_OK

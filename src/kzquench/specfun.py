@@ -2,8 +2,8 @@
 
 Only a handful of kernels are required (the gamma phase on the line a+ix,
 real gamma, digamma at 1/2, real Airy functions), so they are
-implemented here rather than pulled in from an external package.  This keeps
-the golden tests bit-stable across platforms.
+implemented here rather than pulled in from an external package, and the
+runtime depends on numpy alone.
 """
 
 from __future__ import annotations

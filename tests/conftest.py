@@ -1,7 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kzquench.evolver import SolverOptions
+
+# the same examples on every run, and no example database to replay
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +21,13 @@ def fast_opts():
 @pytest.fixture(scope="session")
 def tight_opts():
     return SolverOptions(rel_tol=1e-10, abs_tol=1e-12)
+
+
+@pytest.fixture(scope="session")
+def frozen_values():
+    """Closed-form values computed once and frozen in data/golden_values.json."""
+    with open(Path(__file__).parent / "data" / "golden_values.json") as fh:
+        return json.load(fh)
 
 
 def approx_rel(a, b, tol):

@@ -72,6 +72,10 @@ def test_fit_power_law_exact_n0():
     n0 = 1.0 / (2.0 * math.pi * np.sqrt(2.0 * taus))
     _, expo = analysis.fit_power_law(analysis.Sweep(taus, n0))
     assert abs(expo + 0.5) < 1e-6
+    # the tricritical (g_0 = 2) baseline scales exactly as tau^(-1/6)
+    n0_xy = np.array([cf.density_prediction_xy_roundtrip(t, 1.0, 2.0).n0 for t in taus])
+    _, expo_xy = analysis.fit_power_law(analysis.Sweep(taus, n0_xy))
+    assert abs(expo_xy + 1.0 / 6.0) < 1e-10
 
 
 def test_amplitude_decay_exact_asymptote():
@@ -85,9 +89,9 @@ def test_amplitude_decay_exact_asymptote():
 
 def test_amplitude_decay_check_full_form():
     # the full Appendix amplitude in the stated window is pre-asymptotic:
-    # the slope is ~ -0.93 there and steepens towards -3/2 at larger tau
+    # the slope freezes at -0.9262 there and steepens towards -3/2 at larger tau
     s1 = analysis.amplitude_decay_check(np.geomspace(50.0, 5000.0, 25), 1.0)
-    assert abs(s1 + 0.93) < 0.05
+    assert abs(s1 + 0.9262) < 0.01
     s2 = analysis.amplitude_decay_check(np.geomspace(1e8, 1e12, 25), 1.0)
     assert s2 < s1
     assert abs(s2 + 1.5) < 0.2

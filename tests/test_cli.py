@@ -138,6 +138,13 @@ def test_validate_odd_n_rejected(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+# config files that cases below read, written into tmp_path before the run
+CONFIG_FILES = {
+    "latin1.json": '{"output": {"prefix": "caf\u00e9"}}'.encode("latin-1"),
+    "deep.json": b"[" * 5000 + b"]" * 5000,
+}
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(["--set", "protocol.g_rt=1.5", "sweep"], id="protocol-value"),
     pytest.param(["--set", "protocol.grt=0.5", "sweep"], id="protocol-unknown-key"),
@@ -198,14 +205,27 @@ def test_validate_odd_n_rejected(tmp_path):
                  id="protocol-huge-R"),
     pytest.param(["--set", "sweep.tau_q=[1e300]", "sweep"], id="sweep-huge-tau"),
     pytest.param(["--set", "validate.tau_q=[1e12]", "validate"], id="validate-huge-tau"),
+    # documents the JSON reader cannot take: not UTF-8, or nested past its depth
+    pytest.param(["--config", "latin1.json", "sweep"], id="config-file-not-utf8"),
+    pytest.param(["--config", "deep.json", "sweep"], id="config-file-too-deep"),
+    pytest.param(["--set", "sweep.tau_q=" + "[" * 5000 + "]" * 5000, "sweep"],
+                 id="set-value-too-deep"),
+    pytest.param(["--set", "a." * 2999 + "a=1", "sweep"], id="set-key-too-deep"),
+    # both taus would write _correlator_tau8.csv and _lengths_tau8.csv
+    pytest.param(["--set", "correlator.tau_q=[8,8.0000001]", "correlator"],
+                 id="correlator-shared-file-tag"),
 ])
 def test_invalid_config_is_config_error(tmp_path, args):
+    inputs = sorted(name for name in CONFIG_FILES if name in args)
+    for name in inputs:
+        (tmp_path / name).write_bytes(CONFIG_FILES[name])
     r = run_cli(args, tmp_path)
     assert r.returncode == cli.EXIT_CONFIG
     assert "Traceback" not in r.stderr
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), r.stderr
-    assert list(tmp_path.iterdir()) == []  # rejected before anything ran
+    # rejected before anything ran
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 class _ClosedPipe(io.StringIO):

@@ -107,6 +107,14 @@ def test_density_prediction_trivial_values():
     assert abs(pred.T_Q - math.pi / 2.0) < 1e-15
 
 
+def test_density_prediction_frozen(frozen_values):
+    # regression: the oscillatory density closed form (R = 1, g_rt = 0) at
+    # tau in {12.87, 32}, frozen once
+    vals = frozen_values["density_roundtrip"]
+    n = [cf.density_prediction_roundtrip(t, 1.0).n for t in vals["tau_q"]]
+    np.testing.assert_allclose(n, vals["n"], rtol=1e-12, atol=0.0)
+
+
 def test_nonoscillatory_part_identity():
     # n0 f = 1/(2 pi sqrt(2 tau)) + 1/(2 pi sqrt(2 tau')) - 1/(pi sqrt(2(tau+tau')))
     for tau, R in [(20.0, 1.0), (14.0, 2.5), (33.0, 0.6)]:
@@ -211,6 +219,10 @@ def test_critical_turn_values():
 
 def test_period_formulas():
     assert abs(cf.period(0.0, 1.0) - math.pi / 2.0) < 1e-15
+    # the turning point sets the period as pi / (2 (g - 1)^2) at R = 1
+    for g in (0.2, 0.4, 0.6, 0.8):
+        T = math.pi / (2.0 * (g - 1.0) ** 2)
+        assert abs(cf.period(g, 1.0) - T) <= 1e-14 * T
     assert abs(cf.period(1.5, 1.0) - 2.0 * math.pi) < 1e-15
     for g, T in [(1.5, 2 * math.pi), (2.0, math.pi / 2), (2.5, 2 * math.pi / 9)]:
         assert abs(cf.period(g, 1.0) - T) < 1e-14

@@ -69,6 +69,14 @@ def test_length_scales_values_and_ordering():
         assert min(l.l_beta) > max(l.l_alpha)
 
 
+def test_length_scales_frozen(frozen_values):
+    # regression: xi_hat, the two l_alpha and the five l_beta at tau = 32,
+    # g_f = 10, frozen once
+    ls = corr.length_scales_roundtrip(32.0, 10.0)
+    np.testing.assert_allclose([ls.xi_hat, *ls.l_alpha, *ls.l_beta],
+                               frozen_values["lengths_tau32"], rtol=1e-12, atol=0.0)
+
+
 def test_lengths_scale_as_sqrt_tau_log_tau():
     # the diagonal lengths reach the sqrt(tau) ln(tau) asymptote at moderate
     # tau; the off-diagonal ones carry a -2 g_f - 2 ln(g_f-1) offset inside the
@@ -128,6 +136,14 @@ def test_beta_closed_maxwell_boltzmann_tail():
     # and the absolute scale matches the m = 4 term of the printed beta sum
     mb_self = ls.y[3] ** 2 * r ** 2 / (xi * l4 ** 3) * np.exp(-2.0 * r ** 2 / l4 ** 2)
     assert 0.5 < float(np.mean(czz_full / mb_self)) < 2.0
+
+
+def test_czz_closed_frozen(frozen_values):
+    # regression: the closed C^zz at tau = 32, g_f = 10 on eight distances
+    # from r = 1 to 300, frozen once
+    vals = frozen_values["czz_closed_tau32"]
+    np.testing.assert_allclose(corr.czz_closed(np.array(vals["r"]), 32.0, 10.0),
+                               vals["C"], rtol=1e-12, atol=0.0)
 
 
 def test_czz_closed_vs_quadrature_regimes(rt_spectrum):
