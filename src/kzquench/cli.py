@@ -237,6 +237,18 @@ def _tau_list(cfg, section):
     return taus
 
 
+def _tau_tags(taus, key):
+    """The %g form of each tau, which names its outputs; ConfigError if two share one."""
+    tags = {}
+    for tau in taus:
+        tag = "%g" % tau
+        if tag in tags:
+            raise ConfigError("%s: %r and %r both print as %s, which names their outputs"
+                              % (key, tags[tag], tau, tag))
+        tags[tag] = tau
+    return list(tags)
+
+
 def _solver_settings(cfg):
     """(SolverOptions, quadrature keywords) from the solver and quadrature sections."""
     try:
@@ -330,11 +342,16 @@ def closed_form_density(schedule):
 
 
 def _sweep_rows(args):
-    """CSV rows of one contiguous run of schedules, evolved in one batch."""
+    """(CSV rows, solver records) of one contiguous run of schedules, evolved in one batch."""
     schedules, opts, quad = args
     spectra = evolver.evolve_spectra_quadrature(schedules, opts, **quad)
-    return [[sch.tau_q, evolver.defect_density(sp), *closed_form_density(sch)]
+    rows = [[sch.tau_q, evolver.defect_density(sp), *closed_form_density(sch)]
             for sch, sp in zip(schedules, spectra)]
+    keys = ("steps", "accepted", "rejected", "h_min", "lab_modes", "sa_windows", "sa_share")
+    records = [{"tau_Q": sch.tau_q, "norm_drift": float(sp.norm_drift),
+                **{k: sp.meta[k] for k in keys}}
+               for sch, sp in zip(schedules, spectra)]
+    return rows, records
 
 
 def worker_count():
@@ -356,17 +373,20 @@ def cmd_sweep(cfg):
         bounds = [len(schedules) * i // workers for i in range(workers + 1)]
         jobs = [(schedules[lo:hi], opts, quad) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with multiprocessing.Pool(workers) as pool:
-            rows = [row for chunk in pool.map(_sweep_rows, jobs) for row in chunk]
+            chunks = pool.map(_sweep_rows, jobs)
+        rows = [row for chunk, _ in chunks for row in chunk]
+        records = [rec for _, chunk in chunks for rec in chunk]
     else:
-        rows = _sweep_rows((schedules, opts, quad))
+        rows, records = _sweep_rows((schedules, opts, quad))
     prefix = cfg["output"]["prefix"]
     csv_path = prefix + "_sweep.csv"
     _write_csv(csv_path,
                ["tau_Q", "n_numeric", "n_closed_form", "n0", "f", "M", "delta",
                 "T_Q_predicted"],
                rows, cfg)
+    # the solver's record of each row holds no wall time, so reruns are byte-identical
     sidecar = {"config": cfg, "config_hash": config_hash(cfg),
-               "package_version": _version(), "rows": len(rows)}
+               "package_version": _version(), "rows": len(rows), "solver_rows": records}
     with open(prefix + "_sweep.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
     return [csv_path, prefix + "_sweep.json"]
@@ -375,14 +395,7 @@ def cmd_sweep(cfg):
 def cmd_correlator(cfg):
     prefix = cfg["output"]["prefix"]
     taus = _tau_list(cfg, "correlator")
-    # each tau names its files by its %g tag, so no two taus may share one
-    tags = {}
-    for tau in taus:
-        tag = ("%g" % tau).replace(".", "p")
-        if tag in tags:
-            raise ConfigError("correlator.tau_q: %r and %r would both write the files "
-                              "tagged tau%s" % (tags[tag], tau, tag))
-        tags[tag] = tau
+    tags = [tag.replace(".", "p") for tag in _tau_tags(taus, "correlator.tau_q")]
     schedules = [build_schedule(cfg["protocol"], tau) for tau in taus]
     forms = [correlator_closed_forms(sch) for sch in schedules]
     grids = [_r_grid(cfg["correlator"], ls) for ls, _ in forms]
@@ -428,6 +441,7 @@ def cmd_validate(cfg):
     except ValueError as exc:
         raise ConfigError("validate.N: %s" % exc) from None
     taus = _tau_list(cfg, "validate")
+    tags = _tau_tags(taus, "validate.tau_q")
     checks = []
 
     def record(name, passed, detail, tolerance):
@@ -443,19 +457,19 @@ def cmd_validate(cfg):
     # every BdG spectrum in one lock-step batch, the N = 64 sample last
     spectra = evolver.evolve([(s, mode_grid(N).q) for pair in pairs for s in pair]
                              + [(protocol.round_trip(0.0, 10.0, 1.0), mode_grid(64).q)], opts)
-    for tau, (sch, schr), sp, spr in zip(taus, pairs, spectra[:-1:2], spectra[1::2]):
+    for tag, (sch, schr), sp, spr in zip(tags, pairs, spectra[:-1:2], spectra[1::2]):
         st = edoracle.evolve_exact(sch, N, opts)
         n_ed = edoracle.measure_defects(st, "paramagnetic")
         n_bdg = evolver.fermion_density(sp)
-        record("ed_vs_bdg_roundtrip_tau%g" % tau, abs(n_ed - n_bdg) < 1e-6,
+        record("ed_vs_bdg_roundtrip_tau" + tag, abs(n_ed - n_bdg) < 1e-6,
                {"n_ed": n_ed, "n_bdg": n_bdg, "diff": abs(n_ed - n_bdg),
                 "ed_steps": st.meta["steps"], "sector_dim": st.meta["sector_dim"]}, 1e-6)
         par = edoracle.parity_expectation(st)
-        record("parity_tau%g" % tau, abs(par - 1.0) < 1e-9, {"parity": par}, 1e-9)
+        record("parity_tau" + tag, abs(par - 1.0) < 1e-9, {"parity": par}, 1e-9)
         str_ = edoracle.evolve_exact(schr, N, opts)
         k_ed = edoracle.measure_defects(str_, "ferromagnetic")
         k_bdg = evolver.defect_density(spr)
-        record("ed_vs_bdg_reversed_tau%g" % tau, abs(k_ed - k_bdg) < 1e-6,
+        record("ed_vs_bdg_reversed_tau" + tag, abs(k_ed - k_bdg) < 1e-6,
                {"kinks_ed": k_ed, "kinks_bdg": k_bdg, "diff": abs(k_ed - k_bdg),
                 "ed_steps": str_.meta["steps"], "sector_dim": str_.meta["sector_dim"]}, 1e-6)
     sp = spectra[-1]

@@ -214,6 +214,9 @@ CONFIG_FILES = {
     # both taus would write _correlator_tau8.csv and _lengths_tau8.csv
     pytest.param(["--set", "correlator.tau_q=[8,8.0000001]", "correlator"],
                  id="correlator-shared-file-tag"),
+    # both taus would name the checks ed_vs_bdg_roundtrip_tau1, parity_tau1, ...
+    pytest.param(["--set", "validate.tau_q=[1,1.0000001]", "validate"],
+                 id="validate-shared-check-name"),
 ])
 def test_invalid_config_is_config_error(tmp_path, args):
     inputs = sorted(name for name in CONFIG_FILES if name in args)
@@ -335,6 +338,12 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert run_cli(args2, tmp_path).returncode == 0
     assert (tmp_path / "p2_sweep.csv").read_text().splitlines()[1:] == \
            (tmp_path / "p1_sweep.csv").read_text().splitlines()[1:]
+    # the same solver record per row, in the same order
+    records = [json.loads((tmp_path / name).read_text())["solver_rows"]
+               for name in ("p2_sweep.json", "p1_sweep.json")]
+    assert records[0] == records[1]
+    assert [r["tau_Q"] for r in records[0]] == [10.0, 11.0, 12.0]
+    assert all(r["accepted"] + r["rejected"] == r["steps"] > 0 for r in records[0])
 
 
 # Each kind chosen by protocol.kind runs on the table's defaults plus the

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,27 +280,81 @@ def test_sa_frame_round_trip_is_identity():
                                       proto.quarter_turn(1.5, 5.0, 1.0, jy_initial=4.0)])
 def test_sa_generator_matches_finite_difference(schedule):
     # the SA generator is (0, alpha', sqrt(omega^2 + theta'^2)) with alpha' from the
-    # affine-segment identity; compare alpha' with a central difference of alpha(t)
+    # affine-segment identity; compare alpha' with a central difference of alpha(t).
+    # The generators read from the segment constants are (delta, eps) in the lab
+    # frame and (-theta', omega) in the adiabatic frame, with eps and delta from
+    # the schedule's parameters at t
     q = np.array([0.05, 0.3, 1.0, 2.0, 3.0])
     cq, sq = np.cos(q), np.sin(q)
     for seg in schedule.segments:
-        rates = seg.rates()
-        epsdot, deltadot = lat.eps_delta(*rates, cq, sq)
-        modes = (cq, sq, epsdot, deltadot)
-
-        def at(t):
-            g, _, jy = seg.eval(t)
-            return g, jy
-
+        modes = ev._segment_constants(seg, q)
+        epsdot, deltadot = lat.eps_delta(*seg.rates(), cq, sq)
         for x in (0.1, 0.5, 0.9):
-            t = seg.t_start + x * seg.duration
+            dt = x * seg.duration
             h = 1e-4 * seg.duration
-            alpha = [ev._sa_angle(modes, *at(t + j * h)) for j in (-2, -1, 1, 2)]
+            alpha = [ev._sa_angle(modes, dt + j * h) for j in (-2, -1, 1, 2)]
             fd = (alpha[0] - 8 * alpha[1] + 8 * alpha[2] - alpha[3]) / (12 * h)
-            w, z = ev._generator("adiabatic", (*modes, True), *at(t))
-            w_ad, z_ad = ev._generator("adiabatic", (*modes, False), *at(t))
+            w, z = ev._generator("adiabatic", modes, True, dt)
+            w_ad, z_ad = ev._generator("adiabatic", modes, False, dt)
             assert np.allclose(w, fd, rtol=1e-6, atol=1e-12 * np.max(np.abs(w_ad)))
             assert np.allclose(z, np.hypot(z_ad, w_ad), rtol=1e-14)
+            eps, delta = lat.eps_delta(*seg.eval(seg.t_start + dt), cq, sq)
+            om2 = eps * eps + delta * delta
+            assert np.allclose(z_ad, np.sqrt(om2), rtol=1e-13)
+            assert np.allclose(w_ad, -(eps * deltadot - delta * epsdot) / (2 * om2), rtol=1e-12)
+            w_lab, z_lab = ev._generator("lab", modes, False, dt)
+            assert np.allclose(w_lab, delta, rtol=1e-13, atol=1e-13)
+            assert np.allclose(z_lab, eps, rtol=1e-13, atol=1e-13)
+
+
+def test_magnus_apply_is_the_exact_exponential():
+    # one lab-frame apply with Magnus vectors from phi = 0 up to 1e5: the half-angle
+    # tangent gives the cos/sin form of exp(-i Omega.sigma) to 1e-15, keeps the norm
+    # to 2e-15 and gives the identity at phi = 0
+    rng = np.random.default_rng(11)
+    lam = np.concatenate(([0.0], np.logspace(-9, 5, 57)))
+    n = lam.size
+    # (eps, delta) of length lam with a slope of 1e-6 lam: phi is lam to 1e-3
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    modes = np.zeros((8, n))
+    modes[:4] = lam * np.array([np.cos(angle), np.sin(angle), *(1e-6 * rng.normal(size=(2, n)))])
+    e0, d0, e1, d1 = modes[:4]
+    h = 1.0
+    dt1, dt2, hh, k = ev._GL_LO * h, ev._GL_HI * h, 0.5 * h, math.sqrt(3.0) * h * h / 6.0
+    rows = np.array([[dt1], [dt2], [hh], [k]]) * np.ones(n)
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    a, b = a / norm, b / norm
+    am, bm = ev._magnus_apply("lab", modes, False, rows, a, b)
+    # the Magnus vector of the generators (delta, 0, eps) at the two Gauss points
+    w1, z1 = d0 + d1 * rows[0], e0 + e1 * rows[0]
+    w2, z2 = d0 + d1 * rows[1], e0 + e1 * rows[1]
+    dx, dy, dz = hh * (w1 + w2), k * (z2 * w1 - w2 * z1), hh * (z1 + z2)
+    phi = np.sqrt(dx * dx + dy * dy + dz * dz)
+    assert phi[0] == 0.0 and np.allclose(phi, lam, rtol=1e-3) and np.all(dy[1:] != 0.0)
+    c = np.cos(phi)
+    s = np.sin(phi) / np.where(phi > 0.0, phi, 1.0)
+    s[0] = 1.0
+    ref_a = (c - 1j * s * dz) * a - (s * dy + 1j * s * dx) * b
+    ref_b = (s * dy - 1j * s * dx) * a + (c + 1j * s * dz) * b
+    assert np.max(np.abs(am - ref_a)) <= 1e-15 and np.max(np.abs(bm - ref_b)) <= 1e-15
+    assert np.max(np.abs(np.abs(am) ** 2 + np.abs(bm) ** 2 - 1.0)) <= 2e-15
+    assert am[0] == a[0] and bm[0] == b[0]
+
+
+def test_roundtrip_density_accuracy_gate():
+    # the evolver's accuracy gate: |dn|/n at rel_tol 1e-8 over 13 round trips,
+    # against references frozen from rel_tol 1e-13, abs_tol 1e-15 runs.  The error
+    # scatters with the step sequence, so the median and the worst case are bounded
+    # (measured: 1.58e-9 and 2.70e-9)
+    with open(Path(__file__).parent / "data" / "roundtrip_density_refs.json") as fh:
+        refs = json.load(fh)
+    schedules = [proto.round_trip(0.0, tau, 1.0) for tau in refs["tau_q"]]
+    spectra = ev.evolve_spectra_quadrature(schedules, ev.SolverOptions(1e-8, 1e-10))
+    dn = np.abs([ev.defect_density(sp) / n - 1.0
+                 for sp, n in zip(spectra, refs["defect_density"])])
+    assert np.median(dn) <= 2e-9 and np.max(dn) <= 4e-9
 
 
 @pytest.mark.parametrize("schedule, share", [
