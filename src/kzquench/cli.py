@@ -428,6 +428,13 @@ def cmd_correlator(cfg):
     return files
 
 
+def _ed_record(state):
+    """The ED oracle's run record for a validate check's detail."""
+    m = state.meta
+    return {"ed_steps": m["steps"], "ed_rejected": m["rejected"], "ed_h_min": m["h_min"],
+            "sector_dim": m["sector_dim"]}
+
+
 def cmd_validate(cfg):
     """ED-oracle comparison plus invariant checks; machine-readable report."""
     # validate runs at SolverOptions() and its own mode grids
@@ -463,7 +470,7 @@ def cmd_validate(cfg):
         n_bdg = evolver.fermion_density(sp)
         record("ed_vs_bdg_roundtrip_tau" + tag, abs(n_ed - n_bdg) < 1e-6,
                {"n_ed": n_ed, "n_bdg": n_bdg, "diff": abs(n_ed - n_bdg),
-                "ed_steps": st.meta["steps"], "sector_dim": st.meta["sector_dim"]}, 1e-6)
+                **_ed_record(st)}, 1e-6)
         par = edoracle.parity_expectation(st)
         record("parity_tau" + tag, abs(par - 1.0) < 1e-9, {"parity": par}, 1e-9)
         str_ = edoracle.evolve_exact(schr, N, opts)
@@ -471,7 +478,7 @@ def cmd_validate(cfg):
         k_bdg = evolver.defect_density(spr)
         record("ed_vs_bdg_reversed_tau" + tag, abs(k_ed - k_bdg) < 1e-6,
                {"kinks_ed": k_ed, "kinks_bdg": k_bdg, "diff": abs(k_ed - k_bdg),
-                "ed_steps": str_.meta["steps"], "sector_dim": str_.meta["sector_dim"]}, 1e-6)
+                **_ed_record(str_)}, 1e-6)
     sp = spectra[-1]
     record("norm_drift", sp.norm_drift <= 10.0 * opts.rel_tol,
            {"norm_drift": sp.norm_drift}, 10.0 * opts.rel_tol)

@@ -10,9 +10,16 @@ at N = 12).  The ground state is a dense eigh of the sector H.  Steps are
 commutator-free Magnus-4 (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519),
 exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6)) for H affine on a segment,
 under ``evolver.StepControl``, the step-doubling control of the mode evolver.
-Each exponential acts through its Taylor series, cut below the unit roundoff;
-a dense eigh per exponential would cost O(D^3), which at N = 12 is no faster
-than full-space Runge-Kutta.
+H is affine on a segment, so its sector matrices H_a and H_b are taken once
+per segment, and a step builds its six Hamiltonians H_a + dt H_b, and their
+norm bounds, from one product with the (1, dt) rows.  Each exponential acts
+through its Taylor series, cut below the unit roundoff and summed in Horner
+form.  The single step of h and the first half step both start from y, so
+their exponentials run in lock step as two chains of one stacked product;
+a step runs four series instead of six.  Measured per step on one BLAS
+thread, a batched dense eigh of the six Hamiltonians costs 1.2 to 1.4 times
+as much as these Taylor steps at N = 8, 5 times at N = 10 and 15 times at
+N = 12.
 Observables are measured in the sector: flips from the representatives' spin
 counts, kinks from the sector matrix of X, and parity, +1 by construction of
 the basis, from the representatives' spin-count parity.
@@ -108,50 +115,70 @@ def ground_state(N, params):
     return ManyBodyState(amplitudes=vecs[:, 0], N=N)
 
 
-# Exponential nodes and lengths, in units of h, of one step-doubled step: the
-# two Magnus-4 steps of h/2, then the single step of h.
-_NODES = np.array([1 / 12, 5 / 12, 7 / 12, 11 / 12, 1 / 6, 5 / 6])
-_LENGTHS = (0.25, 0.25, 0.25, 0.25, 0.5, 0.5)
-_TIMES_MINUS_I = np.array([1.0, -1.0])     # (im, re) -> parts of -i (re + i im)
+# Exponential nodes and lengths, in units of h, of one step-doubled step in
+# the order the exponentials run: the first exponentials of the two half steps
+# and of the single step, which both start from y; their second ones; then the
+# second half step's two.
+_NODES = np.array([1 / 12, 1 / 6, 5 / 12, 5 / 6, 7 / 12, 11 / 12])
+_LENGTHS = np.array([0.25, 0.5, 0.25, 0.5, 0.25, 0.25])
+# 1/k for k = 20 down to 1; theta <= 1 takes at most 18 terms
+_INVERSE_K = (1.0 / np.arange(20, 0, -1))[:, None, None, None]
 
 
 def _expm_apply(H, s, y, bound):
-    """exp(-i s H) y, y as (real, imag) columns, for real symmetric H with ||H||_2 <= bound.
+    """exp(-i s_j H_j) y_j for each chain j, the chains run in lock step.
 
-    Taylor series in m substeps with theta = s bound / m <= 1, each cut once
-    theta^(n+1)/(n+1)! is below the unit roundoff (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33 (2011) 488).
+    H is a (c, D, D) stack of real symmetric matrices with ||H_j||_2 <=
+    bound_j, s and bound are (c,) arrays, and y is a (c, D, 1) complex stack.
+    The Taylor series runs in m substeps with theta = max_j s_j bound_j / m
+    <= 1, cut once theta^(n+1)/(n+1)! is below the unit roundoff (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33 (2011) 488), and is evaluated in Horner
+    form.  The chains share m and n, those of the chain that needs most: more
+    substeps or terms only shrink a chain's truncation error.
     """
-    m = max(1, math.ceil(s * bound))
-    theta = s * bound / m
+    x = float((s * bound).max())
+    m = max(1, math.ceil(x))
+    theta = x / m
     n, rest = 0, theta
     while rest > 2.0 ** -53:
         n += 1
         rest *= theta / (n + 1)
-    sub = s / m
+    # coef[n - k] = -i s_j / (m k) on every entry of chain j
+    coef = np.empty((n,) + y.shape, complex)
+    np.multiply(_INVERSE_K[len(_INVERSE_K) - n:], (s * (-1j / m))[:, None, None], out=coef)
+    Hy = np.empty(y.shape[:2] + (2,))
+    Hy_c = Hy.view(complex)
     for _ in range(m):
-        term = acc = y
-        for k in range(1, n + 1):
-            term = (H @ term)[:, ::-1] * (sub / k * _TIMES_MINUS_I)
-            acc = acc + term
+        acc = y.copy()
+        acc_f = acc.view(float)
+        for c_k in coef:
+            np.matmul(H, acc_f, out=Hy)
+            np.multiply(Hy_c, c_k, out=acc)
+            acc += y
         y = acc
     return y
 
 
-def _step(ker, seg, t, h, y):
-    """Two commutator-free Magnus-4 steps of h/2 and one of h from y at t."""
-    g, jx, jy = seg.eval(t + h * _NODES)
-    H = ker.hamiltonians(g, jx, jy)
-    bound = ker.N * (np.abs(g) + np.abs(jx) + np.abs(jy))
+def _step(ker, Hab, pab, dt, h, y):
+    """Two commutator-free Magnus-4 steps of h/2 and one of h from y at dt into the segment.
 
-    def expm(k, y):
-        return _expm_apply(H[k], h * _LENGTHS[k], y, bound[k])
-
-    return expm(3, expm(2, expm(1, expm(0, y)))), expm(5, expm(4, y))
+    ``Hab`` stacks the segment's H_a and H_b, flattened, and ``pab`` its
+    (g, J_x, J_y) at its start and their rates, so that H = H_a + dt H_b; the
+    bounds N (|g| + |J_x| + |J_y|) come from the same affine parameters.
+    """
+    w = np.ones((6, 2))
+    w[:, 1] = dt + h * _NODES
+    H = (w @ Hab).reshape(6, ker.D, ker.D)
+    bound = ker.N * np.abs(w @ pab).sum(axis=1)
+    s = h * _LENGTHS
+    y = _expm_apply(H[0:2], s[0:2], np.concatenate((y, y)), bound[0:2])
+    y = _expm_apply(H[2:4], s[2:4], y, bound[2:4])
+    fine = _expm_apply(H[5:], s[5:], _expm_apply(H[4:5], s[4:5], y[:1], bound[4:5]), bound[5:])
+    return fine, y[1:]
 
 
 def _evolve_sector(ker, schedule, y, opts):
-    """Evolve sector vector y, as (real, imag) columns, across the schedule.
+    """Evolve the sector vector y, a (1, D, 1) complex array, across the schedule.
 
     A step's error is the 2-norm of the difference between one step of h and
     two of h/2, over abs_tol + rel_tol; ``evolver.StepControl`` sets the
@@ -160,10 +187,13 @@ def _evolve_sector(ker, schedule, y, opts):
     tol = opts.abs_tol + opts.rel_tol
     ctl = StepControl("ED")
     for seg in schedule.segments:
+        pab = np.array([seg.params_start, seg.rates()])
+        Hab = ker.hamiltonians(*pab.T).reshape(2, -1)
         ctl.enter(seg.t_start, seg.t_end, seg)
         while ctl.t < seg.t_end:
-            fine, coarse = _step(ker, seg, ctl.t, ctl.clip(), y)
-            if ctl.control(float(np.linalg.norm(fine - coarse)) / tol):
+            fine, coarse = _step(ker, Hab, pab, ctl.t - seg.t_start, ctl.clip(), y)
+            d = fine - coarse
+            if ctl.control(math.sqrt(np.vdot(d, d).real) / tol):
                 y = fine
     return y, {"steps": ctl.steps, "accepted": ctl.accepted,
                "rejected": ctl.steps - ctl.accepted, "h_min": ctl.h_min, "sector_dim": ker.D}
@@ -173,8 +203,8 @@ def evolve_exact(schedule, N, opts=None):
     """Evolve the even-parity ground state at schedule start through the schedule."""
     opts = opts or SolverOptions()
     c = ground_state(N, schedule.params_at(schedule.t_start)).amplitudes
-    y, meta = _evolve_sector(_kernels(N), schedule, np.column_stack([c.real, c.imag]), opts)
-    return ManyBodyState(amplitudes=y[:, 0] + 1j * y[:, 1], N=N, t=schedule.t_end, meta=meta)
+    y, meta = _evolve_sector(_kernels(N), schedule, c.astype(complex).reshape(1, -1, 1), opts)
+    return ManyBodyState(amplitudes=y.ravel(), N=N, t=schedule.t_end, meta=meta)
 
 
 def parity_expectation(state):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kzquench
-from kzquench import cli, closedform, correlators, evolver
+from kzquench import cli, closedform, correlators, edoracle, evolver, protocol
 
 
 def child_env(**extra):
@@ -118,6 +118,19 @@ def test_validate_report(tmp_path):
     for c in report["checks"]:
         if c["name"].startswith("ed_vs_bdg"):
             assert c["detail"]["sector_dim"] == 8 and c["detail"]["ed_steps"] > 0
+
+
+def test_validate_reports_ed_run_record(tmp_path):
+    # each ED check carries the oracle's step record from ManyBodyState.meta
+    cfg = cli.load_config(None, ["validate.N=4", "validate.tau_q=[1.0]",
+                                 "output.prefix=" + str(tmp_path / "r")])
+    checks = {c["name"]: c["detail"] for c in cli.cmd_validate(cfg)["checks"]}
+    for name, sch in [("ed_vs_bdg_roundtrip_tau1", protocol.round_trip(0.0, 1.0, 1.0)),
+                      ("ed_vs_bdg_reversed_tau1", protocol.reversed_round_trip(1.5, 1.0, 1.0))]:
+        meta = edoracle.evolve_exact(sch, 4).meta
+        d = checks[name]
+        assert (d["ed_steps"], d["ed_rejected"], d["ed_h_min"], d["sector_dim"]) == \
+            (meta["steps"], meta["rejected"], meta["h_min"], meta["sector_dim"])
 
 
 def test_validate_detects_injected_loosening(tmp_path, monkeypatch):

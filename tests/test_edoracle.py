@@ -110,6 +110,11 @@ def test_evolved_state_measures_match_dense():
                        rtol=0.0, atol=1e-14)
 
 
+def _eigh_apply(H, s, c):
+    w, V = np.linalg.eigh(H)
+    return V @ (np.exp(-1j * s * w) * (V.T @ c))
+
+
 @pytest.mark.parametrize("s", [1e-3, 0.05, 0.7])
 def test_exponential_matches_eigh(s):
     # one Taylor substep at the smallest s, several at the largest
@@ -117,10 +122,32 @@ def test_exponential_matches_eigh(s):
     H = ker.hamiltonians(3.0, 1.0, 0.5)
     bound = 8 * (3.0 + 1.0 + 0.5)
     c = np.random.default_rng(1).normal(size=(ker.D, 2)) @ [1.0, 1j]
-    w, V = np.linalg.eigh(H)
-    ref = V @ (np.exp(-1j * s * w) * (V.T @ c))
-    y = ed._expm_apply(H, s, np.column_stack([c.real, c.imag]), bound)
-    assert np.abs(y @ [1.0, 1j] - ref).max() < 1e-13 * max(1.0, s * bound)
+    y = ed._expm_apply(H[None], np.array([s]), c.reshape(1, -1, 1), np.array([bound]))
+    assert np.abs(y.ravel() - _eigh_apply(H, s, c)).max() < 1e-13 * max(1.0, s * bound)
+
+
+@pytest.mark.parametrize("s", [
+    (1e-3, 4e-3),       # s bound = 0.036 and 0.144: one substep each
+    (0.09, 0.05),       # 3.24 and 1.8: the chains need 4 and 2 substeps
+    (2e-3, 0.09),       # 0.072 and 3.24: they need 1 and 4
+])
+def test_exponential_pair_matches_eigh(s):
+    # two chains in lock step, at unequal lengths and Hamiltonians, each
+    # against its own dense exponential
+    ker = ed._kernels(8)
+    params = [(3.0, 1.0, 0.5), (-1.5, 1.0, 2.0)]
+    H = np.stack([ker.hamiltonians(*p) for p in params])
+    bound = np.array([8 * sum(abs(x) for x in p) for p in params])
+    s = np.array(s)
+    rng = np.random.default_rng(2)
+    c = rng.normal(size=(2, ker.D, 2)) @ [1.0, 1j]
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    y = ed._expm_apply(H, s, c[:, :, None], bound)
+    assert y.shape == (2, ker.D, 1)
+    for j in range(2):
+        err = np.abs(y[j, :, 0] - _eigh_apply(H[j], s[j], c[j])).max()
+        assert err < 1e-13 * max(1.0, s[j] * bound[j])
+        assert abs(np.linalg.norm(y[j]) - 1.0) < 1e-14
 
 
 def test_sector_dimensions():
@@ -292,6 +319,27 @@ def test_step_budget_counts_per_segment(monkeypatch):
     monkeypatch.setattr(ev, "MAX_STEPS", 150)
     st = ed.evolve_exact(proto.reversed_round_trip(1.5, 1.0, 1.0), 8)
     assert st.meta["steps"] == 217
+
+
+# The four N = 8 runs of ``validate`` at tau 1.05 and 1.95 at default
+# tolerances: attempted steps and the density each check reads, computed with
+# the Taylor exponentials summed term by term, one exponential at a time.
+_VALIDATE_RUNS = {
+    ("round_trip", 1.05): (2437, 0.06100268197531307),
+    ("reversed", 1.05): (224, 0.2715236723544765),
+    ("round_trip", 1.95): (3998, 0.1292112959537065),
+    ("reversed", 1.95): (365, 0.058298099010047566),
+}
+
+
+@pytest.mark.parametrize("kind, tau", sorted(_VALIDATE_RUNS))
+def test_validate_runs_frozen(kind, tau):
+    build, basis = _SCHEDULES[kind]
+    st = ed.evolve_exact(build(tau), 8)
+    steps, value = _VALIDATE_RUNS[kind, tau]
+    assert st.meta["steps"] == steps and st.meta["rejected"] == 0
+    assert abs(ed.measure_defects(st, basis) - value) < 1e-13
+    assert abs(ed.parity_expectation(st) - 1.0) < 1e-13
 
 
 def test_evolution_statistics():
