@@ -4,7 +4,9 @@ A run is configured by a versioned JSON document; any field can be overridden
 on the command line with repeated ``--set dotted.key=value`` flags.  Output
 CSVs carry a header row plus a comment line with the configuration hash, and
 all numeric formatting uses shortest round-trip decimals, so reruns with the
-same configuration are byte-identical.
+same configuration are byte-identical.  A sweep or a correlator run evolves
+its whole tau list in one lock-step batch, in this process; each row is
+bitwise what its tau gives alone, and no environment variable changes a run.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure; a reader that closes stdout early ends the run with the
@@ -28,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import closedform, correlators, edoracle, evolver, protocol
+from . import __version__, closedform, correlators, edoracle, evolver, protocol
 from .evolver import NumericalFailure, SolverOptions
 from .lattice import mode_grid
 
@@ -167,10 +169,7 @@ def config_hash(cfg):
 
 
 def _fmt(x):
-    if x is None:
-        return "nan"
-    x = float(x)
-    return repr(x)
+    return repr(float(x))
 
 
 def _write_csv(path, header, rows, cfg):
@@ -341,9 +340,10 @@ def closed_form_density(schedule):
         return (nan,) * 6
 
 
-def _sweep_rows(args):
-    """(CSV rows, solver records) of one contiguous run of schedules, evolved in one batch."""
-    schedules, opts, quad = args
+def cmd_sweep(cfg):
+    schedules = [build_schedule(cfg["protocol"], tau) for tau in _tau_list(cfg, "sweep")]
+    opts, quad = _solver_settings(cfg)
+    # one lock-step batch; each row is bitwise what its tau gives alone
     spectra = evolver.evolve_spectra_quadrature(schedules, opts, **quad)
     rows = [[sch.tau_q, evolver.defect_density(sp), *closed_form_density(sch)]
             for sch, sp in zip(schedules, spectra)]
@@ -351,33 +351,6 @@ def _sweep_rows(args):
     records = [{"tau_Q": sch.tau_q, "norm_drift": float(sp.norm_drift),
                 **{k: sp.meta[k] for k in keys}}
                for sch, sp in zip(schedules, spectra)]
-    return rows, records
-
-
-def worker_count():
-    """Sweep processes: KZQUENCH_WORKERS (default 1), at most one per usable CPU."""
-    raw = os.environ.get("KZQUENCH_WORKERS", "1")
-    if not (raw.strip().isdecimal() and int(raw) > 0):
-        raise ConfigError("KZQUENCH_WORKERS must be a positive integer, got %r" % raw)
-    return min(int(raw), len(os.sched_getaffinity(0)))
-
-
-def cmd_sweep(cfg):
-    schedules = [build_schedule(cfg["protocol"], tau) for tau in _tau_list(cfg, "sweep")]
-    opts, quad = _solver_settings(cfg)
-    workers = min(worker_count(), len(schedules))
-    if workers > 1:
-        import multiprocessing
-
-        # each worker batches one contiguous chunk; a row does not depend on its batch
-        bounds = [len(schedules) * i // workers for i in range(workers + 1)]
-        jobs = [(schedules[lo:hi], opts, quad) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_sweep_rows, jobs)
-        rows = [row for chunk, _ in chunks for row in chunk]
-        records = [rec for _, chunk in chunks for rec in chunk]
-    else:
-        rows, records = _sweep_rows((schedules, opts, quad))
     prefix = cfg["output"]["prefix"]
     csv_path = prefix + "_sweep.csv"
     _write_csv(csv_path,
@@ -386,7 +359,7 @@ def cmd_sweep(cfg):
                rows, cfg)
     # the solver's record of each row holds no wall time, so reruns are byte-identical
     sidecar = {"config": cfg, "config_hash": config_hash(cfg),
-               "package_version": _version(), "rows": len(rows), "solver_rows": records}
+               "package_version": __version__, "rows": len(rows), "solver_rows": records}
     with open(prefix + "_sweep.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
     return [csv_path, prefix + "_sweep.json"]
@@ -462,8 +435,8 @@ def cmd_validate(cfg):
     except ValueError as exc:
         raise ConfigError("validate.tau_q: %s" % exc) from None
     # every BdG spectrum in one lock-step batch, the N = 64 sample last
-    spectra = evolver.evolve([(s, mode_grid(N).q) for pair in pairs for s in pair]
-                             + [(protocol.round_trip(0.0, 10.0, 1.0), mode_grid(64).q)], opts)
+    spectra = evolver.evolve([(s, mode_grid(N)) for pair in pairs for s in pair]
+                             + [(protocol.round_trip(0.0, 10.0, 1.0), mode_grid(64))], opts)
     for tag, (sch, schr), sp, spr in zip(tags, pairs, spectra[:-1:2], spectra[1::2]):
         st = edoracle.evolve_exact(sch, N, opts)
         n_ed = edoracle.measure_defects(st, "paramagnetic")
@@ -509,12 +482,6 @@ def cmd_protocol_render(cfg):
     for c in sch.crossings:
         stream.write("  %s %s %s\n" % (_fmt(c.t), _fmt(c.q_c), c.label))
     return sch
-
-
-def _version():
-    from . import __version__
-
-    return __version__
 
 
 def main(argv=None):

@@ -201,11 +201,12 @@ def qstar(tau_q, R):
     return math.sqrt(x / (math.pi * tau_q))
 
 
-def _density_from_components(tau_q, R, n0, f, Omega, b, X, c):
+def _density_from_components(tau_q, R, g_turn, n0, f, b, X, c):
     """Assemble a DefectDensityPrediction from the Gaussian-integral components."""
     if b <= 0.0:
         raise OutOfRegimeError(
             "phase curvature b = %.3g <= 0: outside the asymptotic regime" % b)
+    Omega = 2.0 * (g_turn - 1.0) ** 2 * (1.0 + R)
     X = np.asarray(X, dtype=float)
     c = np.asarray(c, dtype=float)
     M_i = X / np.sqrt(c) * (1.0 + (b / c) ** 2) ** -0.25
@@ -217,7 +218,7 @@ def _density_from_components(tau_q, R, n0, f, Omega, b, X, c):
     n = n0 * (f + float(np.sum(M_i * np.cos(Omega * tau_q + delta_i))))
     return DefectDensityPrediction(
         tau_q=tau_q, R=R, n0=n0, f=f, M_i=tuple(M_i), delta_i=tuple(delta_i),
-        Omega_Q=Omega, M=M, delta=delta, T_Q=2.0 * math.pi / Omega, n=n)
+        Omega_Q=Omega, M=M, delta=delta, T_Q=period(g_turn, R), n=n)
 
 
 def density_prediction_roundtrip(tau_q, R, g_rt=0.0):
@@ -233,12 +234,11 @@ def density_prediction_roundtrip(tau_q, R, g_rt=0.0):
         raise OutOfRegimeError("critical turn has no oscillatory decomposition")
     n0 = kz_density(tau_q)
     f = 1.0 + 1.0 / math.sqrt(R) - 2.0 / math.sqrt(1.0 + R)
-    Omega = 2.0 * (g_rt - 1.0) ** 2 * (1.0 + R)
     b = (R * math.log(R) + (1.0 + R) * (2.0 * (g_rt - 1.0)
          + math.log(4.0 * tau_q * (g_rt - 1.0) ** 2) + GAMMA_E)) / math.pi
     X = [-2.0 * (1.0 + R) / math.sqrt(2.0 * R), math.sqrt(2.0 * R), math.sqrt(2.0 / R)]
     c = [1.0 + R, 3.0 + R, 1.0 + 3.0 * R]
-    return _density_from_components(tau_q, R, n0, f, Omega, b, X, c)
+    return _density_from_components(tau_q, R, g_rt, n0, f, b, X, c)
 
 
 def amplitude_asymptote(tau_q, R):
@@ -347,7 +347,7 @@ def density_prediction_xy_roundtrip(tau_q, R, g0):
     return DefectDensityPrediction(
         tau_q=tau_q, R=R, n0=n0, f=f, M_i=(0.0, 0.0, 0.0),
         delta_i=(0.0, 0.0, 0.0), Omega_Q=Omega, M=0.0, delta=0.0,
-        T_Q=2.0 * math.pi / Omega, n=n0 * f)
+        T_Q=period(g0, R), n=n0 * f)
 
 
 def density_quarter_turn(tau_q, R, g_qt):
@@ -373,9 +373,8 @@ def density_quarter_turn(tau_q, R, g_qt):
         t1 = gamma76 / (math.pi * (2.0 * math.pi * tau_q) ** (1.0 / 6.0))
         t2 = 1.0 / (2.0 * math.pi * math.sqrt(2.0 * taup))
         t3 = -math.pi ** (1.0 / 3.0) * (ai * ai + bi * bi) / (math.sqrt(2.0) * (3.0 * tau_q) ** (1.0 / 6.0))
-        Omega = 2.0 * (1.0 + R)
         return AiryDensity(tau_q=tau_q, R=R, term_tricritical=t1, term_critical=t2,
-                           term_cross=t3, x=x, T_Q=2.0 * math.pi / Omega)
+                           term_cross=t3, x=x, T_Q=period(g_qt, R))
     n0 = kz_density(tau_q)
     if g_qt > 2.0:
         f = (1.0 / (g_qt - 2.0) + 1.0 / math.sqrt(R)
@@ -383,7 +382,6 @@ def density_quarter_turn(tau_q, R, g_qt):
     else:
         f = ((6.0 + g_qt) / (4.0 - g_qt ** 2) + 1.0 / math.sqrt(R)
              - 2.0 / math.sqrt((g_qt - 2.0) ** 2 + R))
-    Omega = 2.0 * (g_qt - 1.0) ** 2 * (1.0 + R)
     a2 = (g_qt - 2.0) ** 2
     kappa = math.sqrt(R) / math.sqrt(a2)
     # interference of the q ~ 0 transitions: Gaussian decays c_i pi tau q^2
@@ -393,7 +391,7 @@ def density_quarter_turn(tau_q, R, g_qt):
     b = (a2 * (math.log(4.0 * tau_q * (g_qt - 1.0) ** 2) + GAMMA_E)
          + R * (math.log(4.0 * taup * (g_qt - 1.0) ** 2) + GAMMA_E)
          + 2.0 * (g_qt - 1.0) * (4.0 - g_qt) + 2.0 * R * (g_qt - 1.0)) / math.pi
-    return _density_from_components(tau_q, R, n0, f, Omega, b, X, c)
+    return _density_from_components(tau_q, R, g_qt, n0, f, b, X, c)
 
 
 def density_quarter_turn_quadrature(tau_q, R, g_qt):

@@ -11,21 +11,13 @@ quasimomenta are q_j = (2j-1) pi / N and only the positive branch is stored
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ModeGrid:
-    """Positive-branch quasimomenta q_j = (2j-1) pi / N, j = 1..N/2."""
-
-    N: int
-    q: np.ndarray
-
-
 def mode_grid(N):
-    """Positive quasimomenta of the even-parity (antiperiodic) sector.
+    """Positive quasimomenta q_j = (2j-1) pi / N, j = 1..N/2, as an array.
+
+    These are the even-parity (antiperiodic) sector's positive branch.
 
     Parameters
     ----------
@@ -35,7 +27,7 @@ def mode_grid(N):
     if N < 2 or N % 2 != 0:
         raise ValueError("N must be even and >= 2, got %r" % (N,))
     j = np.arange(1, N // 2 + 1)
-    return ModeGrid(N=N, q=(2 * j - 1) * np.pi / N)
+    return (2 * j - 1) * np.pi / N
 
 
 def eps_delta(g, jx, jy, cq, sq):

@@ -130,10 +130,6 @@ class Schedule:
     def tau_q(self):
         return self.labels.get("tau_q")
 
-    @property
-    def R(self):
-        return self.labels.get("R")
-
     def params_at(self, t):
         """(g, J_x, J_y) at time t as floats; raises if t is outside the schedule span."""
         t = float(t)

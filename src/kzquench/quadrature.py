@@ -79,10 +79,6 @@ def support_regions(schedule):
     return [(lo, hi) for lo, hi in merged]
 
 
-def _split(lo, hi, n):
-    return np.linspace(lo, hi, n + 1)
-
-
 def support_panels(schedule, order=16, n_support=12, max_r=0.0):
     """Quadrature nodes/weights on (0, pi) adapted to the schedule's mode support.
 
@@ -97,7 +93,7 @@ def support_panels(schedule, order=16, n_support=12, max_r=0.0):
     edges = [0.0]
     def add_panels(lo, hi, n):
         n = max(n, int(math.ceil((hi - lo) / width_cap)) if np.isfinite(width_cap) else n)
-        for e in _split(lo, hi, n)[1:]:
+        for e in np.linspace(lo, hi, n + 1)[1:]:
             if e > edges[-1] + 1e-12:
                 edges.append(e)
     cursor = 0.0

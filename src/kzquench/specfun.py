@@ -1,9 +1,9 @@
 """Special-function kernels used by the closed-form predictions.
 
 Only a handful of kernels are required (the gamma phase on the line a+ix,
-real gamma, digamma at 1/2, real Airy functions), so they are
-implemented here rather than pulled in from an external package, and the
-runtime depends on numpy alone.
+digamma at 1/2, real Airy functions), so they are implemented here rather
+than pulled in from an external package, and the runtime depends on numpy
+alone; the real gamma function is the standard library's ``math.gamma``.
 """
 
 from __future__ import annotations
@@ -20,39 +20,12 @@ LN2 = math.log(2.0)
 AIRY_SERIES_CUTOFF = 7.2        # |x| above which the oscillatory asymptotics are used
 _STIRLING_RADIUS = 10.0         # |z| from which arg_gamma uses the Stirling series
 
-# Lanczos coefficients, g = 7, n = 9 (double precision set).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_real(x):
-    """Real gamma function via the Lanczos approximation (reflection for x < 0.5)."""
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
-    x = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
 def constants():
     """Return (gamma_E, digamma(1/2), Gamma(7/6)) to >= 12 significant digits.
 
     digamma(1/2) = -gamma_E - 2 ln 2 exactly.
     """
-    return GAMMA_E, -GAMMA_E - 2.0 * LN2, gamma_real(7.0 / 6.0)
+    return GAMMA_E, -GAMMA_E - 2.0 * LN2, math.gamma(7.0 / 6.0)
 
 
 def arg_gamma(a, x):
@@ -100,8 +73,8 @@ def _airy_series(x):
         n += 3
         if np.all(np.abs(tf) < 1e-18) and np.all(np.abs(tg) < 1e-18):
             break
-    c1 = 1.0 / (3.0 ** (2.0 / 3.0) * gamma_real(2.0 / 3.0))   # Ai(0)
-    c2 = 1.0 / (3.0 ** (1.0 / 3.0) * gamma_real(1.0 / 3.0))   # -Ai'(0)
+    c1 = 1.0 / (3.0 ** (2.0 / 3.0) * math.gamma(2.0 / 3.0))   # Ai(0)
+    c2 = 1.0 / (3.0 ** (1.0 / 3.0) * math.gamma(1.0 / 3.0))   # -Ai'(0)
     return c1 * f - c2 * g, math.sqrt(3.0) * (c1 * f + c2 * g)
 
 

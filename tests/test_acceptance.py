@@ -89,7 +89,7 @@ def test_criterion_02_roundtrip_interference(roundtrip_sweep):
 # -------------------------------------------------------------- criterion 3
 def _bounds_violation(tau, R):
     sch = proto.round_trip(0.0, tau, R)
-    sp = ev.evolve([(sch, lat.mode_grid(1000).q)], TIGHT)[0]
+    sp = ev.evolve([(sch, lat.mode_grid(1000))], TIGHT)[0]
     t = cf.interference_terms_roundtrip(sp.q, tau, R)
     return max(float(np.max((t.A - t.B) ** 2 - sp.p)),
                float(np.max(sp.p - (t.A + t.B) ** 2)))
@@ -196,7 +196,7 @@ def test_criterion_06_reversed_protocol():
     for tau in (1.0, 2.0):
         sch = proto.reversed_round_trip(1.5, tau, 1.0)
         k_ed = ed.measure_defects(ed.evolve_exact(sch, 8, TIGHT), "ferromagnetic")
-        k_bdg = ev.defect_density(ev.evolve([(sch, lat.mode_grid(8).q)], TIGHT)[0])
+        k_bdg = ev.defect_density(ev.evolve([(sch, lat.mode_grid(8))], TIGHT)[0])
         diffs.append(abs(k_ed - k_bdg))
     ok = period_ok and max(diffs) < 1e-6
     report(6, ok, "reversed: fitted period %.4f vs 2pi (+- 5%%); ED kink density "
@@ -411,7 +411,7 @@ def test_criterion_13_ed_equivalence():
             sch = proto.round_trip(0.0, tau, 1.0)
             st = ed.evolve_exact(sch, N, TIGHT)
             n_ed = ed.measure_defects(st, "paramagnetic")
-            n_bdg = ev.fermion_density(ev.evolve([(sch, lat.mode_grid(N).q)], TIGHT)[0])
+            n_bdg = ev.fermion_density(ev.evolve([(sch, lat.mode_grid(N))], TIGHT)[0])
             worst_n = max(worst_n, abs(n_ed - n_bdg))
             worst_par = max(worst_par, abs(ed.parity_expectation(st) - 1.0))
     ok = worst_n < 1e-6 and worst_par < 1e-9

@@ -286,7 +286,6 @@ def test_config_file_and_set_replace_values_within_a_section(tmp_path):
 
 def test_correlator_reads_each_tau_once(tmp_path, monkeypatch):
     # every schedule and closed form is built once, by the command that uses it
-    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
     calls = {"build_schedule": [], "correlator_closed_forms": []}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(cli, name)):
@@ -301,7 +300,6 @@ def test_correlator_reads_each_tau_once(tmp_path, monkeypatch):
 
 
 def test_run_errors_are_not_config_errors(tmp_path, monkeypatch):
-    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
     args = ["--set", "sweep.tau_q=[10.0]", "--set", "output.prefix=" + str(tmp_path / "e"),
             "sweep"]
 
@@ -318,45 +316,6 @@ def test_run_errors_are_not_config_errors(tmp_path, monkeypatch):
     monkeypatch.setattr(evolver, "evolve_spectra_quadrature", fail(ValueError("bug")))
     with pytest.raises(ValueError, match="bug"):
         cli.main(args)
-
-
-def test_worker_env(tmp_path, monkeypatch):
-    cpus = len(os.sched_getaffinity(0))
-    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
-    assert cli.worker_count() == 1
-    monkeypatch.setenv("KZQUENCH_WORKERS", "2")
-    assert cli.worker_count() == min(2, cpus)
-    # capped at the usable CPUs; no process is started here
-    monkeypatch.setenv("KZQUENCH_WORKERS", str(cli.MAX_TAU_POINTS))
-    assert cli.worker_count() == cpus
-    for bad in ("junk", "0", "-3", "1.5", ""):
-        monkeypatch.setenv("KZQUENCH_WORKERS", bad)
-        with pytest.raises(cli.ConfigError, match="KZQUENCH_WORKERS"):
-            cli.worker_count()
-        assert cli.main(["--set", "output.prefix=" + str(tmp_path / "w"),
-                         "--set", "sweep.tau_q=[10.0]", "sweep"]) == cli.EXIT_CONFIG
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_parallel_sweep_matches_serial(tmp_path):
-    # three points over two workers: chunks of one and two quench times
-    env = child_env(KZQUENCH_WORKERS="2")
-    args = ["--set", 'sweep.tau_q={"values": [10.0, 11.0, 12.0]}',
-            "--set", "output.prefix=p2", "sweep"]
-    r = subprocess.run([sys.executable, "-m", "kzquench.cli", *args],
-                       capture_output=True, text=True, cwd=tmp_path, env=env)
-    assert r.returncode == 0, r.stderr
-    args2 = ["--set", 'sweep.tau_q={"values": [10.0, 11.0, 12.0]}',
-             "--set", "output.prefix=p1", "sweep"]
-    assert run_cli(args2, tmp_path).returncode == 0
-    assert (tmp_path / "p2_sweep.csv").read_text().splitlines()[1:] == \
-           (tmp_path / "p1_sweep.csv").read_text().splitlines()[1:]
-    # the same solver record per row, in the same order
-    records = [json.loads((tmp_path / name).read_text())["solver_rows"]
-               for name in ("p2_sweep.json", "p1_sweep.json")]
-    assert records[0] == records[1]
-    assert [r["tau_Q"] for r in records[0]] == [10.0, 11.0, 12.0]
-    assert all(r["accepted"] + r["rejected"] == r["steps"] > 0 for r in records[0])
 
 
 # Each kind chosen by protocol.kind runs on the table's defaults plus the
@@ -402,8 +361,7 @@ def _library_density(sch):
 
 
 @pytest.mark.parametrize("kind,sets", TABLE_CASES)
-def test_closed_forms_describe_the_evolved_schedule(tmp_path, monkeypatch, kind, sets):
-    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
+def test_closed_forms_describe_the_evolved_schedule(tmp_path, kind, sets):
     prefix = str(tmp_path / "t")
     cfg = cli.load_config(None, sets + FAST + ["output.prefix=" + prefix])
     sch = cli.build_schedule(cfg["protocol"], 8.0)
@@ -443,9 +401,8 @@ def test_closed_forms_describe_the_evolved_schedule(tmp_path, monkeypatch, kind,
     np.testing.assert_allclose(curve[:, 3], c_closed, rtol=1e-12, atol=1e-15)
 
 
-def test_protocol_kind_runs_on_its_own_defaults(tmp_path, monkeypatch):
+def test_protocol_kind_runs_on_its_own_defaults(tmp_path):
     # the chosen kind's keys come from cli.PROTOCOLS, not from another kind's
-    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
     prefix = str(tmp_path / "k")
     sets = ["protocol.kind=one_way", "sweep.tau_q=[8.0]", "output.prefix=" + prefix] + FAST
     cfg = cli.load_config(None, sets)
@@ -463,11 +420,27 @@ def test_protocol_kind_runs_on_its_own_defaults(tmp_path, monkeypatch):
     assert cli.config_hash(default) == "bb94347e2a1bc773"
 
 
+def test_sweep_row_does_not_depend_on_its_batch(tmp_path):
+    # tau 11 evolved among three quench times and alone: the same row and record
+    def sweep(taus, name):
+        prefix = str(tmp_path / name)
+        sets = FAST + ["sweep.tau_q=%s" % json.dumps(taus), "output.prefix=" + prefix]
+        assert cli.main([a for s in sets for a in ("--set", s)] + ["sweep"]) == cli.EXIT_OK
+        lines = (tmp_path / (name + "_sweep.csv")).read_text().splitlines()[2:]
+        return lines, json.loads((tmp_path / (name + "_sweep.json")).read_text())["solver_rows"]
+
+    lines, records = sweep([10.0, 11.0, 12.0], "batch")
+    (alone_line,), (alone_record,) = sweep([11.0], "alone")
+    assert lines[1] == alone_line
+    assert records[1] == alone_record
+    assert [r["tau_Q"] for r in records] == [10.0, 11.0, 12.0]
+    assert all(r["accepted"] + r["rejected"] == r["steps"] > 0 for r in records)
+
+
 @pytest.mark.parametrize("g_qt", [1.5, 2.5])
-def test_quarter_turn_closed_form_column_tracks_evolution(tmp_path, monkeypatch, g_qt):
+def test_quarter_turn_closed_form_column_tracks_evolution(tmp_path, g_qt):
     # n_closed_form integrates the closed form over (0, pi/2), where it holds;
     # over the whole zone it was 18% (g_qt 1.5) and 68% (2.5) above n_numeric
-    monkeypatch.delenv("KZQUENCH_WORKERS", raising=False)
     args = ["--set", "protocol.kind=quarter_turn", "--set", "protocol.g_qt=%r" % g_qt,
             "--set", "sweep.tau_q=[10.0]", "--set", "output.prefix=" + str(tmp_path / "q"),
             "sweep"]

@@ -29,7 +29,7 @@ def test_numeric_correlators_basics(rt_spectrum):
 
 
 def test_numeric_requires_weights(fast_opts):
-    sp = ev.evolve([(proto.round_trip(0.0, 8.0, 1.0), lat.mode_grid(16).q)], fast_opts)[0]
+    sp = ev.evolve([(proto.round_trip(0.0, 8.0, 1.0), lat.mode_grid(16))], fast_opts)[0]
     with pytest.raises(ValueError):
         corr.fermionic_correlators_numeric(sp, [1.0])
 

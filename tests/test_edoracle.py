@@ -158,7 +158,7 @@ def test_ground_state_energy_matches_free_fermions():
     for N, g in [(8, 10.0), (10, 0.0), (8, 2.5)]:
         gs = ed.ground_state(N, (g, 1.0, 0.0))
         e0 = _energy(gs, (g, 1.0, 0.0))
-        q = lat.mode_grid(N).q
+        q = lat.mode_grid(N)
         e_ff = -float(np.sum(np.hypot(*lat.eps_delta(g, 1.0, 0.0, np.cos(q), np.sin(q)))))
         assert abs(e0 - e_ff) < 1e-10 * max(1.0, abs(e_ff))
         assert abs(ed.parity_expectation(gs) - 1.0) < 1e-12
@@ -168,7 +168,7 @@ def test_ground_state_xy_energy():
     N, g, jy = 8, 1.3, 0.7
     gs = ed.ground_state(N, (g, 1.0, jy))
     e0 = _energy(gs, (g, 1.0, jy))
-    q = lat.mode_grid(N).q
+    q = lat.mode_grid(N)
     e_ff = -float(np.sum(np.hypot(*lat.eps_delta(g, 1.0, jy, np.cos(q), np.sin(q)))))
     assert abs(e0 - e_ff) < 1e-9
 
@@ -218,7 +218,7 @@ def test_roundtrip_matches_bdg():
     sch = proto.round_trip(0.0, tau, 1.0)
     st = ed.evolve_exact(sch, N)
     n_ed = ed.measure_defects(st, "paramagnetic")
-    n_bdg = ev.fermion_density(ev.evolve([(sch, lat.mode_grid(N).q)])[0])
+    n_bdg = ev.fermion_density(ev.evolve([(sch, lat.mode_grid(N))])[0])
     assert abs(n_ed - n_bdg) < 1e-6
 
 
@@ -227,7 +227,7 @@ def test_reversed_kinks_match_bdg():
     sch = proto.reversed_round_trip(1.5, tau, 1.0)
     st = ed.evolve_exact(sch, N)
     k_ed = ed.measure_defects(st, "ferromagnetic")
-    k_bdg = ev.defect_density(ev.evolve([(sch, lat.mode_grid(N).q)])[0])
+    k_bdg = ev.defect_density(ev.evolve([(sch, lat.mode_grid(N))])[0])
     assert abs(k_ed - k_bdg) < 1e-6
 
 
@@ -237,7 +237,7 @@ def test_quarter_turn_matches_bdg():
     sch = proto.quarter_turn(1.5, tau, 1.0, jy_initial=4.0)
     st = ed.evolve_exact(sch, N)
     k_ed = ed.measure_defects(st, "ferromagnetic")
-    k_bdg = ev.defect_density(ev.evolve([(sch, lat.mode_grid(N).q)])[0])
+    k_bdg = ev.defect_density(ev.evolve([(sch, lat.mode_grid(N))])[0])
     assert abs(k_ed - k_bdg) < 1e-6
 
 
@@ -248,7 +248,7 @@ def test_paramagnetic_measure_approaches_excitation_count():
     gaps = {}
     for g_f in (5.0, 20.0):
         sch = proto.round_trip(0.0, tau, 1.0, g_i=10.0, g_f=g_f)
-        sp = ev.evolve([(sch, lat.mode_grid(N).q)])[0]
+        sp = ev.evolve([(sch, lat.mode_grid(N))])[0]
         n_p = ev.fermion_density(sp)           # sigma^z measure
         n_exc = ev.defect_density(sp)          # quasiparticle count
         gaps[g_f] = abs(n_p - n_exc)

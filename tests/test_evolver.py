@@ -51,22 +51,22 @@ def test_one_way_matches_landau_zener(fast_opts):
 
 def test_norm_conservation_along_trajectory(tight_opts):
     sch = proto.round_trip(0.0, 12.0, 1.0)
-    (sp,) = ev.evolve([(sch, lat.mode_grid(128).q)], tight_opts)
+    (sp,) = ev.evolve([(sch, lat.mode_grid(128))], tight_opts)
     assert sp.norm_drift <= 10.0 * tight_opts.rel_tol
     assert np.max(np.abs(np.abs(sp.u) ** 2 + np.abs(sp.v) ** 2 - 1.0)) <= 10.0 * tight_opts.rel_tol
 
 
 def test_determinism_bitwise(fast_opts):
     sch = proto.round_trip(0.0, 9.0, 1.3)
-    (a,) = ev.evolve([(sch, lat.mode_grid(64).q)], fast_opts)
-    (b,) = ev.evolve([(sch, lat.mode_grid(64).q)], fast_opts)
+    (a,) = ev.evolve([(sch, lat.mode_grid(64))], fast_opts)
+    (b,) = ev.evolve([(sch, lat.mode_grid(64))], fast_opts)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
 def test_batch_independence_of_composition(fast_opts):
     # evolving a mode alone or inside a batch gives the same result to tolerance
     sch = proto.round_trip(0.0, 9.0, 1.0)
-    q = lat.mode_grid(32).q
+    q = lat.mode_grid(32)
     (batch,) = ev.evolve([(sch, q)], fast_opts)
     (single,) = ev.evolve([(sch, [q[5]])], fast_opts)
     assert abs(batch.p[5] - single.p[0]) < 1e-6
@@ -99,7 +99,7 @@ def test_interference_revival_smallest_mode(fast_opts):
 def test_interference_peak_not_at_origin(fast_opts):
     # p_q^f peaks near q* ~ sqrt(ln2/(2 pi tau)), not at q -> 0
     tau = 12.87
-    (sp,) = ev.evolve([(proto.round_trip(0.0, tau, 1.0), lat.mode_grid(1000).q)], fast_opts)
+    (sp,) = ev.evolve([(proto.round_trip(0.0, tau, 1.0), lat.mode_grid(1000))], fast_opts)
     qpk = sp.q[int(np.argmax(sp.p))]
     assert abs(qpk - cf.qstar(tau, 1.0)) < 0.03
 
@@ -168,7 +168,7 @@ def test_solver_options_validation():
 def test_evolved_bounds_sample(fast_opts):
     # evolved p within the long-wave interference bounds at R=1 (1e-3 slack)
     tau = 10.0
-    (sp,) = ev.evolve([(proto.round_trip(0.0, tau, 1.0), lat.mode_grid(200).q)], fast_opts)
+    (sp,) = ev.evolve([(proto.round_trip(0.0, tau, 1.0), lat.mode_grid(200))], fast_opts)
     t = cf.interference_terms_roundtrip(sp.q, tau, 1.0)
     assert np.all(sp.p >= (t.A - t.B) ** 2 - 1e-3)
     assert np.all(sp.p <= (t.A + t.B) ** 2 + 1e-3)
@@ -222,7 +222,7 @@ def test_solver_statistics(fast_opts, monkeypatch):
     # one superadiabatic window on each ramp, away from both crossings
     assert meta["sa_windows"] == 2 and 0.5 < meta["sa_share"] < 1.0
     monkeypatch.setattr(ev, "GAP_FLOOR", math.inf)
-    lab = ev.evolve([(sch, lat.mode_grid(16).q)], ev.SolverOptions(1e-7, 1e-9))[0].meta
+    lab = ev.evolve([(sch, lat.mode_grid(16))], ev.SolverOptions(1e-7, 1e-9))[0].meta
     assert lab["lab_modes"] == 8 and lab["sa_windows"] == 0 and lab["sa_share"] == 0.0
     assert lab["accepted"] + lab["rejected"] == lab["steps"]
 

@@ -7,17 +7,15 @@ from kzquench import lattice as lat
 
 
 def test_mode_grid_small():
-    g = lat.mode_grid(4)
-    assert np.allclose(g.q, [math.pi / 4, 3 * math.pi / 4])
-    g10 = lat.mode_grid(10)
-    assert len(g10.q) == 5
-    assert abs(g10.q[-1] - 9 * math.pi / 10) < 1e-15
-    assert np.all(np.diff(g10.q) > 0)
+    assert np.allclose(lat.mode_grid(4), [math.pi / 4, 3 * math.pi / 4])
+    q10 = lat.mode_grid(10)
+    assert len(q10) == 5
+    assert abs(q10[-1] - 9 * math.pi / 10) < 1e-15
+    assert np.all(np.diff(q10) > 0)
 
 
 def test_mode_grid_smallest_mode():
-    g = lat.mode_grid(1000)
-    assert abs(g.q[0] - math.pi / 1000) < 1e-15
+    assert abs(lat.mode_grid(1000)[0] - math.pi / 1000) < 1e-15
 
 
 @pytest.mark.parametrize("bad", [0, -4, 3, 7])

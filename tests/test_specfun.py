@@ -16,13 +16,6 @@ def test_constants_digamma_half():
     assert abs(gamma76 - scipy.special.gamma(7.0 / 6.0)) < 1e-12
 
 
-def test_gamma_real_identities():
-    # recurrence Gamma(x+1) = x Gamma(x) and reflection via Gamma(1/6) Gamma(5/6)
-    g76 = sf.gamma_real(7.0 / 6.0)
-    g56 = sf.gamma_real(5.0 / 6.0)
-    assert abs(6.0 * g76 * g56 - math.pi / math.sin(math.pi / 6.0)) < 1e-12
-
-
 def test_arg_gamma_zero_and_odd():
     assert sf.arg_gamma(1.0, 0.0) == 0.0
     assert sf.arg_gamma(0.5, 0.0) == 0.0
@@ -45,7 +38,7 @@ def test_arg_gamma_matches_scipy():
 
 def test_airy_at_zero():
     ai, bi = sf.airy_ai_bi(0.0)
-    g23 = sf.gamma_real(2.0 / 3.0)
+    g23 = math.gamma(2.0 / 3.0)
     assert abs(ai - 1.0 / (3.0 ** (2.0 / 3.0) * g23)) < 1e-14
     assert abs(bi - 1.0 / (3.0 ** (1.0 / 6.0) * g23)) < 1e-14
 
@@ -62,8 +55,8 @@ def test_airy_crossover_dual_method_agreement():
 def test_airy_against_ode_oracle():
     # integrate y'' = x y from 0 with exact initial data, RK4 fine steps
     x_targets = [-2.0, -5.0, -9.0, -14.0]
-    g23 = sf.gamma_real(2.0 / 3.0)
-    g13 = sf.gamma_real(1.0 / 3.0)
+    g23 = math.gamma(2.0 / 3.0)
+    g13 = math.gamma(1.0 / 3.0)
     y = np.array([1.0 / (3.0 ** (2.0 / 3.0) * g23), -1.0 / (3.0 ** (1.0 / 3.0) * g13)])
 
     def deriv(x, y):
