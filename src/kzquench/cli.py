@@ -312,32 +312,36 @@ def _r_grid(ccfg, ls):
 def closed_form_density(schedule):
     """(n_closed, n0, f, M, delta, T_Q) of the evolved schedule, from its kind and labels.
 
-    All NaN where no closed form applies: a one-way ramp that never crosses
-    g = 1, or a point outside the asymptotic regime.
+    All NaN for a one-way ramp that never crosses g = 1.  Outside the
+    asymptotic regime of the density decomposition (phase curvature b <= 0)
+    only n0, f, M, delta and the round trip's n_closed are NaN: the period
+    and the quarter turn's quadrature hold there too.
     """
     lab = schedule.labels
     tau_q, R = lab["tau_q"], lab["R"]
     nan = float("nan")
+    if schedule.kind == "one_way":
+        if not schedule.crossings:
+            return (nan,) * 6
+        n0 = closedform.kz_density(tau_q)
+        return n0, n0, 1.0, 0.0, 0.0, nan
+    quarter = schedule.kind == "quarter_turn"
+    g_turn = lab["g_qt"] if quarter else lab["g_rt"]
+    T_Q = closedform.period(g_turn, R)
+    n = closedform.density_quarter_turn_quadrature(tau_q, R, g_turn) if quarter else nan
+    if not quarter and g_turn == 1.0:
+        return nan, closedform.kz_density(tau_q), nan, nan, nan, T_Q
     try:
-        if schedule.kind == "one_way":
-            if not schedule.crossings:
-                return (nan,) * 6
-            n0 = closedform.kz_density(tau_q)
-            return n0, n0, 1.0, 0.0, 0.0, nan
-        if schedule.kind == "quarter_turn":
-            g_qt = lab["g_qt"]
-            n_quad = closedform.density_quarter_turn_quadrature(tau_q, R, g_qt)
-            pred = closedform.density_quarter_turn(tau_q, R, g_qt)
-            if isinstance(pred, closedform.AiryDensity):
-                return n_quad, nan, nan, nan, nan, pred.T_Q
-            return n_quad, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q
-        # the round trip and the reversed protocol
-        if lab["g_rt"] == 1.0:
-            return nan, closedform.kz_density(tau_q), nan, nan, nan, math.inf
-        pred = closedform.density_prediction_roundtrip(tau_q, R, lab["g_rt"])
-        return pred.n, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q
+        if quarter:
+            pred = closedform.density_quarter_turn(tau_q, R, g_turn)
+        else:  # the round trip and the reversed protocol
+            pred = closedform.density_prediction_roundtrip(tau_q, R, g_turn)
+            n = pred.n
     except closedform.OutOfRegimeError:
-        return (nan,) * 6
+        return n, nan, nan, nan, nan, T_Q
+    if isinstance(pred, closedform.AiryDensity):
+        return n, nan, nan, nan, nan, T_Q
+    return n, pred.n0, pred.f, pred.M, pred.delta, T_Q
 
 
 def cmd_sweep(cfg):

@@ -11,6 +11,12 @@ The oscillation amplitudes use M_i = (X_i / sqrt(c_i)) (1 + (b/c_i)^2)^(-1/4);
 the sqrt is required for the three i-components to cancel at leading order in
 1/b, which produces the documented (ln tau)^(-3/2) dephasing of the combined
 amplitude and the large-turning-point limit sqrt(R) (pi/((1+R)(g-1)))^(3/2).
+
+The CLI writes the densities and periods.  The per-mode probabilities
+(``pq0``, ``pqf``, ``two_lz_compose``, ``pqf_critical_turn``), ``qstar``,
+``amplitude_asymptote`` and ``density_prediction_xy_roundtrip`` state formulas
+of the paper that only the tests check; they stay as the reproduction's
+contract, the values the evolver is held to.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_legendre_panels
-from .specfun import GAMMA_E, LN2, airy_ai_bi, arg_gamma, constants
+from .specfun import DIGAMMA_HALF, GAMMA_7_6, GAMMA_E, LN2, airy_ai_bi, arg_gamma
 
 _TINY = 1e-300
 
@@ -269,10 +275,9 @@ def pqf_critical_turn(q, tau_q, R=1.0, reduced=None):
     if reduced:
         if R != 1.0:
             raise OutOfRegimeError("the reduced critical-turn form requires R = 1")
-        _, digamma_half, _ = constants()
         x = tau_q * q * q
         return (-np.expm1(-2.0 * math.pi * x)
-                * np.sin(math.pi / 4.0 + 0.5 * x * (GAMMA_E + digamma_half)) ** 2)
+                * np.sin(math.pi / 4.0 + 0.5 * x * (GAMMA_E + DIGAMMA_HALF)) ** 2)
     taup = R * tau_q
     xa = math.pi * tau_q * q * q
     xb = math.pi * taup * q * q
@@ -341,8 +346,7 @@ def density_prediction_xy_roundtrip(tau_q, R, g0):
         n0 = 1.0 / (2.0 * math.pi * (g0 - 2.0) * math.sqrt(2.0 * tau_q))
         f = 1.0 + 1.0 / math.sqrt(R) - 2.0 / math.sqrt(1.0 + R)
     else:
-        _, _, gamma76 = constants()
-        n0 = gamma76 / (math.pi * (2.0 * math.pi * tau_q) ** (1.0 / 6.0))
+        n0 = GAMMA_7_6 / (math.pi * (2.0 * math.pi * tau_q) ** (1.0 / 6.0))
         f = 1.0 + R ** (-1.0 / 6.0) - 2.0 * (1.0 + R) ** (-1.0 / 6.0)
     return DefectDensityPrediction(
         tau_q=tau_q, R=R, n0=n0, f=f, M_i=(0.0, 0.0, 0.0),
@@ -367,10 +371,9 @@ def density_quarter_turn(tau_q, R, g_qt):
         raise ValueError("g_qt must be > 1")
     taup = R * tau_q
     if g_qt == 2.0:
-        _, _, gamma76 = constants()
         x = -math.pi ** (2.0 / 3.0) * taup / (3.0 * tau_q) ** (1.0 / 3.0)
         ai, bi = airy_ai_bi(x)
-        t1 = gamma76 / (math.pi * (2.0 * math.pi * tau_q) ** (1.0 / 6.0))
+        t1 = GAMMA_7_6 / (math.pi * (2.0 * math.pi * tau_q) ** (1.0 / 6.0))
         t2 = 1.0 / (2.0 * math.pi * math.sqrt(2.0 * taup))
         t3 = -math.pi ** (1.0 / 3.0) * (ai * ai + bi * bi) / (math.sqrt(2.0) * (3.0 * tau_q) ** (1.0 / 6.0))
         return AiryDensity(tau_q=tau_q, R=R, term_tricritical=t1, term_critical=t2,

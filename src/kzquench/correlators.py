@@ -12,6 +12,11 @@ Closed forms are stated for R = 1 (and g_rt = 0 for the round trip); they
 expose the multiple length scales: the KZ length xi_hat, two diagonal lengths
 l_alpha and five off-diagonal lengths l_beta, all but xi_hat growing like
 sqrt(tau) ln(tau).
+
+The CLI writes the length scales and the closed and dephased correlators.
+``dephasing_times`` and ``variational_fit`` state formulas of the paper that
+only the tests check; they stay as the reproduction's contract, the values
+the evolved correlators are held to.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ class LengthScaleSet:
     lambda_primes: tuple
     h: tuple
     y: tuple
-    Y: tuple
 
 
 def fermionic_correlators_numeric(spectrum, r):
@@ -75,20 +79,15 @@ def czz(fc):
     return np.abs(fc.beta) ** 2 - np.asarray(fc.alpha) ** 2
 
 
-def _h_values():
-    h12 = 2.0 + 1.0 / LN2
-    h34 = 1.0 / LN2
-    return (h12, h12, h34, h34, h12)
+# h_m of the five off-diagonal Gaussian terms
+_H = (2.0 + 1.0 / LN2, 2.0 + 1.0 / LN2, 1.0 / LN2, 1.0 / LN2, 2.0 + 1.0 / LN2)
 
 
 def _y_values(pi_power):
     """y_m = 2 Y_m / (pi^pi_power h_m^3)^(1/4); Y_2 is twice the others."""
-    Y = (0.5 * math.sqrt(_E_OVER_LN2), math.sqrt(_E_OVER_LN2),
-         0.5 * math.sqrt(_E_OVER_LN2), 0.5 * math.sqrt(_E_OVER_LN2),
-         0.5 * math.sqrt(_E_OVER_LN2))
-    h = _h_values()
-    y = tuple(2.0 * Ym / (math.pi ** pi_power * hm ** 3) ** 0.25 for Ym, hm in zip(Y, h))
-    return y, Y, h
+    Y = 0.5 * math.sqrt(_E_OVER_LN2)
+    return tuple(2.0 * Ym / (math.pi ** pi_power * hm ** 3) ** 0.25
+                 for Ym, hm in zip((Y, 2.0 * Y, Y, Y, Y), _H))
 
 
 def kz_length(tau_q):
@@ -113,12 +112,12 @@ def length_scales_roundtrip(tau_q, g_f=10.0):
     lam_p = (math.pi / 4.0 + 2.0 * tau_q, -(math.pi / 4.0 + 2.0 * tau_q),
              -(math.pi / 4.0 + 2.0 * tau_q), -3.0 * math.pi / 4.0 - 6.0 * tau_q,
              -3.0 * math.pi / 4.0 - 6.0 * tau_q)
-    y, Y, h = _y_values(pi_power=2.0)
     l_beta = tuple(2.0 * math.sqrt(math.pi * hm * tau_q)
                    * math.sqrt(1.0 + (lm / (math.pi * hm)) ** 2)
-                   for hm, lm in zip(h, lambdas))
+                   for hm, lm in zip(_H, lambdas))
     return LengthScaleSet(xi_hat=xi, l_alpha=l_alpha, l_beta=l_beta, b=b,
-                          lambdas=lambdas, lambda_primes=lam_p, h=h, y=y, Y=Y)
+                          lambdas=lambdas, lambda_primes=lam_p, h=_H,
+                          y=_y_values(pi_power=2.0))
 
 
 def _kz_gaussian(r, xi):
@@ -200,12 +199,12 @@ def primed_length_scales(tau_q, g_rt):
              -math.pi / 4.0 - 2.0 * tau_q, -math.pi / 4.0 - 2.0 * tau_q,
              -3.0 * math.pi / 4.0 - 2.0 * tau_q * (a + 3.0),
              -3.0 * math.pi / 4.0 - 2.0 * tau_q * (a + 3.0))
-    y, Y, h = _y_values(pi_power=1.0)
     l_beta = tuple(2.0 * math.sqrt(math.pi * hm * tau_q)
                    * math.sqrt(1.0 + (cm / (math.pi * hm)) ** 2)
-                   for hm, cm in zip(h, chis))
+                   for hm, cm in zip(_H, chis))
     return LengthScaleSet(xi_hat=xi, l_alpha=l_alpha, l_beta=l_beta, b=bp,
-                          lambdas=chis, lambda_primes=chi_p, h=h, y=y, Y=Y)
+                          lambdas=chis, lambda_primes=chi_p, h=_H,
+                          y=_y_values(pi_power=1.0))
 
 
 def primed_correlators_closed(r, tau_q, g_rt):
@@ -227,12 +226,12 @@ def dephased_ckk(r, tau_q):
     xi = kz_length(tau_q)
     chi23 = -(math.log(4.0 * tau_q) - 2.0 + GAMMA_E)
     chi_p23 = -math.pi / 4.0 - 2.0 * tau_q
-    y, _, h = _y_values(pi_power=1.0)
+    y = _y_values(pi_power=1.0)
     surv = np.zeros(r.shape, dtype=complex)
     for m in (1, 2):  # zero-based indices of the m = 2, 3 terms
-        lb = (2.0 * math.sqrt(math.pi * h[m] * tau_q)
-              * math.sqrt(1.0 + (chi23 / (math.pi * h[m])) ** 2))
-        surv = surv + _beta_term(r, m, xi, lb, chi23, chi_p23, h[m], y[m])
+        lb = (2.0 * math.sqrt(math.pi * _H[m] * tau_q)
+              * math.sqrt(1.0 + (chi23 / (math.pi * _H[m])) ** 2))
+        surv = surv + _beta_term(r, m, xi, lb, chi23, chi_p23, _H[m], y[m])
     return -_kz_gaussian(r, xi) ** 2 + np.abs(surv) ** 2
 
 

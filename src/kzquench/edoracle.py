@@ -45,7 +45,6 @@ class ManyBodyState:
 
     amplitudes: np.ndarray
     N: int
-    t: float = 0.0
     meta: dict = field(default_factory=dict)
 
 
@@ -204,7 +203,7 @@ def evolve_exact(schedule, N, opts=None):
     opts = opts or SolverOptions()
     c = ground_state(N, schedule.params_at(schedule.t_start)).amplitudes
     y, meta = _evolve_sector(_kernels(N), schedule, c.astype(complex).reshape(1, -1, 1), opts)
-    return ManyBodyState(amplitudes=y.ravel(), N=N, t=schedule.t_end, meta=meta)
+    return ManyBodyState(amplitudes=y.ravel(), N=N, meta=meta)
 
 
 def parity_expectation(state):

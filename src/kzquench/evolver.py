@@ -112,7 +112,6 @@ class SpectrumResult:
     quadrature weights for Gauss-Legendre spectra.
     """
 
-    schedule: object
     q: np.ndarray
     p: np.ndarray
     u: np.ndarray
@@ -567,7 +566,7 @@ def evolve(jobs, opts=None):
             raise ValueError("quasimomenta must lie in (0, pi)")
         lab_mask = _min_gap(schedule, q) <= GAP_FLOOR
         u, v, u_rot, v_rot = (np.empty(q.shape, dtype=complex) for _ in range(4))
-        out = SpectrumResult(schedule, q, None, u, v, u_rot, v_rot, meta={
+        out = SpectrumResult(q, None, u, v, u_rot, v_rot, meta={
             "steps": 0, "accepted": 0, "rejected": 0, "h_min": math.inf,
             "lab_modes": int(np.count_nonzero(lab_mask)), "sa_windows": 0, "sa_share": 0.0})
         outs.append(out)
@@ -599,7 +598,6 @@ def evolve_spectra_quadrature(schedules, opts=None, order=16, n_support=12, max_
     results = evolve([(s, q) for s, (q, _) in zip(schedules, panels)], opts)
     for res, (_, w) in zip(results, panels):
         res.weights = w
-        res.meta["order"] = order
     return results
 
 

@@ -6,9 +6,10 @@ unit and is pinned to 1: a schedule with J_x != 1 at any breakpoint is
 refused when it is built.  Along each segment the BdG
 coefficients (epsilon_q, delta_q) are then affine in t.  Builders are provided
 for the round-trip, reversed round-trip, quarter-turn and one-way protocols;
-``linear`` builds a single generic ramp.  Quench times follow the convention
-that a ramp "at rate 1/tau" changes its driven parameter by 1 per tau time
-units, and R = tau_q_prime / tau_q is the ratio of the two ramps.
+any other path is a ``Schedule`` of ``Segment``s built directly.  Quench
+times follow the convention that a ramp "at rate 1/tau" changes its driven
+parameter by 1 per tau time units, and R = tau_Q' / tau_Q is the ratio of the
+quench times of the two ramps.
 
 Schedules carry the quantum-critical-point crossing times computed at
 construction; the oscillation-period formulas depend on this crossing
@@ -149,8 +150,8 @@ def round_trip(g_rt, tau_q, R=1.0, g_i=DEFAULT_G_INITIAL, g_f=DEFAULT_G_FINAL):
     """Round-trip quench: g ramps g_i -> g_rt (rate 1/tau_q, ending at t = 0),
     then g_rt -> g_f (rate 1/(R tau_q)).
 
-    The turning point g_rt must lie in [0, 1]; g_rt = 1 is allowed and flags
-    the schedule as a critical turn (both crossings coincide at t = 0).
+    The turning point g_rt must lie in [0, 1]; g_rt = 1 is allowed and is the
+    critical turn (both crossings coincide at t = 0).
     """
     tau_q = _validated_positive("tau_q", tau_q)
     R = _validated_positive("R", R)
@@ -161,13 +162,11 @@ def round_trip(g_rt, tau_q, R=1.0, g_i=DEFAULT_G_INITIAL, g_f=DEFAULT_G_FINAL):
     tau_qp = R * tau_q
     seg1 = Segment(-(g_i - g_rt) * tau_q, 0.0, (g_i, 1.0, 0.0), (g_rt, 1.0, 0.0))
     seg2 = Segment(0.0, (g_f - g_rt) * tau_qp, (g_rt, 1.0, 0.0), (g_f, 1.0, 0.0))
-    critical = g_rt == 1.0
     crossings = (
         Crossing(-(1.0 - g_rt) * tau_q, 0.0, "g=1 (ramp down)"),
         Crossing((1.0 - g_rt) * tau_qp, 0.0, "g=1 (ramp up)"),
     )
-    labels = {"tau_q": tau_q, "tau_q_prime": tau_qp, "R": R, "g_rt": g_rt,
-              "g_i": g_i, "g_f": g_f, "critical_turn": critical}
+    labels = {"tau_q": tau_q, "R": R, "g_rt": g_rt, "g_i": g_i, "g_f": g_f}
     return Schedule((seg1, seg2), "round_trip", labels, crossings)
 
 
@@ -189,7 +188,7 @@ def reversed_round_trip(g_rt, tau_q, R=1.0):
         Crossing(-(g_rt - 1.0) * tau_q, 0.0, "g=1 (ramp up)"),
         Crossing((g_rt - 1.0) * tau_qp, 0.0, "g=1 (ramp down)"),
     )
-    labels = {"tau_q": tau_q, "tau_q_prime": tau_qp, "R": R, "g_rt": g_rt}
+    labels = {"tau_q": tau_q, "R": R, "g_rt": g_rt}
     return Schedule((seg1, seg2), "reversed_round_trip", labels, crossings)
 
 
@@ -215,8 +214,7 @@ def quarter_turn(g_qt, tau_q, R=1.0, jy_initial=DEFAULT_JY_INITIAL):
     elif g_qt == 2.0:
         crossings.append(Crossing(-tau_q, 0.0, "tricritical point"))
     crossings.append(Crossing((g_qt - 1.0) * tau_qp, 0.0, "g=1 (g ramp)"))
-    labels = {"tau_q": tau_q, "tau_q_prime": tau_qp, "R": R, "g_qt": g_qt,
-              "jy_initial": jy_initial, "tricritical": g_qt == 2.0}
+    labels = {"tau_q": tau_q, "R": R, "g_qt": g_qt, "jy_initial": jy_initial}
     return Schedule((seg1, seg2), "quarter_turn", labels, tuple(crossings))
 
 
@@ -231,30 +229,6 @@ def one_way(g_i, g_f, tau_q):
     if min(g_i, g_f) < 1.0 < max(g_i, g_f):
         tc = duration * (1.0 - g_i) / (g_f - g_i)
         crossings = (Crossing(tc, 0.0, "g=1"),)
-    labels = {"tau_q": tau_q, "tau_q_prime": tau_q, "R": 1.0, "g_i": g_i, "g_f": g_f}
+    labels = {"tau_q": tau_q, "R": 1.0, "g_i": g_i, "g_f": g_f}
     return Schedule((seg,), "one_way", labels, crossings)
 
-
-def linear(params_start, params_end, duration, t_start=0.0, tau_q=None, kind="linear"):
-    """Generic single linear ramp of (g, J_x, J_y); plumbing for custom paths."""
-    duration = _validated_positive("duration", duration)
-    seg = Segment(t_start, t_start + duration, tuple(params_start), tuple(params_end))
-    labels = {}
-    if tau_q is not None:
-        labels["tau_q"] = float(tau_q)
-        labels["R"] = 1.0
-    return Schedule((seg,), kind, labels, ())
-
-
-def chain(schedule_a, schedule_b):
-    """Concatenate two schedules (b shifted to start where a ends)."""
-    shift = schedule_a.t_end - schedule_b.t_start
-    segs = list(schedule_a.segments)
-    for s in schedule_b.segments:
-        segs.append(Segment(s.t_start + shift, s.t_end + shift, s.params_start, s.params_end))
-    labels = dict(schedule_a.labels)
-    labels.update({k: v for k, v in schedule_b.labels.items() if k not in labels})
-    cross = schedule_a.crossings + tuple(
-        Crossing(c.t + shift, c.q_c, c.label) for c in schedule_b.crossings
-    )
-    return Schedule(tuple(segs), schedule_a.kind + "+" + schedule_b.kind, labels, cross)

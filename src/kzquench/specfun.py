@@ -1,9 +1,10 @@
 """Special-function kernels used by the closed-form predictions.
 
 Only a handful of kernels are required (the gamma phase on the line a+ix,
-digamma at 1/2, real Airy functions), so they are implemented here rather
-than pulled in from an external package, and the runtime depends on numpy
-alone; the real gamma function is the standard library's ``math.gamma``.
+real Airy functions, and the constants digamma(1/2) and Gamma(7/6)), so they
+are implemented here rather than pulled in from an external package, and the
+runtime depends on numpy alone; the real gamma function is the standard
+library's ``math.gamma``.
 """
 
 from __future__ import annotations
@@ -14,18 +15,13 @@ import numpy as np
 
 GAMMA_E = 0.5772156649015328606065  # Euler-Mascheroni constant
 LN2 = math.log(2.0)
+DIGAMMA_HALF = -GAMMA_E - 2.0 * LN2  # digamma(1/2), exact in these terms
+GAMMA_7_6 = math.gamma(7.0 / 6.0)
 
 # Series/asymptotic crossover, fixed by dual-evaluation agreement (see
 # tests/test_specfun.py::test_airy_crossover_dual_method_agreement).
 AIRY_SERIES_CUTOFF = 7.2        # |x| above which the oscillatory asymptotics are used
 _STIRLING_RADIUS = 10.0         # |z| from which arg_gamma uses the Stirling series
-
-def constants():
-    """Return (gamma_E, digamma(1/2), Gamma(7/6)) to >= 12 significant digits.
-
-    digamma(1/2) = -gamma_E - 2 ln 2 exactly.
-    """
-    return GAMMA_E, -GAMMA_E - 2.0 * LN2, math.gamma(7.0 / 6.0)
 
 
 def arg_gamma(a, x):

@@ -34,6 +34,8 @@ from kzquench import lattice as lat
 from kzquench import protocol as proto
 from kzquench.specfun import LN2
 
+from fit_helpers import boxcar_period_average, fit_power_law, scaled_collapse
+
 OPTS = ev.SolverOptions(rel_tol=1e-7, abs_tol=1e-9)
 TIGHT = ev.SolverOptions(rel_tol=1e-9, abs_tol=1e-11)
 
@@ -133,7 +135,7 @@ def test_criterion_04_scaled_collapse():
         ns = _densities([proto.round_trip(g_rt, float(t), 1.0, g_i=6.0, g_f=6.0)
                          for t in taus])
         sweeps[g_rt] = analysis.Sweep(xs, ns)
-    disp = analysis.scaled_collapse(sweeps)
+    disp = scaled_collapse(sweeps)
     report(4, disp < 0.05, "scaled-time peak dispersion %.4f (< 0.05)" % disp)
     assert disp < 0.05
 
@@ -148,7 +150,7 @@ def critical_turn_sweep():
 
 def test_criterion_05_critical_turn_prefactor_and_flatness(critical_turn_sweep):
     taus, ns = critical_turn_sweep
-    pref, expo = analysis.fit_power_law(analysis.Sweep(taus, ns))
+    pref, expo = fit_power_law(analysis.Sweep(taus, ns))
     pref_ok = abs(pref / 0.053 - 1.0) < 0.15
     # no oscillation: trial fit at the g_rt = 0 period finds only noise
     t2 = np.arange(10.0, 20.0, 0.3)
@@ -168,7 +170,7 @@ def test_criterion_05_critical_turn_prefactor_and_flatness(critical_turn_sweep):
                           "-0.465; the quoted value emerges at larger tau")
 def test_criterion_05_exponent_as_stated(critical_turn_sweep):
     taus, ns = critical_turn_sweep
-    _, expo = analysis.fit_power_law(analysis.Sweep(taus, ns))
+    _, expo = fit_power_law(analysis.Sweep(taus, ns))
     report(5, abs(expo + 0.495) < 0.015,
            "critical-turn exponent over [10, 200]: %.4f (-0.495 +- 0.015) "
            "[documented window limitation]" % expo)
@@ -179,7 +181,7 @@ def test_criterion_05_exponent_larger_window():
     # supporting evidence: the quoted law holds over tau ~ [100, 1000]
     taus = np.geomspace(100.0, 1000.0, 10)
     ns = _densities([proto.round_trip(1.0, float(t), 1.0) for t in taus])
-    pref, expo = analysis.fit_power_law(analysis.Sweep(taus, ns))
+    pref, expo = fit_power_law(analysis.Sweep(taus, ns))
     ok = abs(expo + 0.495) < 0.015 and abs(pref / 0.053 - 1.0) < 0.15
     report(5, ok, "critical turn over [100, 1000]: n = %.4f tau^(%.4f)" % (pref, expo))
     assert ok
@@ -225,7 +227,7 @@ def test_criterion_07_quarter_turn_periods(tricritical_qt_sweep):
     # tricritical case: oscillation sits on the Airy baseline; subtract the
     # boxcar trend and fit the tau^(-3/2) residual
     taus, ns = tricritical_qt_sweep
-    cen, avg = analysis.boxcar_period_average(taus, ns, math.pi / 2.0)
+    cen, avg = boxcar_period_average(taus, ns, math.pi / 2.0)
     resid = ns - np.interp(taus, cen, avg)
     fit2 = analysis.fit_oscillation(analysis.Sweep(taus, resid), math.pi / 2.0,
                                     exponent=-1.5, max_residual=None)
@@ -240,8 +242,8 @@ def test_criterion_07_tricritical_airy_terms(tricritical_qt_sweep):
     taus, ns = tricritical_qt_sweep
     nonosc = np.array([cf.density_quarter_turn(float(t), 1.0, 2.0).n_nonoscillatory
                        for t in taus])
-    cen, avg = analysis.boxcar_period_average(taus, ns, math.pi / 2.0)
-    _, ref = analysis.boxcar_period_average(taus, nonosc, math.pi / 2.0)
+    cen, avg = boxcar_period_average(taus, ns, math.pi / 2.0)
+    _, ref = boxcar_period_average(taus, nonosc, math.pi / 2.0)
     dev = float(np.max(np.abs(avg - ref) / ref))
     report(7, dev < 0.03, "tricritical quarter turn: period-averaged n vs the "
            "three Airy-density terms, max rel dev %.4f (< 0.03)" % dev)
@@ -251,20 +253,30 @@ def test_criterion_07_tricritical_airy_terms(tricritical_qt_sweep):
 # -------------------------------------------------------------- criterion 8
 def test_criterion_08_tricritical_scaling():
     taus = np.geomspace(20.0, 300.0, 10)
-    ns = _densities([proto.linear((2.0, 1.0, 4.0), (2.0, 1.0, 0.0), duration=4.0 * float(t),
-                                  tau_q=float(t), kind="xy_one_way") for t in taus])
-    _, expo = analysis.fit_power_law(analysis.Sweep(taus, ns))
+    ns = _densities([proto.Schedule((proto.Segment(0.0, 4.0 * float(t), (2.0, 1.0, 4.0),
+                                                   (2.0, 1.0, 0.0)),),
+                                    "xy_one_way", {"tau_q": float(t)}) for t in taus])
+    _, expo = fit_power_law(analysis.Sweep(taus, ns))
     ok = abs(expo + 1.0 / 6.0) < 0.02
     report(8, ok, "tricritical one-way exponent %.4f (-1/6 +- 0.02)" % expo)
     assert ok
 
 
 # -------------------------------------------------------------- criterion 9
+def _amplitude_slope(taus):
+    """Slope of log M against log ln tau_Q for the closed-form amplitude M at R = 1.
+
+    The dephasing of the oscillation amplitude gives slope -3/2 at large tau.
+    """
+    M = np.array([cf.density_prediction_roundtrip(t, 1.0).M for t in taus])
+    return fit_power_law(analysis.Sweep(np.log(taus), M))[1]
+
+
 @pytest.mark.xfail(strict=True,
                    reason="the Appendix amplitude's slope over [50, 5000] is -0.93; "
                           "-3/2 is its asymptote (ln tau >> c_i)")
 def test_criterion_09_amplitude_slope_as_stated():
-    slope = analysis.amplitude_decay_check(np.geomspace(50.0, 5000.0, 25), 1.0)
+    slope = _amplitude_slope(np.geomspace(50.0, 5000.0, 25))
     report(9, abs(slope + 1.5) < 0.2,
            "log M vs log ln tau slope over [50, 5000]: %.4f (-1.5 +- 0.2) "
            "[documented window limitation]" % slope)
@@ -279,8 +291,8 @@ def test_criterion_09_dephasing_law_frozen_truth():
     lim = np.array([cf.amplitude_asymptote(float(t), 1.0) for t in taus])
     A = np.column_stack([np.ones_like(taus), np.log(np.log(taus))])
     lim_slope = float(np.linalg.lstsq(A, np.log(lim), rcond=None)[0][1])
-    full_slope = analysis.amplitude_decay_check(taus, 1.0)
-    deep_slope = analysis.amplitude_decay_check(np.geomspace(1e8, 1e12, 25), 1.0)
+    full_slope = _amplitude_slope(taus)
+    deep_slope = _amplitude_slope(np.geomspace(1e8, 1e12, 25))
     ok = abs(lim_slope + 1.5) < 1e-9 and abs(full_slope + 0.926) < 0.02 \
         and abs(deep_slope + 1.5) < 0.2
     report(9, ok, "dephasing law: limit slope %.3f (exact -1.5), window slope %.3f "
@@ -350,10 +362,11 @@ def _beta_catalog(tau, r, g_f_values):
     out = {}
     for g_f in g_f_values:
         tf = g_f * tau
-        a = proto.linear((10.0, 1.0, 0.0), (0.0, 1.0, 0.0), duration=10.0 * tau,
-                         t_start=-10.0 * tau, tau_q=tau)
-        b = proto.linear((0.0, 1.0, 0.0), (g_f, 1.0, 0.0), duration=tf, tau_q=tau)
-        sp = ev.evolve_spectra_quadrature([proto.chain(a, b)], OPTS, max_r=r)[0]
+        # down to g = 0 at rate 1/tau, then up to g_f at the same rate
+        sch = proto.Schedule((proto.Segment(-10.0 * tau, 0.0, (10.0, 1.0, 0.0), (0.0, 1.0, 0.0)),
+                              proto.Segment(0.0, tf, (0.0, 1.0, 0.0), (g_f, 1.0, 0.0))),
+                             "two_ramps", {"tau_q": tau})
+        sp = ev.evolve_spectra_quadrature([sch], OPTS, max_r=r)[0]
         out[g_f] = abs(corr.fermionic_correlators_numeric(sp, [r]).beta[0])
     return out
 

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -356,8 +358,7 @@ def _library_density(sch):
         g_turn = lab["g_rt"]
         pred = closedform.density_prediction_roundtrip(tau, R, g_turn)
         n = pred.n
-    assert pred.T_Q == pytest.approx(closedform.period(g_turn, R), rel=1e-14)
-    return [n, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q]
+    return [n, pred.n0, pred.f, pred.M, pred.delta, closedform.period(g_turn, R)]
 
 
 @pytest.mark.parametrize("kind,sets", TABLE_CASES)
@@ -399,6 +400,31 @@ def test_closed_forms_describe_the_evolved_schedule(tmp_path, kind, sets):
         alpha, beta = correlators.primed_correlators_closed(r, 8.0, lab["g_rt"])
         c_closed = np.abs(beta) ** 2 - alpha ** 2
     np.testing.assert_allclose(curve[:, 3], c_closed, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("sets,tau,g_turn", [
+    (["protocol.kind=quarter_turn", "protocol.g_qt=1.05"], 10.0, 1.05),
+    (["protocol.kind=round_trip"], 1.0, 0.0)], ids=["quarter_turn", "round_trip"])
+def test_out_of_regime_row_keeps_the_period(tmp_path, sets, tau, g_turn):
+    # a phase curvature b <= 0 voids the Gaussian decomposition only: n0, f, M,
+    # delta and the round trip's n_closed_form read nan, while the period and
+    # the quarter turn's quadrature hold at any tau
+    quarter = "protocol.kind=quarter_turn" in sets
+    decompose = (closedform.density_quarter_turn if quarter
+                 else closedform.density_prediction_roundtrip)
+    with pytest.raises(closedform.OutOfRegimeError, match="b = "):
+        decompose(tau, 1.0, g_turn)
+    args = [a for s in sets + FAST + ["output.prefix=" + str(tmp_path / "t"),
+                                      "sweep.tau_q=[%r]" % tau] for a in ("--set", s)]
+    assert cli.main(args + ["sweep"]) == cli.EXIT_OK
+    (row,) = _read_rows(tmp_path / "t_sweep.csv")
+    assert row[0] == tau and row[1] > 0.0
+    if quarter:
+        assert row[2] == closedform.density_quarter_turn_quadrature(tau, 1.0, g_turn)
+    else:
+        assert math.isnan(row[2])
+    assert all(math.isnan(x) for x in row[3:7])
+    assert row[7] == closedform.period(g_turn, 1.0)
 
 
 def test_protocol_kind_runs_on_its_own_defaults(tmp_path):
@@ -447,3 +473,32 @@ def test_quarter_turn_closed_form_column_tracks_evolution(tmp_path, g_qt):
     assert cli.main(args) == cli.EXIT_OK
     (row,) = _read_rows(tmp_path / "q_sweep.csv")
     assert abs(row[2] - row[1]) <= 0.01 * row[1]
+
+
+def _readme_recipes():
+    """(table rows, `kzquench ...` commands) of README.md's "Reproduction recipes"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Reproduction recipes\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")][2:]
+    return rows, [c for row in rows for c in re.findall(r"`(kzquench [^`]*)`", row)]
+
+
+def test_readme_recipes_are_one_command_per_row():
+    rows, commands = _readme_recipes()
+    assert rows and len(commands) == len(rows)
+
+
+@pytest.mark.parametrize("command", _readme_recipes()[1])
+def test_readme_recipe_configures_a_run(command):
+    # each recipe loads, resolves its quench times and builds its first
+    # schedule (and, for correlator, its closed forms and r grid); nothing evolves
+    argv = shlex.split(command)
+    name = argv[-1]
+    assert argv[0] == "kzquench" and set(argv[1:-1:2]) == {"--set"}
+    assert name in ("sweep", "correlator", "validate")
+    cfg = cli.load_config(None, argv[2:-1:2])
+    taus = cli._tau_list(cfg, name)
+    sch = cli.build_schedule(cfg["protocol"], taus[0])
+    if name == "correlator":
+        ls, _ = cli.correlator_closed_forms(sch)
+        assert len(cli._r_grid(cfg["correlator"], ls)) > 1

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from kzquench import closedform as cf
 from kzquench import specfun as sf
+from kzquench.analysis import Sweep
+
+from fit_helpers import fit_power_law
 
 
 def test_pq0_values():
@@ -233,8 +236,7 @@ def test_xy_roundtrip_factors():
     pred = cf.density_prediction_xy_roundtrip(32.0, 1.0, 2.0)
     assert abs(pred.f - (2.0 - 2.0 ** (5.0 / 6.0))) < 1e-14
     assert abs(pred.T_Q - math.pi / 2.0) < 1e-14
-    _, _, g76 = sf.constants()
-    assert abs(pred.n0 - g76 / (math.pi * (2.0 * math.pi * 32.0) ** (1.0 / 6.0))) < 1e-15
+    assert abs(pred.n0 - sf.GAMMA_7_6 / (math.pi * (2.0 * math.pi * 32.0) ** (1.0 / 6.0))) < 1e-15
     pred3 = cf.density_prediction_xy_roundtrip(32.0, 1.0, 3.0)
     assert abs(pred3.n0 - 1.0 / (2.0 * math.pi * math.sqrt(64.0))) < 1e-15
     with pytest.raises(cf.OutOfRegimeError):
@@ -291,11 +293,9 @@ def test_quarter_turn_closed_quadrature_fade_out():
                 for t in np.linspace(tau, tau + math.pi / 2.0, 17)]
         return 0.5 * (max(vals) - min(vals))
 
-    from kzquench import analysis
-
     taus = np.array([20.0, 40.0, 80.0, 160.0, 320.0])
     amps = np.array([amp(t) for t in taus])
-    _, expo = analysis.fit_power_law(analysis.Sweep(taus, amps))
+    _, expo = fit_power_law(Sweep(taus, amps))
     assert abs(expo + 1.5) < 0.3
 
 

@@ -38,7 +38,7 @@ def test_ground_state_has_no_correlations(fast_opts):
     # a state with no excitations has alpha_r = 0 exactly
     sch = proto.one_way(10.0, 2.0, 30.0)
     sp = ev.evolve_spectra_quadrature([sch], fast_opts)[0]
-    ideal = ev.SpectrumResult(schedule=sch, q=sp.q, p=np.zeros_like(sp.q),
+    ideal = ev.SpectrumResult(q=sp.q, p=np.zeros_like(sp.q),
                               u=sp.u, v=sp.v, u_rot=np.ones_like(sp.u_rot),
                               v_rot=np.zeros_like(sp.v_rot), weights=sp.weights)
     fc = corr.fermionic_correlators_numeric(ideal, np.arange(0.0, 30.0, 3.0))

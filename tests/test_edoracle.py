@@ -176,7 +176,8 @@ def test_ground_state_xy_energy():
 def test_static_schedule_preserves_eigenstate():
     # a constant path leaves the state an eigenstate up to phase
     N = 8
-    sch = proto.linear((10.0, 1.0, 0.0), (10.0 + 1e-14, 1.0, 0.0), duration=3.0)
+    sch = proto.Schedule((proto.Segment(0.0, 3.0, (10.0, 1.0, 0.0), (10.0 + 1e-14, 1.0, 0.0)),),
+                         "static")
     st = ed.evolve_exact(sch, N)
     gs = ed.ground_state(N, (10.0, 1.0, 0.0))
     overlap = abs(np.vdot(gs.amplitudes, st.amplitudes))

@@ -105,11 +105,10 @@ def test_interference_peak_not_at_origin(fast_opts):
 
 
 def test_defect_density_trivial_cases():
-    sch = proto.one_way(10.0, 0.0, 5.0)
-    spec = ev.SpectrumResult(schedule=sch, q=np.array([0.1, 0.2]),
+    spec = ev.SpectrumResult(q=np.array([0.1, 0.2]),
                              p=np.zeros(2), u=None, v=None, u_rot=None, v_rot=None)
     assert ev.defect_density(spec) == 0.0
-    spec1 = ev.SpectrumResult(schedule=sch, q=np.array([0.1, 0.2]),
+    spec1 = ev.SpectrumResult(q=np.array([0.1, 0.2]),
                               p=np.ones(2), u=None, v=None, u_rot=None, v_rot=None)
     assert ev.defect_density(spec1) == 1.0
 
@@ -187,7 +186,7 @@ def test_closed_form_pqf_matches_evolved(fast_opts):
 def test_failing_step_is_never_accepted():
     # no tolerance can be met: the step shrinks to h <= 1e-12 at t = 0 and
     # the solver stops there instead of accepting the failing step
-    sch = proto.linear((2.0, 1.0, 0.0), (0.0, 1.0, 0.0), 1.0)
+    sch = proto.Schedule((proto.Segment(0.0, 1.0, (2.0, 1.0, 0.0), (0.0, 1.0, 0.0)),), "ramp")
     with pytest.raises(ev.NumericalFailure, match=r"at t=0 fails its tolerance at h=8.192e-13"):
         ev.evolve([(sch, [0.5])], ev.SolverOptions(rel_tol=1e-300, abs_tol=1e-300))
 
@@ -228,15 +227,16 @@ def test_solver_statistics(fast_opts, monkeypatch):
 
 
 def _batch_cases():
-    a = proto.linear((10.0, 1.0, 0.0), (0.0, 1.0, 0.0), duration=30.0, t_start=-30.0, tau_q=3.0)
-    b = proto.linear((0.0, 1.0, 0.0), (3.0, 1.0, 0.0), duration=9.0, tau_q=3.0)
     return [proto.round_trip(0.0, 4.0, 1.0),                 # two segments
             proto.one_way(10.0, 0.0, 5.0),                   # one segment
             proto.quarter_turn(1.5, 3.0, 1.0, jy_initial=4.0),
             proto.reversed_round_trip(1.5, 3.5, 2.0),
             # a closing gap: some modes of this one run in the lab frame
-            proto.linear((2.0, 1.0, 4.0), (2.0, 1.0, 0.0), duration=16.0, tau_q=4.0),
-            proto.chain(a, b),
+            proto.Schedule((proto.Segment(0.0, 16.0, (2.0, 1.0, 4.0), (2.0, 1.0, 0.0)),),
+                           "xy_ramp", {"tau_q": 4.0}),
+            proto.Schedule((proto.Segment(-30.0, 0.0, (10.0, 1.0, 0.0), (0.0, 1.0, 0.0)),
+                            proto.Segment(0.0, 9.0, (0.0, 1.0, 0.0), (3.0, 1.0, 0.0))),
+                           "two_ramps", {"tau_q": 3.0}),
             # different superadiabatic windows side by side
             proto.round_trip(0.0, 2.0, 1.0),
             proto.round_trip(0.0, 128.0, 1.0)]

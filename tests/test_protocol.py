@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ def test_round_trip_crossings():
 
 def test_round_trip_critical_turn_flag():
     sch = proto.round_trip(1.0, 5.0, 1.0)
-    assert sch.labels["critical_turn"]
+    assert sch.labels["g_rt"] == 1.0
     assert sch.crossings[0].t == 0.0 and sch.crossings[1].t == 0.0
 
 
@@ -147,14 +146,9 @@ def test_eval_out_of_span():
 def test_schedule_refuses_jx_other_than_one():
     # J_x is the energy unit: the evolver and the closed forms assume it is 1
     with pytest.raises(ValueError, match="J_x"):
-        proto.linear((0.5, 1.0, 0.0), (0.5, 2.0, 0.0), 3.0)
+        proto.Schedule((proto.Segment(0.0, 3.0, (0.5, 1.0, 0.0), (0.5, 2.0, 0.0)),), "ramp")
     with pytest.raises(ValueError, match="J_x"):
-        proto.linear((0.5, 2.0, 0.0), (0.5, 2.0, 0.0), 3.0)
-    # chain rebuilds the segments, so it refuses a J_x ramp it is handed
-    ramp = SimpleNamespace(segments=(proto.Segment(0.0, 3.0, (0.5, 1.0, 0.0), (0.5, 2.0, 0.0)),),
-                           t_start=0.0, t_end=3.0, labels={}, crossings=(), kind="ramp")
-    with pytest.raises(ValueError, match="J_x"):
-        proto.chain(proto.one_way(10.0, 0.5, 5.0), ramp)
+        proto.Schedule((proto.Segment(0.0, 3.0, (0.5, 2.0, 0.0), (0.5, 2.0, 0.0)),), "ramp")
 
 
 def test_segment_duration_limit():

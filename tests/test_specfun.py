@@ -8,12 +8,11 @@ from kzquench import specfun as sf
 
 
 def test_constants_digamma_half():
-    gamma_e, digamma_half, gamma76 = sf.constants()
     # digamma(1/2) = -gamma_E - 2 ln 2 exactly, -1.96351 to six digits
-    assert digamma_half == -gamma_e - 2.0 * math.log(2.0)
-    assert abs(digamma_half - (-1.96351)) < 1e-5
-    assert abs(gamma_e - 0.577216) < 1e-6
-    assert abs(gamma76 - scipy.special.gamma(7.0 / 6.0)) < 1e-12
+    assert sf.DIGAMMA_HALF == -sf.GAMMA_E - 2.0 * math.log(2.0)
+    assert abs(sf.DIGAMMA_HALF - (-1.96351)) < 1e-5
+    assert abs(sf.GAMMA_E - 0.577216) < 1e-6
+    assert abs(sf.GAMMA_7_6 - scipy.special.gamma(7.0 / 6.0)) < 1e-12
 
 
 def test_arg_gamma_zero_and_odd():
