@@ -327,10 +327,9 @@ def closed_form_density(schedule):
         return n0, n0, 1.0, 0.0, 0.0, nan
     quarter = schedule.kind == "quarter_turn"
     g_turn = lab["g_qt"] if quarter else lab["g_rt"]
-    T_Q = closedform.period(g_turn, R)
-    n = closedform.density_quarter_turn_quadrature(tau_q, R, g_turn) if quarter else nan
     if not quarter and g_turn == 1.0:
-        return nan, closedform.kz_density(tau_q), nan, nan, nan, T_Q
+        return nan, closedform.kz_density(tau_q), nan, nan, nan, math.inf
+    n = closedform.density_quarter_turn_quadrature(tau_q, R, g_turn) if quarter else nan
     try:
         if quarter:
             pred = closedform.density_quarter_turn(tau_q, R, g_turn)
@@ -338,10 +337,10 @@ def closed_form_density(schedule):
             pred = closedform.density_prediction_roundtrip(tau_q, R, g_turn)
             n = pred.n
     except closedform.OutOfRegimeError:
-        return n, nan, nan, nan, nan, T_Q
+        return n, nan, nan, nan, nan, closedform.period(g_turn, R)
     if isinstance(pred, closedform.AiryDensity):
-        return n, nan, nan, nan, nan, T_Q
-    return n, pred.n0, pred.f, pred.M, pred.delta, T_Q
+        return n, nan, nan, nan, nan, pred.T_Q
+    return n, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q
 
 
 def cmd_sweep(cfg):

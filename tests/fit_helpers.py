@@ -1,4 +1,5 @@
-"""Fits that only the tests use: power laws, peak collapse, period averaging.
+"""Fits that only the tests use: power laws, amplitude slopes, peak collapse,
+period averaging.
 
 They state no formula of the paper and no CLI run calls them, so they live
 with the tests; the oscillation fit that the sweep reports stays in
@@ -9,7 +10,8 @@ import math
 
 import numpy as np
 
-from kzquench.analysis import InsufficientData
+from kzquench import closedform
+from kzquench.analysis import InsufficientData, Sweep
 
 
 def fit_power_law(sweep):
@@ -21,6 +23,15 @@ def fit_power_law(sweep):
     coef, _, _, _ = np.linalg.lstsq(A, np.log(y), rcond=None)
     return float(math.exp(coef[0])), float(coef[1])
 
+
+
+def amplitude_slope(taus):
+    """Slope of log M against log ln tau_Q for the closed-form amplitude M at R = 1.
+
+    The dephasing of the oscillation amplitude gives slope -3/2 at large tau.
+    """
+    M = np.array([closedform.density_prediction_roundtrip(t, 1.0).M for t in taus])
+    return fit_power_law(Sweep(np.log(taus), M))[1]
 
 def find_peaks(x, y):
     """Sub-grid local-maximum positions by 3-point quadratic interpolation."""

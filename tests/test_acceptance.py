@@ -34,7 +34,8 @@ from kzquench import lattice as lat
 from kzquench import protocol as proto
 from kzquench.specfun import LN2
 
-from fit_helpers import boxcar_period_average, fit_power_law, scaled_collapse
+from fit_helpers import (amplitude_slope, boxcar_period_average, fit_power_law,
+                         scaled_collapse)
 
 OPTS = ev.SolverOptions(rel_tol=1e-7, abs_tol=1e-9)
 TIGHT = ev.SolverOptions(rel_tol=1e-9, abs_tol=1e-11)
@@ -263,20 +264,11 @@ def test_criterion_08_tricritical_scaling():
 
 
 # -------------------------------------------------------------- criterion 9
-def _amplitude_slope(taus):
-    """Slope of log M against log ln tau_Q for the closed-form amplitude M at R = 1.
-
-    The dephasing of the oscillation amplitude gives slope -3/2 at large tau.
-    """
-    M = np.array([cf.density_prediction_roundtrip(t, 1.0).M for t in taus])
-    return fit_power_law(analysis.Sweep(np.log(taus), M))[1]
-
-
 @pytest.mark.xfail(strict=True,
                    reason="the Appendix amplitude's slope over [50, 5000] is -0.93; "
                           "-3/2 is its asymptote (ln tau >> c_i)")
 def test_criterion_09_amplitude_slope_as_stated():
-    slope = _amplitude_slope(np.geomspace(50.0, 5000.0, 25))
+    slope = amplitude_slope(np.geomspace(50.0, 5000.0, 25))
     report(9, abs(slope + 1.5) < 0.2,
            "log M vs log ln tau slope over [50, 5000]: %.4f (-1.5 +- 0.2) "
            "[documented window limitation]" % slope)
@@ -291,8 +283,8 @@ def test_criterion_09_dephasing_law_frozen_truth():
     lim = np.array([cf.amplitude_asymptote(float(t), 1.0) for t in taus])
     A = np.column_stack([np.ones_like(taus), np.log(np.log(taus))])
     lim_slope = float(np.linalg.lstsq(A, np.log(lim), rcond=None)[0][1])
-    full_slope = _amplitude_slope(taus)
-    deep_slope = _amplitude_slope(np.geomspace(1e8, 1e12, 25))
+    full_slope = amplitude_slope(taus)
+    deep_slope = amplitude_slope(np.geomspace(1e8, 1e12, 25))
     ok = abs(lim_slope + 1.5) < 1e-9 and abs(full_slope + 0.926) < 0.02 \
         and abs(deep_slope + 1.5) < 0.2
     report(9, ok, "dephasing law: limit slope %.3f (exact -1.5), window slope %.3f "

@@ -6,7 +6,8 @@ import pytest
 from kzquench import analysis
 from kzquench import closedform as cf
 
-from fit_helpers import boxcar_period_average, find_peaks, fit_power_law, scaled_collapse
+from fit_helpers import (amplitude_slope, boxcar_period_average, find_peaks, fit_power_law,
+                         scaled_collapse)
 
 
 def _model(x, b0, M, omega, delta, exponent=-0.5):
@@ -92,13 +93,9 @@ def test_amplitude_decay_exact_asymptote():
 def test_amplitude_decay_check_full_form():
     # the full Appendix amplitude in the stated window is pre-asymptotic:
     # the slope freezes at -0.9262 there and steepens towards -3/2 at larger tau
-    def slope(taus):  # of log M against log ln tau
-        M = np.array([cf.density_prediction_roundtrip(t, 1.0).M for t in taus])
-        return fit_power_law(analysis.Sweep(np.log(taus), M))[1]
-
-    s1 = slope(np.geomspace(50.0, 5000.0, 25))
+    s1 = amplitude_slope(np.geomspace(50.0, 5000.0, 25))
     assert abs(s1 + 0.9262) < 0.01
-    s2 = slope(np.geomspace(1e8, 1e12, 25))
+    s2 = amplitude_slope(np.geomspace(1e8, 1e12, 25))
     assert s2 < s1
     assert abs(s2 + 1.5) < 0.2
 
