@@ -5,8 +5,8 @@ n(x) = x^(-1/2) (b0 + A cos(Omega x) + B sin(Omega x)) is linear, so the
 baseline and quadrature amplitudes come from least squares and only Omega is
 scanned (around the caller-supplied expectation, which kills frequency
 aliasing) and then refined by golden-section search.  This makes the fit
-exact on data generated from its own model.  The sweep CLI and the
-benchmark call it; the power-law, peak and period-average fits that only the
+exact on data generated from its own model.  The benchmark and the tests
+call it; the power-law, peak and period-average fits that only the
 acceptance tests use live with them, in ``tests/fit_helpers.py``.
 """
 

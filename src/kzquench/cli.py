@@ -497,13 +497,9 @@ def main(argv=None):
     for name in ("sweep", "correlator", "validate", "protocol-render"):
         sub.add_parser(name)
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config, args.set)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
     code = EXIT_OK
     try:
+        cfg = load_config(args.config, args.set)
         if args.command == "sweep":
             for f in cmd_sweep(cfg):
                 print(f)

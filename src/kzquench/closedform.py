@@ -49,8 +49,6 @@ class InterferenceTerms:
 class DefectDensityPrediction:
     """Oscillatory defect density n = n0 (f + sum_i M_i cos(Omega tau + delta_i))."""
 
-    tau_q: float
-    R: float
     n0: float
     f: float
     M_i: tuple
@@ -71,8 +69,6 @@ class AiryDensity:
     """Tricritical quarter-turn density: three non-oscillatory terms plus a
     fast-fading oscillatory remainder (amplitude not in closed form)."""
 
-    tau_q: float
-    R: float
     term_tricritical: float
     term_critical: float
     term_cross: float
@@ -223,7 +219,7 @@ def _density_from_components(tau_q, R, g_turn, n0, f, b, X, c):
     delta = math.atan2(ms, mc)
     n = n0 * (f + float(np.sum(M_i * np.cos(Omega * tau_q + delta_i))))
     return DefectDensityPrediction(
-        tau_q=tau_q, R=R, n0=n0, f=f, M_i=tuple(M_i), delta_i=tuple(delta_i),
+        n0=n0, f=f, M_i=tuple(M_i), delta_i=tuple(delta_i),
         Omega_Q=Omega, M=M, delta=delta, T_Q=period(g_turn, R), n=n)
 
 
@@ -349,9 +345,8 @@ def density_prediction_xy_roundtrip(tau_q, R, g0):
         n0 = GAMMA_7_6 / (math.pi * (2.0 * math.pi * tau_q) ** (1.0 / 6.0))
         f = 1.0 + R ** (-1.0 / 6.0) - 2.0 * (1.0 + R) ** (-1.0 / 6.0)
     return DefectDensityPrediction(
-        tau_q=tau_q, R=R, n0=n0, f=f, M_i=(0.0, 0.0, 0.0),
-        delta_i=(0.0, 0.0, 0.0), Omega_Q=Omega, M=0.0, delta=0.0,
-        T_Q=period(g0, R), n=n0 * f)
+        n0=n0, f=f, M_i=(0.0, 0.0, 0.0), delta_i=(0.0, 0.0, 0.0), Omega_Q=Omega,
+        M=0.0, delta=0.0, T_Q=period(g0, R), n=n0 * f)
 
 
 def density_quarter_turn(tau_q, R, g_qt):
@@ -376,8 +371,8 @@ def density_quarter_turn(tau_q, R, g_qt):
         t1 = GAMMA_7_6 / (math.pi * (2.0 * math.pi * tau_q) ** (1.0 / 6.0))
         t2 = 1.0 / (2.0 * math.pi * math.sqrt(2.0 * taup))
         t3 = -math.pi ** (1.0 / 3.0) * (ai * ai + bi * bi) / (math.sqrt(2.0) * (3.0 * tau_q) ** (1.0 / 6.0))
-        return AiryDensity(tau_q=tau_q, R=R, term_tricritical=t1, term_critical=t2,
-                           term_cross=t3, x=x, T_Q=period(g_qt, R))
+        return AiryDensity(term_tricritical=t1, term_critical=t2, term_cross=t3, x=x,
+                           T_Q=period(g_qt, R))
     n0 = kz_density(tau_q)
     if g_qt > 2.0:
         f = (1.0 / (g_qt - 2.0) + 1.0 / math.sqrt(R)

@@ -28,6 +28,21 @@ def test_numeric_correlators_basics(rt_spectrum):
         corr.fermionic_correlators_numeric(rt_spectrum, [-1.0])
 
 
+def test_transform_blocks_match_one_shot(rt_spectrum, monkeypatch):
+    # blocks of 3 r rows: many blocks and a short last one
+    sp = rt_spectrum
+    monkeypatch.setattr(corr, "_TRANSFORM_BLOCK", 3 * len(sp.q))
+    r = np.arange(0.0, 200.0, 1.7)
+    fc = corr.fermionic_correlators_numeric(sp, r)
+    w = sp.weights / math.pi
+    qr = np.outer(r, sp.q)
+    alpha = -np.cos(qr) @ (w * np.abs(sp.v_rot) ** 2)
+    beta = np.sin(qr) @ (w * sp.u_rot * np.conj(sp.v_rot))
+    assert len(r) > 3 * 10 and len(r) % 3 != 0
+    assert np.max(np.abs(fc.alpha - alpha)) <= 1e-14 * np.max(np.abs(alpha))
+    assert np.max(np.abs(fc.beta - beta)) <= 1e-14 * np.max(np.abs(beta))
+
+
 def test_numeric_requires_weights(fast_opts):
     sp = ev.evolve([(proto.round_trip(0.0, 8.0, 1.0), lat.mode_grid(16))], fast_opts)[0]
     with pytest.raises(ValueError):
@@ -248,6 +263,16 @@ def test_dephased_ckk_shapes():
     assert d[0] < 0.0                      # antibunching survives
     assert np.max(d) > 0.0                 # can become positive
     assert abs(d[-1]) < 1e-10              # clusters to zero
+
+
+def test_dephased_ckk_below_the_length_scale_regime():
+    # the dephased limit needs no g_rt, so it holds below tau_q = 2 as well
+    r = np.arange(0.0, 60.0, 0.5)
+    for tau in (0.5, 1.0, 1.9):
+        d = corr.dephased_ckk(r, tau)
+        assert np.all(np.isfinite(d)) and d[0] < 0.0
+        with pytest.raises(cf.OutOfRegimeError):
+            corr.primed_length_scales(tau, 10.0)
 
 
 def test_dephasing_times():
