@@ -350,7 +350,8 @@ def cmd_sweep(cfg):
     spectra = evolver.evolve_spectra_quadrature(schedules, opts, **quad)
     rows = [[sch.tau_q, evolver.defect_density(sp), *closed_form_density(sch)]
             for sch, sp in zip(schedules, spectra)]
-    keys = ("steps", "accepted", "rejected", "h_min", "lab_modes", "sa_windows", "sa_share")
+    keys = ("steps", "accepted", "rejected", "h_min", "lab_modes", "sa_windows", "sa_share",
+            "mirrored")
     records = [{"tau_Q": sch.tau_q, "norm_drift": float(sp.norm_drift),
                 **{k: sp.meta[k] for k in keys}}
                for sch, sp in zip(schedules, spectra)]
@@ -360,9 +361,13 @@ def cmd_sweep(cfg):
                ["tau_Q", "n_numeric", "n_closed_form", "n0", "f", "M", "delta",
                 "T_Q_predicted"],
                rows, cfg)
-    # the solver's record of each row holds no wall time, so reruns are byte-identical
+    # the solver's record of each row holds no wall time, so reruns are byte-identical;
+    # the last bits of n_numeric follow the numpy build and the SIMD target that
+    # runs the evolver's float64 tan
+    simd = np.lib.introspect.opt_func_info("^tan$", "^float64")["tan"]["dd"]["current"]
     sidecar = {"config": cfg, "config_hash": config_hash(cfg),
-               "package_version": __version__, "rows": len(rows), "solver_rows": records}
+               "package_version": __version__, "rows": len(rows), "solver_rows": records,
+               "numpy": {"version": np.__version__, "simd_target": simd}}
     with open(prefix + "_sweep.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
     return [csv_path, prefix + "_sweep.json"]

@@ -50,23 +50,42 @@ h <= 1e-12 raises NumericalFailure instead).  Many groups, from one schedule
 or from a whole tau_Q sweep, advance together in one loop (``_lockstep``):
 each pass tries one step of every group, each at its own t and h, on mode
 arrays concatenated over the groups, so numpy's per-call overhead is paid
-once for the batch instead of once per schedule.  Each group keeps its own
-t, h, segment, window, step counts and norm drift, and its controller does
-the same scalar arithmetic as for the group alone; groups inside and outside
-their windows share one pass, with the generator picked per mode.  Its
-results are therefore bitwise the same whichever groups share the batch and
-in whatever order.  There are two entry points: ``evolve`` takes given
-modes of any number of schedules, and ``evolve_spectra_quadrature`` each
-schedule's Gauss-Legendre panels.  A result's ``meta`` records the attempted
-``steps``, of them ``accepted`` and ``rejected``, the smallest accepted step
-``h_min``, the number of ``lab_modes``, the number of ``sa_windows`` and
-``sa_share``, the share of the schedule's time spent in them.
+once for the batch instead of once per schedule.  A frame's groups run in
+consecutive batches of at most _LOCKSTEP_BLOCK modes, which bounds the
+memory of a long sweep.  Each group keeps its own t, h, tolerance, segment,
+window, step counts and norm drift, and its controller does the same scalar
+arithmetic as for the group alone; groups inside and outside their windows
+share one pass, with the generator picked per mode.  Its results are
+therefore bitwise the same whichever groups share the batch and in whatever
+order.  There are two entry points: ``evolve`` takes given modes of any
+number of schedules, and ``evolve_spectra_quadrature`` each schedule's
+Gauss-Legendre panels.  A result's ``meta`` records the attempted ``steps``,
+of them ``accepted`` and ``rejected``, the smallest accepted step ``h_min``,
+the number of ``lab_modes``, the number of ``sa_windows``, ``sa_share``, the
+share of the schedule's time spent in them, and whether it was ``mirrored``.
+
+Mirrors.  A schedule that is its own time reversal evolves its first half
+only: it has an even number n of segments, segment k and segment n-1-k last
+equally long, and segment k starts at the parameters where segment n-1-k
+ends, compared exactly.  The R = 1 round trip
+with g_i = g_f and the R = 1 reversed round trip are mirrors.  Each mode's
+H = eps sigma_z + delta sigma_x is real symmetric, so the second half's
+propagator is the transpose of the first half's U1, and the trip is
+U = U1^T U1, the transfer-matrix composition of the adiabatic-impulse model
+of Landau-Zener-Stueckelberg interferometry (Shevchenko, Ashhab & Nori,
+Phys. Rep. 492 (2010) 1).  U1 is in SU(2), so its one evolved column fixes
+it: U1 [psi0, J psi0*] = [psi1, J psi1*] with J = i sigma_y.  The half's
+error enters the trip twice, so its steps are held to rel_tol/2 and
+abs_tol/2.  A mirrored result's ``steps``, ``accepted``, ``rejected``,
+``h_min`` and ``sa_windows`` count the half actually evolved; ``sa_share``
+is the same on the half as on the trip, and the norm drift is the larger of
+the half's and that of the composed state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,6 +107,10 @@ class NumericalFailure(RuntimeError):
 GAP_FLOOR = 1e-4
 # attempted steps per segment
 MAX_STEPS = 2_000_000
+# most modes in one lock-step batch: a frame's groups run in consecutive blocks
+# of at most this many modes, so a batch holds about 40 MB of working arrays
+# (about 0.6 kB per mode)
+_LOCKSTEP_BLOCK = 2 ** 16
 
 
 @dataclass
@@ -185,17 +208,23 @@ class _Group(StepControl):
     The controller state and the drift are scalar and belong to the group
     alone; its modes hold one contiguous slice of the lock-step batch.
     ``out`` is the schedule's SpectrumResult and ``mask`` picks the group's
-    modes out of it.  The group walks its schedule in pieces (segment index,
-    t_a, t_b, sa): the segments, cut at the edges of the group's
-    superadiabatic windows in the adiabatic frame.
+    modes out of it.  ``tol`` is abs_tol + rel_tol.  A ``mirrored`` group
+    walks only the first half of its schedule (``schedule`` is that half),
+    whose error enters the trip twice, so its unit of step error is tol / 2;
+    ``finish`` composes the trip.
+    The group walks its schedule in pieces (segment index, t_a, t_b, sa):
+    the segments, cut at the edges of the group's superadiabatic windows in
+    the adiabatic frame.
     """
 
-    def __init__(self, schedule, q, mask, out, where, frame):
+    def __init__(self, schedule, q, mask, out, where, frame, tol, mirrored):
         super().__init__(where)
         self.schedule = schedule
         self.q = q
         self.mask = mask
         self.out = out
+        self.tol = 0.5 * tol if mirrored else tol
+        self.mirrored = mirrored
         self.pieces = []
         for k, seg in enumerate(schedule.segments):
             t = seg.t_start
@@ -224,8 +253,24 @@ class _Group(StepControl):
         return True
 
     def finish(self, frame, a, b):
-        """Rotate the final amplitudes and write them and the statistics to ``out``."""
-        thetaf = _bogoliubov_angle(self.schedule, self.q, self.schedule.t_end)
+        """Rotate the final amplitudes and write them and the statistics to ``out``.
+
+        A mirrored group holds the half's amplitudes (a, b) in the adiabatic
+        or the lab frame.  Either way the half's propagator, from the initial
+        eigenbasis into that real basis, is in SU(2) and maps the ground state
+        (1, 0) to (a, b), so it is [[a, -b*], [b, a*]].  The second half's
+        propagator, back into the final eigenbasis (the initial one), is its
+        transpose, so the trip ends at (a^2 + b^2, a* b - a b*) there.
+        """
+        if self.mirrored:
+            # (a, b) become the trip's final-eigenbasis amplitudes; a mirror
+            # ends at the parameters it started from
+            a, b = a * a + b * b, 2j * (a.conj() * b).imag
+            self.drift = max(self.drift, _drift(a, b))
+            frame, t_end = "adiabatic", self.schedule.t_start
+        else:
+            t_end = self.schedule.t_end
+        thetaf = _bogoliubov_angle(self.schedule, self.q, t_end)
         cf, sf = np.cos(thetaf), np.sin(thetaf)
         if frame == "adiabatic":
             u = cf * a - sf * b
@@ -443,20 +488,20 @@ def _drift(a, b):
     return np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0))
 
 
-def _lockstep(frame, groups, opts):
+def _lockstep(frame, groups):
     """Advance every group across its schedule in one frame, all in lock step.
 
     Each pass tries one step-doubled Magnus-4 step of every group at the
     group's own t and h, on mode arrays concatenated over the groups.  Each
     group's controller then accepts or rejects on the largest error among
-    its own modes, weighted by SA_ERROR_WEIGHT inside an SA window.  The
+    its own modes in units of its own ``tol``, weighted by SA_ERROR_WEIGHT
+    inside an SA window.  The
     arithmetic per mode and per group is the same as for the group alone,
     so its results are bitwise independent of the batch.  A group that ends
     a piece rewrites only its own slice (and rotates it into or out of the
     SA frame at a window edge); a group that ends its schedule writes its
     results and leaves the batch.
     """
-    scale = opts.abs_tol + opts.rel_tol
     counts = np.array([len(g.q) for g in groups])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     modes = np.empty((8, counts.sum()))     # _segment_constants of every mode
@@ -506,7 +551,7 @@ def _lockstep(frame, groups, opts):
         a2, b2 = _magnus_apply(frame, modes, mix, rows[2], ah, bh)
         err_a = np.maximum.reduceat(np.abs(a1 - a2), starts)
         err_b = np.maximum.reduceat(np.abs(b1 - b2), starts)
-        accepted = [g.control(max(ea, eb) / scale * (SA_ERROR_WEIGHT if g.sa else 1.0))
+        accepted = [g.control(max(ea, eb) / g.tol * (SA_ERROR_WEIGHT if g.sa else 1.0))
                     for g, ea, eb in zip(groups, err_a, err_b)]
         if all(accepted):
             a, b = a2, b2
@@ -534,6 +579,34 @@ def _lockstep(frame, groups, opts):
             groups = [g for g, k in zip(groups, keep) if k]
 
 
+def _blocks(groups):
+    """Consecutive runs of groups with at most _LOCKSTEP_BLOCK modes each (a larger group runs alone)."""
+    block, size = [], 0
+    for g in groups:
+        if block and size + len(g.q) > _LOCKSTEP_BLOCK:
+            yield block
+            block, size = [], 0
+        block.append(g)
+        size += len(g.q)
+    if block:
+        yield block
+
+
+def _mirror_half(schedule):
+    """The first half of a schedule that is its own time reversal, else None.
+
+    The schedule must have an even number n of segments, and segment k and
+    segment n-1-k must last equally long, with segment k starting at the
+    parameters where segment n-1-k ends, compared exactly.
+    """
+    segs = schedule.segments
+    n = len(segs)
+    if n % 2 or any(a.duration != b.duration or a.params_start != b.params_end
+                    for a, b in zip(segs, segs[::-1])):
+        return None
+    return replace(schedule, segments=segs[:n // 2], crossings=())
+
+
 def _min_gap(schedule, q):
     """Minimum omega_q along the schedule, closed form per segment."""
     q = np.asarray(q, dtype=float)
@@ -554,10 +627,14 @@ def evolve(jobs, opts=None):
     A result carries no weights: lab-frame (u, v), final-equilibrium-frame
     (u_rot, v_rot), p = |v_rot|^2, the worst norm drift and the solver
     statistics in ``meta``.  Each job's modes are split by frame into groups,
-    and the groups of each frame advance together in one lock-step batch, so
-    each result is bitwise what its job gives alone.
+    and the groups of each frame advance together in lock-step batches of
+    up to _LOCKSTEP_BLOCK modes, so each result is bitwise what its job
+    gives alone.  A schedule that is its own time reversal (``meta["mirrored"]``)
+    evolves its first half only, at half the tolerance, since the half's
+    error enters the trip twice.
     """
     opts = opts or SolverOptions()
+    tol = opts.abs_tol + opts.rel_tol
     groups = {"adiabatic": [], "lab": []}
     outs = []
     for j, (schedule, q) in enumerate(jobs):
@@ -565,20 +642,23 @@ def evolve(jobs, opts=None):
         if np.any(q <= 0.0) or np.any(q >= math.pi):
             raise ValueError("quasimomenta must lie in (0, pi)")
         lab_mask = _min_gap(schedule, q) <= GAP_FLOOR
+        half = _mirror_half(schedule)
         u, v, u_rot, v_rot = (np.empty(q.shape, dtype=complex) for _ in range(4))
         out = SpectrumResult(q, None, u, v, u_rot, v_rot, meta={
             "steps": 0, "accepted": 0, "rejected": 0, "h_min": math.inf,
-            "lab_modes": int(np.count_nonzero(lab_mask)), "sa_windows": 0, "sa_share": 0.0})
+            "lab_modes": int(np.count_nonzero(lab_mask)), "sa_windows": 0, "sa_share": 0.0,
+            "mirrored": half is not None})
         outs.append(out)
         for frame, mask in (("adiabatic", ~lab_mask), ("lab", lab_mask)):
             if np.any(mask):
                 where = "%s frame failed for modes %s" % (frame, np.flatnonzero(mask)[:8])
                 if len(jobs) > 1:
                     where = "schedule %d (tau_q=%s): %s" % (j, schedule.tau_q, where)
-                groups[frame].append(_Group(schedule, q[mask], mask, out, where, frame))
+                groups[frame].append(_Group(half or schedule, q[mask], mask, out, where,
+                                            frame, tol, half is not None))
     for frame, frame_groups in groups.items():
-        if frame_groups:
-            _lockstep(frame, frame_groups, opts)
+        for block in _blocks(frame_groups):
+            _lockstep(frame, block)
     for out in outs:
         out.p = np.abs(out.v_rot) ** 2
         out.meta["rejected"] = out.meta["steps"] - out.meta["accepted"]

@@ -464,6 +464,23 @@ def test_sweep_row_does_not_depend_on_its_batch(tmp_path):
     assert all(r["accepted"] + r["rejected"] == r["steps"] > 0 for r in records)
 
 
+def test_sweep_sidecar_records_mirror_and_numpy_build(tmp_path):
+    # R = 1 is a mirror and R = 2 is not; the numpy build is recorded, and a
+    # rerun writes the same sidecar byte for byte
+    def sweep(R, name):
+        sets = FAST + ["protocol.R=%r" % R, "sweep.tau_q=[10.0]",
+                       "output.prefix=" + str(tmp_path / name)]
+        assert cli.main([a for s in sets for a in ("--set", s)] + ["sweep"]) == cli.EXIT_OK
+        return (tmp_path / (name + "_sweep.json")).read_bytes()
+
+    one, again, two = sweep(1.0, "one"), sweep(1.0, "one"), sweep(2.0, "two")
+    assert one == again
+    mirror, plain = json.loads(one), json.loads(two)
+    assert [r["mirrored"] for r in mirror["solver_rows"] + plain["solver_rows"]] == [True, False]
+    assert mirror["numpy"]["version"] == np.__version__
+    assert isinstance(mirror["numpy"]["simd_target"], str) and mirror["numpy"]["simd_target"]
+
+
 @pytest.mark.parametrize("g_qt", [1.5, 2.5])
 def test_quarter_turn_closed_form_column_tracks_evolution(tmp_path, g_qt):
     # n_closed_form integrates the closed form over (0, pi/2), where it holds;

@@ -218,8 +218,9 @@ def test_solver_statistics(fast_opts, monkeypatch):
     assert meta["accepted"] + meta["rejected"] == meta["steps"]
     assert meta["accepted"] > 0 and meta["rejected"] >= 0
     assert 0.0 < meta["h_min"] <= 1e-3 and meta["lab_modes"] == 0
-    # one superadiabatic window on each ramp, away from both crossings
-    assert meta["sa_windows"] == 2 and 0.5 < meta["sa_share"] < 1.0
+    # the trip is a mirror, so only its first ramp is evolved: one
+    # superadiabatic window there, away from the crossing
+    assert meta["mirrored"] and meta["sa_windows"] == 1 and 0.5 < meta["sa_share"] < 1.0
     monkeypatch.setattr(ev, "GAP_FLOOR", math.inf)
     lab = ev.evolve([(sch, lat.mode_grid(16))], ev.SolverOptions(1e-7, 1e-9))[0].meta
     assert lab["lab_modes"] == 8 and lab["sa_windows"] == 0 and lab["sa_share"] == 0.0
@@ -237,6 +238,10 @@ def _batch_cases():
             proto.Schedule((proto.Segment(-30.0, 0.0, (10.0, 1.0, 0.0), (0.0, 1.0, 0.0)),
                             proto.Segment(0.0, 9.0, (0.0, 1.0, 0.0), (3.0, 1.0, 0.0))),
                            "two_ramps", {"tau_q": 3.0}),
+            # R = 1: a mirror, evolved at half the tolerance, and a trip that
+            # ends elsewhere, evolved whole
+            proto.reversed_round_trip(1.5, 3.0, 1.0),
+            proto.round_trip(0.0, 5.0, 1.0, g_f=6.0),
             # different superadiabatic windows side by side
             proto.round_trip(0.0, 2.0, 1.0),
             proto.round_trip(0.0, 128.0, 1.0)]
@@ -264,6 +269,76 @@ def test_batch_bitwise_equals_solo(frame, monkeypatch):
             assert one.meta == many.meta
     if frame == "auto":
         assert solo[4].meta["lab_modes"] > 0
+    assert [one.meta["mirrored"] for one in solo[6:8]] == [True, False]
+
+
+def test_lockstep_blocks_bitwise_equal_one_block(monkeypatch):
+    # a frame's groups split into blocks of a few modes give what one block gives
+    jobs = [(s, [0.1, 0.7, 2.0]) for s in _batch_cases()]
+    jobs.append((proto.round_trip(0.0, 6.0, 1.0), lat.mode_grid(24)))  # larger than a block
+    opts = ev.SolverOptions(1e-7, 1e-9)
+    whole = ev.evolve(jobs, opts)
+    calls = []
+    lockstep = ev._lockstep
+    monkeypatch.setattr(ev, "_LOCKSTEP_BLOCK", 7)
+    monkeypatch.setattr(ev, "_lockstep", lambda frame, groups: (calls.append(len(groups)),
+                                                                  lockstep(frame, groups)))
+    blocked = ev.evolve(jobs, opts)
+    assert len(calls) > 2 and max(calls) == 2
+    for one, many in zip(whole, blocked):
+        for name in ("p", "u", "v", "u_rot", "v_rot"):
+            assert getattr(one, name).tobytes() == getattr(many, name).tobytes(), name
+        assert one.norm_drift == many.norm_drift and one.meta == many.meta
+
+
+def _dwell_trip():
+    """Ramp g 10 -> 0, dwell at g = 0, ramp back: a palindrome of three segments."""
+    return proto.Schedule((proto.Segment(-50.0, 0.0, (10.0, 1.0, 0.0), (0.0, 1.0, 0.0)),
+                           proto.Segment(0.0, 4.0, (0.0, 1.0, 0.0), (0.0, 1.0, 0.0)),
+                           proto.Segment(4.0, 54.0, (0.0, 1.0, 0.0), (10.0, 1.0, 0.0))),
+                          "dwell", {"tau_q": 5.0})
+
+
+@pytest.mark.parametrize("schedule, mirrored", [
+    (proto.round_trip(0.0, 10.0, 1.0), True),
+    (proto.round_trip(0.5, 10.0, 1.0, g_i=6.0, g_f=6.0), True),
+    (proto.reversed_round_trip(1.5, 10.0, 1.0), True),
+    (proto.round_trip(0.0, 10.0, 1.3), False),
+    (proto.round_trip(0.0, 10.0, 1.0, g_f=9.0), False),
+    (proto.quarter_turn(1.5, 10.0, 1.0), False),
+    (proto.one_way(10.0, 0.0, 10.0), False),
+    (_dwell_trip(), False)])                        # an odd number of segments
+def test_mirror_detection(schedule, mirrored):
+    half = ev._mirror_half(schedule)
+    assert (half is not None) == mirrored
+    (res,) = ev.evolve([(schedule, [0.3])], ev.SolverOptions(1e-6, 1e-8))
+    assert res.meta["mirrored"] == mirrored
+    if mirrored:
+        assert half.segments == schedule.segments[:1]
+
+
+def _split_second_ramp(schedule):
+    """The same path as a three-segment Schedule that is not a palindrome."""
+    s1, s2 = schedule.segments
+    tm = 0.5 * (s2.t_start + s2.t_end)
+    pm = s2.eval(tm)
+    return proto.Schedule((s1, proto.Segment(s2.t_start, tm, s2.params_start, pm),
+                           proto.Segment(tm, s2.t_end, pm, s2.params_end)), "split", schedule.labels)
+
+
+@pytest.mark.parametrize("mirror", [proto.round_trip(0.0, 32.0, 1.0),
+                                    proto.reversed_round_trip(1.5, 8.0, 1.0)])
+def test_mirror_composition_matches_full_evolution(mirror):
+    # U = U1^T U1 from the first half against both halves evolved step by step
+    path = _split_second_ramp(mirror)
+    q, _ = support_panels(mirror, order=4, n_support=3)
+    opts = ev.SolverOptions(1e-12, 1e-14)
+    composed, full = ev.evolve([(mirror, q), (path, q)], opts)
+    assert composed.meta["mirrored"] and not full.meta["mirrored"]
+    assert composed.meta["steps"] < full.meta["steps"]
+    assert max(np.max(np.abs(composed.u - full.u)), np.max(np.abs(composed.v - full.v))) <= 1e-9
+    assert np.max(np.abs(composed.p - full.p)) <= 1e-9
+    assert composed.norm_drift <= 10.0 * opts.rel_tol
 
 
 def test_sa_frame_round_trip_is_identity():
@@ -392,9 +467,10 @@ def test_sa_windows_exclude_gap_minima(schedule, share):
 
 def test_sa_windows_accuracy_tau32():
     # rel_tol 1e-8 against a rel_tol 1e-12 reference on 32 Gauss nodes of the
-    # tau_Q = 32 round trip.  With SA windows: 1,470 steps, |dn|/n = 3.2e-9 and a
-    # largest amplitude error of 3.4e-8; in the adiabatic frame alone: 4,476
-    # steps, 3.2e-9 and 1.7e-8.
+    # tau_Q = 32 round trip, a mirror of which only the first ramp is evolved.
+    # With SA windows: 866 steps, |dn|/n = 1.1e-9 and a largest amplitude error
+    # of 3.3e-8 (both ramps evolved: 1,470 steps, 5.2e-9 and 3.5e-8); in the
+    # adiabatic frame alone, both ramps: 4,476 steps, 3.2e-9 and 1.7e-8.
     sch = proto.round_trip(0.0, 32.0, 1.0)
     q, w = support_panels(sch, order=4, n_support=3)
     (ref,) = ev.evolve([(sch, q)], ev.SolverOptions(1e-12, 1e-14))
@@ -402,4 +478,4 @@ def test_sa_windows_accuracy_tau32():
     n, n_ref = np.sum(w * res.p), np.sum(w * ref.p)
     assert abs(n - n_ref) / n_ref <= 1e-8
     assert max(np.max(np.abs(res.u - ref.u)), np.max(np.abs(res.v - ref.v))) <= 1e-7
-    assert res.meta["steps"] <= 4476 / 2 and res.meta["sa_windows"] == 2
+    assert res.meta["steps"] <= 4476 / 2 and res.meta["sa_windows"] == 1 and res.meta["mirrored"]
