@@ -350,10 +350,7 @@ def cmd_sweep(cfg):
     spectra = evolver.evolve_spectra_quadrature(schedules, opts, **quad)
     rows = [[sch.tau_q, evolver.defect_density(sp), *closed_form_density(sch)]
             for sch, sp in zip(schedules, spectra)]
-    keys = ("steps", "accepted", "rejected", "h_min", "lab_modes", "sa_windows", "sa_share",
-            "mirrored")
-    records = [{"tau_Q": sch.tau_q, "norm_drift": float(sp.norm_drift),
-                **{k: sp.meta[k] for k in keys}}
+    records = [{"tau_Q": sch.tau_q, "norm_drift": float(sp.norm_drift), **sp.meta}
                for sch, sp in zip(schedules, spectra)]
     prefix = cfg["output"]["prefix"]
     csv_path = prefix + "_sweep.csv"

@@ -34,10 +34,10 @@ lab frame, where the equation is smooth and there are no windows.  Every step
 and frame change is exactly unitary, so norm conservation is automatic.
 
 Step arithmetic.  When a group enters a segment, it reads its modes'
-constants there once (``_segment_constants``, from ``Segment.affine``):
-eps and delta are affine in the time dt since the segment's start,
-omega^2 = v2 (dt - s_v)^2 + m2 is a quadratic with its vertex at s_v, and
-theta_dot = c / omega^2 with the constant c = (eps delta_dot - delta eps_dot) / 2.
+rows there once from ``Segment.affine``: eps and delta are affine in the
+time dt since the segment's start, omega^2 = v2 (dt - s_v)^2 + m2 is a
+quadratic with its vertex at s_v, and theta_dot = c / omega^2 with the
+constant c = (eps delta_dot - delta eps_dot) / 2.
 A step evaluates these at its Gauss points.  Its exponential takes cos(phi)
 and sin(phi) from one t = tan(phi / 2), as (1 - t^2) / (1 + t^2) and
 2 t / (1 + t^2): numpy runs float64 tan on SIMD units but cos and sin one
@@ -290,21 +290,6 @@ class _Group(StepControl):
         meta["sa_share"] += self.sa_share
 
 
-def _segment_constants(segment, q):
-    """Per-mode constants (e0, d0, e1, d1, v2, s_v, c, m2) of the modes q on ``segment``.
-
-    The first six are ``Segment.affine(q)``: eps = e0 + e1 dt and
-    delta = d0 + d1 dt at the time dt since the segment's start, and
-    omega^2 = v2 (dt - s_v)^2 + m2 with m2 its value at the vertex.
-    c = (e0 d1 - d0 e1) / 2 = (eps delta_dot - delta eps_dot) / 2 is constant
-    on the segment, so theta_dot = c / omega^2 exactly.
-    """
-    e0, d0, e1, d1, v2, s_v = segment.affine(q)
-    c = 0.5 * (e0 * d1 - d0 * e1)
-    m2 = (e0 + e1 * s_v) ** 2 + (d0 + d1 * s_v) ** 2
-    return np.array([e0, d0, e1, d1, v2, s_v, c, m2])
-
-
 def _step_rows(t, h, t0):
     """Per-group inputs of the three Magnus applies of one step-doubled step.
 
@@ -325,7 +310,7 @@ def _step_rows(t, h, t0):
 def _generator(frame, modes, sa, dt):
     """The two non-zero components (w, z) of every mode's su(2) generator at dt.
 
-    ``modes`` holds the rows of ``_segment_constants`` and ``dt`` the time
+    ``modes`` holds the rows of ``Segment.affine`` and ``dt`` the time
     since the segment's start.  The generator is (w, 0, z) = (delta, 0, eps)
     in the lab frame and (0, w, z) = (0, -theta_dot, omega) in the adiabatic
     frame.  Modes in a superadiabatic window (``sa``: False, True or a
@@ -415,18 +400,19 @@ def _sa_windows(seg, q):
     gap minimum with 1.5 |omega_dot| / (omega^2 + theta_dot^2) <= SA_THRESHOLD.
 
     eps and delta are affine in t, so omega^2 = v^2 (t - t_v)^2 + m^2 with
-    m v = |eps delta_dot - delta eps_dot|, and in y = v (t - t_v) / m that
-    factor is F(u) = 1.5 k y u^1.5 / (u^3 + k^2 / 4) with u = 1 + y^2 and
-    k = v / m^2.  F rises from 0 at the minimum to one peak, where
+    m v = |eps delta_dot - delta eps_dot| = 2 |c|, c from ``Segment.affine``.
+    In y = v (t - t_v) / m that factor is
+    F(u) = 1.5 k y u^1.5 / (u^3 + k^2 / 4) with u = 1 + y^2 and k = v / m^2.
+    F rises from 0 at the minimum to one peak, where
     P(u) = -2u^4 + 3u^3 + k^2 u - 0.75 k^2 changes sign, and then falls.
     Each mode excludes |y| < sqrt(u* - 1), u* the first u past the peak with
     F <= SA_THRESHOLD, found by bisection; the windows are what no mode
     excludes.
     """
-    e0, d0, e1, d1, v2, s_v = seg.affine(q)
-    moving = v2 > 0.0           # a mode whose (eps, delta) stands still never couples
-    e0, d0, e1, d1, v2, s_v = (x[moving] for x in (e0, d0, e1, d1, v2, s_v))
-    cross = np.abs(e0 * d1 - d0 * e1)
+    rows = seg.affine(q)
+    # a mode whose (eps, delta) stands still never couples
+    v2, s_v, c = rows[4:7, rows[4] > 0.0]
+    cross = 2.0 * np.abs(c)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = v2 * np.sqrt(v2) / (cross * cross)
         lo = np.ones_like(k)
@@ -504,7 +490,7 @@ def _lockstep(frame, groups):
     """
     counts = np.array([len(g.q) for g in groups])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    modes = np.empty((8, counts.sum()))     # _segment_constants of every mode
+    modes = np.empty((8, counts.sum()))     # Segment.affine rows of every mode
     sa = np.zeros(modes.shape[1], dtype=bool)
     t0 = np.empty(len(groups))              # each group's segment start
 
@@ -522,7 +508,7 @@ def _lockstep(frame, groups):
         if group.seg != k:
             s = group.schedule.segments[group.seg]
             t0[i] = s.t_start
-            modes[:, sl] = _segment_constants(s, group.q)
+            modes[:, sl] = s.affine(group.q)
         if group.sa:
             a[sl], b[sl] = _to_sa(angle(i, sl, group.t), a[sl], b[sl])
         sa[sl] = group.sa
@@ -607,15 +593,6 @@ def _mirror_half(schedule):
     return replace(schedule, segments=segs[:n // 2], crossings=())
 
 
-def _min_gap(schedule, q):
-    """Minimum omega_q along the schedule, closed form per segment."""
-    q = np.asarray(q, dtype=float)
-    best = np.full(q.shape, np.inf)
-    for seg in schedule.segments:
-        best = np.minimum(best, np.sqrt(seg.closest_approach(q)[0]))
-    return best
-
-
 def _bogoliubov_angle(schedule, q, t):
     eps, delta = lattice.eps_delta(*schedule.params_at(t), np.cos(q), np.sin(q))
     return 0.5 * np.arctan2(delta, eps)
@@ -641,7 +618,8 @@ def evolve(jobs, opts=None):
         q = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any(q <= 0.0) or np.any(q >= math.pi):
             raise ValueError("quasimomenta must lie in (0, pi)")
-        lab_mask = _min_gap(schedule, q) <= GAP_FLOOR
+        # the smallest gap, not its square, meets GAP_FLOOR (sqrt is monotone)
+        lab_mask = np.sqrt(schedule.closest_approach(q)[0]) <= GAP_FLOOR
         half = _mirror_half(schedule)
         u, v, u_rot, v_rot = (np.empty(q.shape, dtype=complex) for _ in range(4))
         out = SpectrumResult(q, None, u, v, u_rot, v_rot, meta={
@@ -681,16 +659,18 @@ def evolve_spectra_quadrature(schedules, opts=None, order=16, n_support=12, max_
     return results
 
 
+def _zone_average(spectrum, x):
+    """(1/pi) integral_0^pi x_q dq: the plain mean on a mode grid, the weighted sum on panels."""
+    if spectrum.weights is None:
+        return float(np.mean(x))
+    return float(np.sum(spectrum.weights * x) / math.pi)
+
+
 def defect_density(spectrum):
     """n = (1/pi) integral_0^pi p_q dq (mean over the grid for finite-N spectra)."""
-    if spectrum.weights is None:
-        return float(np.mean(spectrum.p))
-    return float(np.sum(spectrum.weights * spectrum.p) / math.pi)
+    return _zone_average(spectrum, spectrum.p)
 
 
 def fermion_density(spectrum):
     """Density of c-fermions (1/pi) integral |v_q|^2 dq; the sigma^z defect measure."""
-    occ = np.abs(spectrum.v) ** 2
-    if spectrum.weights is None:
-        return float(np.mean(occ))
-    return float(np.sum(spectrum.weights * occ) / math.pi)
+    return _zone_average(spectrum, np.abs(spectrum.v) ** 2)

@@ -69,24 +69,31 @@ class Segment:
         return tuple(s * (1.0 - x) + e * x for s, e in zip(self.params_start, self.params_end))
 
     def affine(self, q):
-        """Per-mode (e0, d0, e1, d1, v2, s_v) of (epsilon_q, delta_q) on this segment.
+        """Per-mode rows (e0, d0, e1, d1, v2, s_v, c, m2) of (epsilon_q, delta_q) on this segment.
 
         epsilon = e0 + e1 (t - t_start) and delta = d0 + d1 (t - t_start),
-        with (e0, d0) from the starting parameters and (e1, d1) from the rates;
-        v2 = e1^2 + d1^2 is the squared speed, and omega_q^2 is smallest at the
-        vertex t = t_start + s_v on the whole line (s_v = 0 where v2 = 0).
+        with (e0, d0) from the starting parameters and (e1, d1) from the rates.
+        v2 = e1^2 + d1^2 is the squared speed, and
+        omega_q^2 = v2 (t - t_start - s_v)^2 + m2 is smallest, m2, at the vertex
+        t = t_start + s_v on the whole line (s_v = 0 where v2 = 0).
+        c = (e0 d1 - d0 e1) / 2 = (epsilon delta_dot - delta epsilon_dot) / 2 is
+        constant on the segment, so the Bogoliubov angle turns at
+        theta_dot = c / omega_q^2 exactly.  On the whole line each mode is a
+        Landau-Zener problem with adiabaticity exponent pi m2 / sqrt(v2).
         """
         q = np.asarray(q, dtype=float)
-        c, s = np.cos(q), np.sin(q)
-        e0, d0 = eps_delta(*self.params_start, c, s)
-        e1, d1 = eps_delta(*self.rates(), c, s)
+        cq, sq = np.cos(q), np.sin(q)
+        e0, d0 = eps_delta(*self.params_start, cq, sq)
+        e1, d1 = eps_delta(*self.rates(), cq, sq)
         v2 = e1 * e1 + d1 * d1
         s_v = np.where(v2 > 0.0, -(e0 * e1 + d0 * d1) / np.where(v2 > 0, v2, 1.0), 0.0)
-        return e0, d0, e1, d1, v2, s_v
+        c = 0.5 * (e0 * d1 - d0 * e1)
+        m2 = (e0 + e1 * s_v) ** 2 + (d0 + d1 * s_v) ** 2
+        return np.array([e0, d0, e1, d1, v2, s_v, c, m2])
 
     def closest_approach(self, q):
         """(smallest omega_q^2, speed |d(epsilon_q, delta_q)/dt|) on this segment, per mode."""
-        e0, d0, e1, d1, v2, s_v = self.affine(q)
+        e0, d0, e1, d1, v2, s_v = self.affine(q)[:6]
         tmin = np.clip(s_v, 0.0, self.duration)
         om2 = (e0 + e1 * tmin) ** 2 + (d0 + d1 * tmin) ** 2
         return om2, np.sqrt(v2)
@@ -138,6 +145,24 @@ class Schedule:
             raise ValueError("t outside schedule span [%g, %g]" % (self.t_start, self.t_end))
         k = bisect.bisect_right([s.t_start for s in self.segments[1:]], t)
         return tuple(float(v) for v in self.segments[k].eval(t))
+
+    def closest_approach(self, q):
+        """(smallest omega_q^2, smallest Landau-Zener exponent) over the segments, per mode.
+
+        A mode whose gap is smallest, omega_min, on a segment swept at parameter
+        speed v = |d(epsilon, delta)/dt| is excited with probability
+        ~ exp(-pi omega_min^2 / v); the exponent is inf where the parameters
+        do not move.
+        """
+        q = np.asarray(q, dtype=float)
+        om2_min = np.full(q.shape, np.inf)
+        expo_min = np.full(q.shape, np.inf)
+        for seg in self.segments:
+            om2, speed = seg.closest_approach(q)
+            om2_min = np.minimum(om2_min, om2)
+            expo = np.where(speed > 0.0, math.pi * om2 / np.where(speed > 0, speed, 1.0), np.inf)
+            expo_min = np.minimum(expo_min, expo)
+        return om2_min, expo_min
 
 
 def _validated_positive(name, value):

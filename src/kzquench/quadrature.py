@@ -3,10 +3,11 @@
 The excitation probability decays like a Gaussian away from the critical
 quasimomenta, so uniform grids waste points.  Panels are refined on the mode
 regions that actually transit: for each mode the Landau-Zener adiabaticity
-exponent pi * min_t omega_q(t)^2 / |d(eps,delta)/dt| is evaluated segment by
-segment (closed form, the parameters are affine in t), and panels concentrate
-where that exponent is small.  A panel-width cap resolves cos(qr)/sin(qr)
-factors when correlators at large r are requested.
+exponent pi * min_t omega_q(t)^2 / |d(eps,delta)/dt|, minimized over the
+segments, comes in closed form from ``Schedule.closest_approach`` (the
+parameters are affine in t), and panels concentrate where that exponent is
+small.  A panel-width cap resolves cos(qr)/sin(qr) factors when correlators
+at large r are requested.
 """
 
 from __future__ import annotations
@@ -29,27 +30,10 @@ def gauss_legendre_panels(edges, order=16):
     return nodes.ravel(), weights.ravel()
 
 
-def lz_exponent(schedule, q):
-    """Adiabaticity exponent per mode, minimized over the schedule's segments.
-
-    For a mode crossing its gap minimum omega_min within a segment swept at
-    parameter speed v = |d(eps, delta)/dt|, the Landau-Zener excitation
-    probability is ~ exp(-pi omega_min^2 / v); this returns that exponent
-    (inf for modes whose parameters do not move).
-    """
-    q = np.asarray(q, dtype=float)
-    best = np.full(q.shape, np.inf)
-    for seg in schedule.segments:
-        om2, speed = seg.closest_approach(q)
-        expo = np.where(speed > 0.0, math.pi * om2 / np.where(speed > 0, speed, 1.0), np.inf)
-        best = np.minimum(best, expo)
-    return best
-
-
 def support_regions(schedule):
     """(q_lo, q_hi) intervals on (0, pi) where modes get appreciably excited."""
     qs = np.linspace(0.0, math.pi, 4001)[1:-1]
-    e = lz_exponent(schedule, qs)
+    e = schedule.closest_approach(qs)[1]
     mask = e < EXPONENT_CAP
     if not np.any(mask):
         return []

@@ -477,6 +477,9 @@ def test_sweep_sidecar_records_mirror_and_numpy_build(tmp_path):
     assert one == again
     mirror, plain = json.loads(one), json.loads(two)
     assert [r["mirrored"] for r in mirror["solver_rows"] + plain["solver_rows"]] == [True, False]
+    # each record is the row's tau_Q, its norm drift and the evolver's meta, key for key
+    (spectrum,) = evolver.evolve([(protocol.round_trip(0.0, 10.0), [1.0])])
+    assert set(mirror["solver_rows"][0]) == {"tau_Q", "norm_drift", *spectrum.meta}
     assert mirror["numpy"]["version"] == np.__version__
     assert isinstance(mirror["numpy"]["simd_target"], str) and mirror["numpy"]["simd_target"]
 

@@ -6,7 +6,6 @@ import pytest
 from kzquench import evolver as ev
 from kzquench import lattice as lat
 from kzquench import protocol as proto
-from kzquench import quadrature as quad
 
 
 def test_round_trip_structure():
@@ -183,8 +182,9 @@ def test_closest_approach_matches_dense_scan():
         assert np.allclose(speed, rate, rtol=1e-12, atol=0.0)
         scan_min.append(om2_t.min(axis=0))
         scan_expo.append(math.pi * om2_t.min(axis=0) / rate)
-    assert np.max(np.abs(ev._min_gap(sch, q) ** 2 - np.min(scan_min, axis=0))) < 1e-5
-    assert ev._min_gap(sch, [math.acos(0.75)])[0] < 1e-12  # gap closes at J_y = J_x
-    expo = quad.lz_exponent(sch, q)
+    om2_min, expo = sch.closest_approach(q)
+    assert np.max(np.abs(om2_min - np.min(scan_min, axis=0))) < 1e-5
+    # the gap closes at J_y = J_x
+    assert np.sqrt(sch.closest_approach([math.acos(0.75)])[0][0]) < 1e-12
     assert np.all(expo <= np.min(scan_expo, axis=0) + 1e-12)
     assert np.max(np.abs(expo - np.min(scan_expo, axis=0))) < 1e-3

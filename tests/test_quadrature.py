@@ -18,13 +18,13 @@ def test_lz_exponent_ising_matches_formula():
     tau = 17.0
     sch = proto.one_way(10.0, 0.0, tau)
     q = np.linspace(0.01, 1.0, 40)
-    e = quad.lz_exponent(sch, q)
+    e = sch.closest_approach(q)[1]
     assert np.max(np.abs(e - 2.0 * math.pi * tau * np.sin(q) ** 2)) < 1e-9
 
 
 def test_lz_exponent_no_crossing_is_large():
     sch = proto.one_way(10.0, 2.0, 15.0)  # stays gapped for small q
-    e = quad.lz_exponent(sch, np.array([0.05]))
+    e = sch.closest_approach(np.array([0.05]))[1]
     # closest approach omega ~ 2(g_end - 1): exponent ~ 2 pi tau (g_end-1)^2
     assert e[0] > 50.0
 
