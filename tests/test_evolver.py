@@ -432,6 +432,24 @@ def test_roundtrip_density_accuracy_gate():
     assert np.median(dn) <= 2e-9 and np.max(dn) <= 4e-9
 
 
+def test_nonmirror_density_accuracy_gate():
+    # the same gate for schedules that are no mirror: the quarter turn at
+    # g_qt = 2 (the tricritical path of c07), 1.5 and 2.5, and the R = 2 round
+    # trip, against references frozen from rel_tol 1e-13, abs_tol 1e-15 runs
+    # (measured: median 1.10e-9 and worst 4.07e-9 over 21,911 steps)
+    with open(Path(__file__).parent / "data" / "nonmirror_density_refs.json") as fh:
+        refs = json.load(fh)
+    build = {"quarter_turn": lambda g, tau, R: proto.quarter_turn(g, tau, R, jy_initial=6.0),
+             "round_trip": proto.round_trip}
+    schedules = [build[kind](g, tau, R)
+                 for kind, g, tau, R in zip(refs["protocol"], refs["g"], refs["tau_q"], refs["R"])]
+    spectra = ev.evolve_spectra_quadrature(schedules, ev.SolverOptions(1e-8, 1e-10))
+    assert not any(sp.meta["mirrored"] for sp in spectra)
+    dn = np.abs([ev.defect_density(sp) / n - 1.0
+                 for sp, n in zip(spectra, refs["defect_density"])])
+    assert np.median(dn) <= 2e-9 and np.max(dn) <= 5e-9
+
+
 @pytest.mark.parametrize("schedule, share", [
     (proto.round_trip(0.0, 10.0, 1.0), 0.7),
     (proto.round_trip(0.5, 128.0, 2.0), 0.7),
