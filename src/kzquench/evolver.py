@@ -28,13 +28,14 @@ since eps and delta are affine on a segment, its generator is
 alpha_dot = -1.5 theta_dot omega_dot / (omega^2 + theta_dot^2), in the form
 the adiabatic step already takes.  The state is rotated exactly into the SA
 frame at a window's start and back at its end, and the step error there
-counts SA_ERROR_WEIGHT times.  Modes whose gap closes along the path
+counts SA_ERROR_WEIGHT times.  Modes whose gap closes on a segment
 (possible only at isolated quasimomenta of the XY protocols) fall back to the
-lab frame, where the equation is smooth and there are no windows.  Every step
-and frame change is exactly unitary, so norm conservation is automatic.
+lab frame on that segment, where the equation is smooth and there are no
+windows.  Every step and frame change is exactly unitary, so norm
+conservation is automatic.
 
-Step arithmetic.  When a group enters a segment, it reads its modes'
-rows there once from ``Segment.affine``: eps and delta are affine in the
+Step arithmetic.  A group reads its modes' rows on its segment once, when
+its batch starts, from ``Segment.affine``: eps and delta are affine in the
 time dt since the segment's start, omega^2 = v2 (dt - s_v)^2 + m2 is a
 quadratic with its vertex at s_v, and theta_dot = c / omega^2 with the
 constant c = (eps delta_dot - delta eps_dot) / 2.
@@ -43,17 +44,17 @@ and sin(phi) from one t = tan(phi / 2), as (1 - t^2) / (1 + t^2) and
 2 t / (1 + t^2): numpy runs float64 tan on SIMD units but cos and sin one
 element at a time, and the two forms agree to 2.2e-16 for phi up to 1e5.
 
-Groups and lock step.  A group is one schedule's modes in one frame.  The
+Groups and lock step.  A group is one segment's modes in one frame.  The
 modes of a group share one adaptive step: its controller accepts a step only
 if every mode of the group meets the tolerance (a step that fails at
 h <= 1e-12 raises NumericalFailure instead).  Many groups, from one schedule
 or from a whole tau_Q sweep, advance together in one loop (``_lockstep``):
 each pass tries one step of every group, each at its own t and h, on mode
 arrays concatenated over the groups, so numpy's per-call overhead is paid
-once for the batch instead of once per schedule.  A frame's groups run in
+once for the batch instead of once per segment.  A frame's groups run in
 consecutive batches of at most _LOCKSTEP_BLOCK modes, which bounds the
-memory of a long sweep.  Each group keeps its own t, h, tolerance, segment,
-window, step counts and norm drift, and its controller does the same scalar
+memory of a long sweep.  Each group keeps its own t, h, tolerance, window,
+step counts and norm drift, and its controller does the same scalar
 arithmetic as for the group alone; groups inside and outside their windows
 share one pass, with the generator picked per mode.  Its results are
 therefore bitwise the same whichever groups share the batch and in whatever
@@ -61,31 +62,33 @@ order.  There are two entry points: ``evolve`` takes given modes of any
 number of schedules, and ``evolve_spectra_quadrature`` each schedule's
 Gauss-Legendre panels.  A result's ``meta`` records the attempted ``steps``,
 of them ``accepted`` and ``rejected``, the smallest accepted step ``h_min``,
-the number of ``lab_modes``, the number of ``sa_windows``, ``sa_share``, the
-share of the schedule's time spent in them, and whether it was ``mirrored``.
+the number of ``lab_modes`` (in the lab frame on some segment), the number
+of ``sa_windows``, ``sa_share``, the share of the schedule's time spent in
+them, and whether it was ``mirrored``.
 
-Mirrors.  A schedule that is its own time reversal evolves its first half
-only: it has an even number n of segments, segment k and segment n-1-k last
-equally long, and segment k starts at the parameters where segment n-1-k
-ends, compared exactly.  The R = 1 round trip
-with g_i = g_f and the R = 1 reversed round trip are mirrors.  Each mode's
-H = eps sigma_z + delta sigma_x is real symmetric, so the second half's
-propagator is the transpose of the first half's U1, and the trip is
-U = U1^T U1, the transfer-matrix composition of the adiabatic-impulse model
-of Landau-Zener-Stueckelberg interferometry (Shevchenko, Ashhab & Nori,
-Phys. Rep. 492 (2010) 1).  U1 is in SU(2), so its one evolved column fixes
-it: U1 [psi0, J psi0*] = [psi1, J psi1*] with J = i sigma_y.  The half's
-error enters the trip twice, so its steps are held to rel_tol/2 and
-abs_tol/2.  A mirrored result's ``steps``, ``accepted``, ``rejected``,
-``h_min`` and ``sa_windows`` count the half actually evolved; ``sa_share``
-is the same on the half as on the trip, and the norm drift is the larger of
-the half's and that of the composed state.
+Transfers.  Each mode's propagator over a segment, from the eigenbasis at
+its first parameters into that at its last, is an SU(2) transfer
+[[a, -b*], [b, a*]], fixed by the one column (a, b) that a group evolves
+from the ground state (1, 0).  A result is the product of its segments'
+transfers applied to (1, 0), the adiabatic-impulse composition of
+Landau-Zener-Stueckelberg interferometry (Shevchenko, Ashhab & Nori, Phys.
+Rep. 492 (2010) 1).  H = eps sigma_z + delta sigma_x is real symmetric, so a
+segment that retraces an earlier one backwards (equal duration, start and
+end parameters swapped, compared exactly) has the transposed transfer and
+is not evolved again: the R = 1 round trip with g_i = g_f and the R = 1
+reversed round trip evolve their first ramp only (``mirrored``).  A
+transfer that enters its schedule m times brings its error in m times, so
+its steps are held to rel_tol/m and abs_tol/m.  ``steps``, ``accepted``,
+``rejected``, ``h_min`` and ``sa_windows`` count the transfers evolved,
+``sa_share`` counts each reuse, and the norm drift is the largest of the
+groups' and that of the composed state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,7 +105,7 @@ class NumericalFailure(RuntimeError):
     """The adaptive integrator could not reach the requested tolerance."""
 
 
-# Modes whose smallest gap along the schedule is at or below GAP_FLOOR integrate
+# Modes whose smallest gap on a segment is at or below GAP_FLOOR integrate there
 # in the lab frame, all others in the adiabatic frame (inf: all lab, -inf: none).
 GAP_FLOOR = 1e-4
 # attempted steps per segment
@@ -203,91 +206,62 @@ class StepControl:
 
 
 class _Group(StepControl):
-    """One schedule's modes in one frame, advanced under its own step controller.
+    """One segment's modes in one frame, advanced under its own step controller.
 
     The controller state and the drift are scalar and belong to the group
-    alone; its modes hold one contiguous slice of the lock-step batch.
-    ``out`` is the schedule's SpectrumResult and ``mask`` picks the group's
-    modes out of it.  ``tol`` is abs_tol + rel_tol.  A ``mirrored`` group
-    walks only the first half of its schedule (``schedule`` is that half),
-    whose error enters the trip twice, so its unit of step error is tol / 2;
-    ``finish`` composes the trip.
-    The group walks its schedule in pieces (segment index, t_a, t_b, sa):
-    the segments, cut at the edges of the group's superadiabatic windows in
-    the adiabatic frame.
+    alone; its modes hold one contiguous slice of the lock-step batch.  The
+    group starts from the ground state at the segment's first parameters,
+    and ``finish`` leaves its amplitudes (a, b) in the eigenbasis at the
+    last: the first column of the segment's transfer [[a, -b*], [b, a*]].
+    ``tol`` is the unit of step error, (abs_tol + rel_tol) / m for a
+    transfer that enters its schedule m times.  The group walks its segment
+    in pieces (t_a, t_b, sa): the segment, cut at the edges of the group's
+    superadiabatic windows in the adiabatic frame; ``sa_time`` is their
+    total length.
     """
 
-    def __init__(self, schedule, q, mask, out, where, frame, tol, mirrored):
+    def __init__(self, segment, q, where, frame, tol):
         super().__init__(where)
-        self.schedule = schedule
+        self.segment = segment
         self.q = q
-        self.mask = mask
-        self.out = out
-        self.tol = 0.5 * tol if mirrored else tol
-        self.mirrored = mirrored
+        self.tol = tol
         self.pieces = []
-        for k, seg in enumerate(schedule.segments):
-            t = seg.t_start
-            for ta, tb in _sa_windows(seg, q) if frame == "adiabatic" else ():
-                if ta > t:
-                    self.pieces.append((k, t, ta, False))
-                self.pieces.append((k, ta, tb, True))
-                t = tb
-            if t < seg.t_end:
-                self.pieces.append((k, t, seg.t_end, False))
-        windows = [tb - ta for _, ta, tb, sa in self.pieces if sa]
+        t = segment.t_start
+        for ta, tb in _sa_windows(segment, q) if frame == "adiabatic" else ():
+            if ta > t:
+                self.pieces.append((t, ta, False))
+            self.pieces.append((ta, tb, True))
+            t = tb
+        if t < segment.t_end:
+            self.pieces.append((t, segment.t_end, False))
+        windows = [tb - ta for ta, tb, sa in self.pieces if sa]
         self.sa_windows = len(windows)
-        self.sa_share = sum(windows) / (schedule.t_end - schedule.t_start)
-        self.piece = self.seg = -1
+        self.sa_time = sum(windows)
+        self.piece = -1
         self.sa = False
         self.drift = 0.0
 
     def next_piece(self):
-        """Enter the next piece; False once the schedule is done."""
+        """Enter the next piece; False once the segment is done."""
         self.piece += 1
         if self.piece == len(self.pieces):
             return False
-        k, t, t_end, self.sa = self.pieces[self.piece]
-        self.enter(t, t_end, self.schedule.segments[k] if k != self.seg else None)
-        self.seg = k
+        t, t_end, self.sa = self.pieces[self.piece]
+        self.enter(t, t_end, None if self.piece else self.segment)
         return True
 
     def finish(self, frame, a, b):
-        """Rotate the final amplitudes and write them and the statistics to ``out``.
+        """Keep the final amplitudes as (a, b), in the eigenbasis at the segment's end.
 
-        A mirrored group holds the half's amplitudes (a, b) in the adiabatic
-        or the lab frame.  Either way the half's propagator, from the initial
-        eigenbasis into that real basis, is in SU(2) and maps the ground state
-        (1, 0) to (a, b), so it is [[a, -b*], [b, a*]].  The second half's
-        propagator, back into the final eigenbasis (the initial one), is its
-        transpose, so the trip ends at (a^2 + b^2, a* b - a b*) there.
+        The adiabatic frame's amplitudes are already there; a lab group
+        rotates its (u, v) into it.
         """
-        if self.mirrored:
-            # (a, b) become the trip's final-eigenbasis amplitudes; a mirror
-            # ends at the parameters it started from
-            a, b = a * a + b * b, 2j * (a.conj() * b).imag
-            self.drift = max(self.drift, _drift(a, b))
-            frame, t_end = "adiabatic", self.schedule.t_start
-        else:
-            t_end = self.schedule.t_end
-        thetaf = _bogoliubov_angle(self.schedule, self.q, t_end)
-        cf, sf = np.cos(thetaf), np.sin(thetaf)
-        if frame == "adiabatic":
-            u = cf * a - sf * b
-            v = sf * a + cf * b
-            u_rot, v_rot = a, b
-        else:
-            u, v = a, b
-            u_rot = u * cf + v * sf
-            v_rot = v * cf - u * sf
-        out, m, meta = self.out, self.mask, self.out.meta
-        out.u[m], out.v[m], out.u_rot[m], out.v_rot[m] = u, v, u_rot, v_rot
-        out.norm_drift = max(out.norm_drift, self.drift)
-        meta["steps"] += self.steps
-        meta["accepted"] += self.accepted
-        meta["h_min"] = min(meta["h_min"], float(self.h_min))
-        meta["sa_windows"] += self.sa_windows
-        meta["sa_share"] += self.sa_share
+        if frame == "lab":
+            thetaf = _bogoliubov_angle(self.segment.params_end, self.q)
+            cf, sf = np.cos(thetaf), np.sin(thetaf)
+            a, b = a * cf + b * sf, b * cf - a * sf
+        # copies, so that no view keeps the batch's arrays alive
+        self.a, self.b = a.copy(), b.copy()
 
 
 def _step_rows(t, h, t0):
@@ -475,7 +449,7 @@ def _drift(a, b):
 
 
 def _lockstep(frame, groups):
-    """Advance every group across its schedule in one frame, all in lock step.
+    """Advance every group across its segment in one frame, all in lock step.
 
     Each pass tries one step-doubled Magnus-4 step of every group at the
     group's own t and h, on mode arrays concatenated over the groups.  Each
@@ -485,14 +459,14 @@ def _lockstep(frame, groups):
     arithmetic per mode and per group is the same as for the group alone,
     so its results are bitwise independent of the batch.  A group that ends
     a piece rewrites only its own slice (and rotates it into or out of the
-    SA frame at a window edge); a group that ends its schedule writes its
-    results and leaves the batch.
+    SA frame at a window edge); a group that ends its segment keeps its
+    amplitudes and leaves the batch.
     """
     counts = np.array([len(g.q) for g in groups])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    modes = np.empty((8, counts.sum()))     # Segment.affine rows of every mode
+    modes = np.concatenate([g.segment.affine(g.q) for g in groups], axis=1)
     sa = np.zeros(modes.shape[1], dtype=bool)
-    t0 = np.empty(len(groups))              # each group's segment start
+    t0 = np.array([g.segment.t_start for g in groups])
 
     def angle(i, sl, t):
         return _sa_angle(modes[:, sl], t - t0[i])
@@ -502,13 +476,8 @@ def _lockstep(frame, groups):
         sl = slice(starts[i], starts[i] + counts[i])
         if group.sa:
             a[sl], b[sl] = _from_sa(angle(i, sl, group.t), a[sl], b[sl])
-        k = group.seg
         if not group.next_piece():
             return False
-        if group.seg != k:
-            s = group.schedule.segments[group.seg]
-            t0[i] = s.t_start
-            modes[:, sl] = s.affine(group.q)
         if group.sa:
             a[sl], b[sl] = _to_sa(angle(i, sl, group.t), a[sl], b[sl])
         sa[sl] = group.sa
@@ -518,8 +487,7 @@ def _lockstep(frame, groups):
         a = np.ones(sa.shape, dtype=complex)
         b = np.zeros(sa.shape, dtype=complex)
     else:
-        theta0 = np.concatenate([_bogoliubov_angle(g.schedule, g.q, g.schedule.t_start)
-                                 for g in groups])
+        theta0 = np.concatenate([_bogoliubov_angle(g.segment.params_start, g.q) for g in groups])
         a = np.cos(theta0).astype(complex)   # lab-frame u
         b = np.sin(theta0).astype(complex)   # lab-frame v
     for i, g in enumerate(groups):
@@ -578,23 +546,8 @@ def _blocks(groups):
         yield block
 
 
-def _mirror_half(schedule):
-    """The first half of a schedule that is its own time reversal, else None.
-
-    The schedule must have an even number n of segments, and segment k and
-    segment n-1-k must last equally long, with segment k starting at the
-    parameters where segment n-1-k ends, compared exactly.
-    """
-    segs = schedule.segments
-    n = len(segs)
-    if n % 2 or any(a.duration != b.duration or a.params_start != b.params_end
-                    for a, b in zip(segs, segs[::-1])):
-        return None
-    return replace(schedule, segments=segs[:n // 2], crossings=())
-
-
-def _bogoliubov_angle(schedule, q, t):
-    eps, delta = lattice.eps_delta(*schedule.params_at(t), np.cos(q), np.sin(q))
+def _bogoliubov_angle(params, q):
+    eps, delta = lattice.eps_delta(*params, np.cos(q), np.sin(q))
     return 0.5 * np.arctan2(delta, eps)
 
 
@@ -603,44 +556,90 @@ def evolve(jobs, opts=None):
 
     A result carries no weights: lab-frame (u, v), final-equilibrium-frame
     (u_rot, v_rot), p = |v_rot|^2, the worst norm drift and the solver
-    statistics in ``meta``.  Each job's modes are split by frame into groups,
-    and the groups of each frame advance together in lock-step batches of
-    up to _LOCKSTEP_BLOCK modes, so each result is bitwise what its job
-    gives alone.  A schedule that is its own time reversal (``meta["mirrored"]``)
-    evolves its first half only, at half the tolerance, since the half's
-    error enters the trip twice.
+    statistics in ``meta``: the product of its segments' transfers applied
+    to (1, 0), a reused transfer evolved once at tol / m (see Transfers).
+    Each evolved segment's modes are split by frame into groups, and the
+    groups of each frame advance together in lock-step batches of up to
+    _LOCKSTEP_BLOCK modes, so each result is bitwise what its job gives alone.
     """
     opts = opts or SolverOptions()
     tol = opts.abs_tol + opts.rel_tol
     groups = {"adiabatic": [], "lab": []}
-    outs = []
+    plans = []
     for j, (schedule, q) in enumerate(jobs):
         q = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any(q <= 0.0) or np.any(q >= math.pi):
             raise ValueError("quasimomenta must lie in (0, pi)")
-        # the smallest gap, not its square, meets GAP_FLOOR (sqrt is monotone)
-        lab_mask = np.sqrt(schedule.closest_approach(q)[0]) <= GAP_FLOOR
-        half = _mirror_half(schedule)
-        u, v, u_rot, v_rot = (np.empty(q.shape, dtype=complex) for _ in range(4))
-        out = SpectrumResult(q, None, u, v, u_rot, v_rot, meta={
-            "steps": 0, "accepted": 0, "rejected": 0, "h_min": math.inf,
-            "lab_modes": int(np.count_nonzero(lab_mask)), "sa_windows": 0, "sa_share": 0.0,
-            "mirrored": half is not None})
-        outs.append(out)
-        for frame, mask in (("adiabatic", ~lab_mask), ("lab", lab_mask)):
-            if np.any(mask):
-                where = "%s frame failed for modes %s" % (frame, np.flatnonzero(mask)[:8])
-                if len(jobs) > 1:
-                    where = "schedule %d (tau_q=%s): %s" % (j, schedule.tau_q, where)
-                groups[frame].append(_Group(half or schedule, q[mask], mask, out, where,
-                                            frame, tol, half is not None))
+        segs = schedule.segments
+        # per segment (i, transposed): it applies segment i's transfer; one that
+        # retraces an earlier segment backwards (compared exactly) reuses that one's
+        sources = []
+        for k, seg in enumerate(segs):
+            sources.append(next(((i, not tr) for (i, tr), s in zip(sources, segs)
+                                 if s.duration == seg.duration and s.params_start == seg.params_end
+                                 and s.params_end == seg.params_start), (k, False)))
+        parts, lab = {}, np.zeros(q.shape, dtype=bool)     # evolved segment -> (mask, group)s
+        for k, m in Counter(i for i, _ in sources).items():
+            # the smallest gap, not its square, meets GAP_FLOOR (sqrt is monotone)
+            lab_mask = np.sqrt(segs[k].closest_approach(q)[0]) <= GAP_FLOOR
+            lab |= lab_mask
+            parts[k] = []
+            for frame, mask in (("adiabatic", ~lab_mask), ("lab", lab_mask)):
+                if np.any(mask):
+                    where = "%s frame failed for modes %s" % (frame, np.flatnonzero(mask)[:8])
+                    if len(jobs) > 1:
+                        where = "schedule %d (tau_q=%s): %s" % (j, schedule.tau_q, where)
+                    group = _Group(segs[k], q[mask], where, frame, tol / m)
+                    parts[k].append((mask, group))
+                    groups[frame].append(group)
+        plans.append((schedule, q, sources, parts, int(np.count_nonzero(lab))))
     for frame, frame_groups in groups.items():
         for block in _blocks(frame_groups):
             _lockstep(frame, block)
-    for out in outs:
-        out.p = np.abs(out.v_rot) ** 2
-        out.meta["rejected"] = out.meta["steps"] - out.meta["accepted"]
-    return outs
+    return [_compose(*plan) for plan in plans]
+
+
+def _apply_transfer(ta, tb, a, b, transposed):
+    """The transfer [[ta, -tb*], [tb, ta*]], or its transpose, applied to (a, b).
+
+    The transpose's second row is written so that at (a, b) = (ta, tb) it is
+    2i Im(ta* tb) to the bit: a mirror ends at (ta^2 + tb^2, ta* tb - ta tb*).
+    """
+    if transposed:
+        return ta * a + tb * b, ta.conj() * b - (a.conj() * tb).conj()
+    return ta * a - tb.conj() * b, tb * a + ta.conj() * b
+
+
+def _compose(schedule, q, sources, parts, lab_modes):
+    """One job's SpectrumResult from the groups of its evolved segments.
+
+    The state starts as the first segment's (a, b), and each later segment's
+    transfer [[a, -b*], [b, a*]], or its transpose, is applied to it in turn.
+    """
+    transfers = {}
+    for k, pairs in parts.items():
+        transfers[k] = np.empty((2, len(q)), dtype=complex)
+        for mask, g in pairs:
+            transfers[k][:, mask] = g.a, g.b
+    a, b = transfers[0]
+    for i, transposed in sources[1:]:
+        a, b = _apply_transfer(*transfers[i], a, b, transposed)
+    groups = [g for pairs in parts.values() for _, g in pairs]
+    drift = max([0.0] + [g.drift for g in groups])
+    if len(sources) > 1:
+        drift = max(drift, _drift(a, b))
+    steps, accepted = sum(g.steps for g in groups), sum(g.accepted for g in groups)
+    # each reuse of a transfer counts its windows again
+    sa_time = sum(g.sa_time for i, _ in sources for _, g in parts[i])
+    meta = {"steps": steps, "accepted": accepted, "rejected": steps - accepted,
+            "h_min": min([math.inf] + [float(g.h_min) for g in groups]),
+            "lab_modes": lab_modes, "sa_windows": sum(g.sa_windows for g in groups),
+            "sa_share": sa_time / (schedule.t_end - schedule.t_start),
+            "mirrored": any(i != k for k, (i, _) in enumerate(sources))}
+    thetaf = _bogoliubov_angle(schedule.segments[-1].params_end, q)
+    cf, sf = np.cos(thetaf), np.sin(thetaf)
+    u, v = cf * a - sf * b, sf * a + cf * b
+    return SpectrumResult(q, np.abs(b) ** 2, u, v, a, b, norm_drift=drift, meta=meta)
 
 
 def evolve_spectra_quadrature(schedules, opts=None, order=16, n_support=12, max_r=0.0):

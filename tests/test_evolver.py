@@ -299,6 +299,14 @@ def _dwell_trip():
                           "dwell", {"tau_q": 5.0})
 
 
+def _four_ramp_palindrome():
+    """Ramp g 10 -> 2 -> 0 and back the same way: segments 2 and 3 retrace 1 and 0."""
+    points = [(-50.0, 10.0), (-10.0, 2.0), (0.0, 0.0), (10.0, 2.0), (50.0, 10.0)]
+    return proto.Schedule(tuple(proto.Segment(t0, t1, (g0, 1.0, 0.0), (g1, 1.0, 0.0))
+                                for (t0, g0), (t1, g1) in zip(points[:-1], points[1:])),
+                          "palindrome", {"tau_q": 5.0})
+
+
 @pytest.mark.parametrize("schedule, mirrored", [
     (proto.round_trip(0.0, 10.0, 1.0), True),
     (proto.round_trip(0.5, 10.0, 1.0, g_i=6.0, g_f=6.0), True),
@@ -307,14 +315,22 @@ def _dwell_trip():
     (proto.round_trip(0.0, 10.0, 1.0, g_f=9.0), False),
     (proto.quarter_turn(1.5, 10.0, 1.0), False),
     (proto.one_way(10.0, 0.0, 10.0), False),
-    (_dwell_trip(), False)])                        # an odd number of segments
+    (_dwell_trip(), True),                          # the dwell is evolved, the ramp reused
+    (_four_ramp_palindrome(), True)])
 def test_mirror_detection(schedule, mirrored):
-    half = ev._mirror_half(schedule)
-    assert (half is not None) == mirrored
-    (res,) = ev.evolve([(schedule, [0.3])], ev.SolverOptions(1e-6, 1e-8))
+    # a palindrome evolves its first half once, at half the tolerance, and a
+    # middle segment of its own at the full tolerance: its steps are those parts'
+    opts = ev.SolverOptions(1e-6, 1e-8)
+    (res,) = ev.evolve([(schedule, [0.3])], opts)
     assert res.meta["mirrored"] == mirrored
     if mirrored:
-        assert half.segments == schedule.segments[:1]
+        segs = schedule.segments
+        half = ev.SolverOptions(0.5 * opts.rel_tol, 0.5 * opts.abs_tol)
+        parts = [(seg, half) for seg in segs[:len(segs) // 2]]
+        parts += [(segs[len(segs) // 2], opts)] if len(segs) % 2 else []
+        steps = [ev.evolve([(proto.Schedule((seg,), "part"), [0.3])], o)[0].meta["steps"]
+                 for seg, o in parts]
+        assert res.meta["steps"] == sum(steps)
 
 
 def _split_second_ramp(schedule):
@@ -339,6 +355,35 @@ def test_mirror_composition_matches_full_evolution(mirror):
     assert max(np.max(np.abs(composed.u - full.u)), np.max(np.abs(composed.v - full.v))) <= 1e-9
     assert np.max(np.abs(composed.p - full.p)) <= 1e-9
     assert composed.norm_drift <= 10.0 * opts.rel_tol
+
+
+@pytest.mark.parametrize("schedule", [proto.quarter_turn(2.0, 10.0, 1.0, jy_initial=6.0),
+                                      proto.round_trip(0.0, 10.0, 2.0)])
+def test_transfers_compose_bitwise(schedule):
+    # a schedule with no reused segment ends at the product of its segments'
+    # transfers, each segment evolved alone as a one-segment schedule
+    q, _ = support_panels(schedule)
+    opts = ev.SolverOptions(1e-8, 1e-10)
+    (whole,) = ev.evolve([(schedule, q)], opts)
+    parts = ev.evolve([(proto.Schedule((seg,), "part"), q) for seg in schedule.segments], opts)
+    a, b = parts[0].u_rot, parts[0].v_rot
+    for part in parts[1:]:
+        ta, tb = part.u_rot, part.v_rot
+        a, b = ta * a - tb.conj() * b, tb * a + ta.conj() * b
+    assert whole.u_rot.tobytes() == a.tobytes() and whole.v_rot.tobytes() == b.tobytes()
+    assert whole.meta["steps"] == sum(part.meta["steps"] for part in parts)
+    assert not whole.meta["mirrored"] and (whole.meta["lab_modes"] > 0) == (schedule.kind == "quarter_turn")
+
+
+def test_transposed_transfer_of_its_own_column():
+    # a mirror's end state from the transposed apply is (a^2 + b^2, 2i Im(a* b)) exactly
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=256) + 1j * rng.normal(size=256)
+    b = rng.normal(size=256) + 1j * rng.normal(size=256)
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    a, b = a / norm, b / norm
+    x, y = ev._apply_transfer(a, b, a, b, True)
+    assert np.all(x == a * a + b * b) and np.all(y == 2j * (a.conj() * b).imag)
 
 
 def test_sa_frame_round_trip_is_identity():
