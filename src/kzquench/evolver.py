@@ -26,13 +26,13 @@ alpha = atan2(theta_dot, omega) / 2 and W = diag(e^{-i pi/4}, e^{i pi/4});
 since eps and delta are affine on a segment, its generator is
 (0, alpha_dot, sqrt(omega^2 + theta_dot^2)) with the much smaller
 alpha_dot = -1.5 theta_dot omega_dot / (omega^2 + theta_dot^2), in the form
-the adiabatic step already takes.  The state is rotated exactly into the SA
-frame at a window's start and back at its end, and the step error there
-counts SA_ERROR_WEIGHT times.  Modes whose gap closes on a segment
-(possible only at isolated quasimomenta of the XY protocols) fall back to the
-lab frame on that segment, where the equation is smooth and there are no
-windows.  Every step and frame change is exactly unitary, so norm
-conservation is automatic.
+the adiabatic step already takes.  A window is a span of its own: its state
+is rotated exactly into the SA frame at the span's start and back at its
+end, and the step error there counts SA_ERROR_WEIGHT times.  Modes whose gap
+closes on a segment (possible only at isolated quasimomenta of the XY
+protocols) fall back to the lab frame on that segment, where the equation is
+smooth and there are no windows.  Every step and frame change is exactly
+unitary, so norm conservation is automatic.
 
 Step arithmetic.  A group reads its modes' rows on its segment once, when
 its batch starts, from ``Segment.affine``: eps and delta are affine in the
@@ -44,44 +44,47 @@ and sin(phi) from one t = tan(phi / 2), as (1 - t^2) / (1 + t^2) and
 2 t / (1 + t^2): numpy runs float64 tan on SIMD units but cos and sin one
 element at a time, and the two forms agree to 2.2e-16 for phi up to 1e5.
 
-Groups and lock step.  A group is one segment's modes in one frame.  The
-modes of a group share one adaptive step: its controller accepts a step only
-if every mode of the group meets the tolerance (a step that fails at
-h <= 1e-12 raises NumericalFailure instead).  Many groups, from one schedule
-or from a whole tau_Q sweep, advance together in one loop (``_lockstep``):
-each pass tries one step of every group, each at its own t and h, on mode
-arrays concatenated over the groups, so numpy's per-call overhead is paid
-once for the batch instead of once per segment.  A frame's groups run in
-consecutive batches of at most _LOCKSTEP_BLOCK modes, which bounds the
-memory of a long sweep.  Each group keeps its own t, h, tolerance, window,
-step counts and norm drift, and its controller does the same scalar
-arithmetic as for the group alone; groups inside and outside their windows
-share one pass, with the generator picked per mode.  Its results are
-therefore bitwise the same whichever groups share the batch and in whatever
-order.  There are two entry points: ``evolve`` takes given modes of any
-number of schedules, and ``evolve_spectra_quadrature`` each schedule's
-Gauss-Legendre panels.  A result's ``meta`` records the attempted ``steps``,
-of them ``accepted`` and ``rejected``, the smallest accepted step ``h_min``,
-the number of ``lab_modes`` (in the lab frame on some segment), the number
-of ``sa_windows``, ``sa_share``, the share of the schedule's time spent in
-them, and whether it was ``mirrored``.
+Groups and lock step.  A segment's modes are cut into spans: the modes that
+run in the adiabatic frame at the edges of their SA windows, with each
+window a span in the "sa" frame, and the lab-frame modes in one span of the
+whole segment.  A group is one span of one segment's modes in one frame.
+The modes of a group share one adaptive step: its controller accepts a step
+only if every mode of the group meets the tolerance (a step that fails at
+h <= 1e-12 raises NumericalFailure instead).  Many groups of one frame, from
+one schedule or from a whole tau_Q sweep, advance together in one loop
+(``_lockstep``): each pass tries one step of every group, each at its own t
+and h, on mode arrays concatenated over the groups, so numpy's per-call
+overhead is paid once for the batch instead of once per span.  A frame's
+groups run in consecutive batches of at most _LOCKSTEP_BLOCK modes, which
+bounds the memory of a long sweep, and the frames run one after another.
+Each group keeps its own t, h, tolerance, step counts and norm drift, and
+its controller does the same scalar arithmetic as for the group alone, so
+its results are bitwise the same whichever groups share the batch and in
+whatever order.  There are two entry points: ``evolve`` takes given modes
+of any number of schedules, and ``evolve_spectra_quadrature`` each
+schedule's Gauss-Legendre panels.  A result's ``meta`` records the
+attempted ``steps``, of them ``accepted`` and ``rejected``, the smallest
+accepted step ``h_min``, the number of ``lab_modes`` (in the lab frame on
+some segment), the number of ``sa_windows``, ``sa_share``, the share of the
+schedule's time spent in them, and whether it was ``mirrored``.
 
-Transfers.  Each mode's propagator over a segment, from the eigenbasis at
-its first parameters into that at its last, is an SU(2) transfer
-[[a, -b*], [b, a*]], fixed by the one column (a, b) that a group evolves
-from the ground state (1, 0).  A result is the product of its segments'
-transfers applied to (1, 0), the adiabatic-impulse composition of
-Landau-Zener-Stueckelberg interferometry (Shevchenko, Ashhab & Nori, Phys.
-Rep. 492 (2010) 1).  H = eps sigma_z + delta sigma_x is real symmetric, so a
-segment that retraces an earlier one backwards (equal duration, start and
-end parameters swapped, compared exactly) has the transposed transfer and
-is not evolved again: the R = 1 round trip with g_i = g_f and the R = 1
-reversed round trip evolve their first ramp only (``mirrored``).  A
-transfer that enters its schedule m times brings its error in m times, so
-its steps are held to rel_tol/m and abs_tol/m.  ``steps``, ``accepted``,
-``rejected``, ``h_min`` and ``sa_windows`` count the transfers evolved,
-``sa_share`` counts each reuse, and the norm drift is the largest of the
-groups' and that of the composed state.
+Transfers.  Each mode's propagator over a span, from the eigenbasis at its
+start into that at its end, is an SU(2) transfer [[a, -b*], [b, a*]], fixed
+by the one column (a, b) that a group evolves from the ground state (1, 0).
+A segment's transfer is the product of its spans' in time order, and a
+result is the product of its segments' transfers applied to (1, 0), the
+adiabatic-impulse composition of Landau-Zener-Stueckelberg interferometry
+(Shevchenko, Ashhab & Nori, Phys. Rep. 492 (2010) 1).  H = eps sigma_z +
+delta sigma_x is real symmetric, so a segment that retraces an earlier one
+backwards (equal duration, start and end parameters swapped, compared
+exactly) has the transposed transfer and is not evolved again: the R = 1
+round trip with g_i = g_f and the R = 1 reversed round trip evolve their
+first ramp only (``mirrored``).  A transfer that enters its schedule m
+times brings its error in m times, so its steps are held to rel_tol/m and
+abs_tol/m.  ``steps``, ``accepted``, ``rejected``, ``h_min`` and
+``sa_windows`` count the spans evolved, ``sa_share`` counts each reuse,
+and the norm drift is the largest of the groups' and that of the composed
+state.
 """
 
 from __future__ import annotations
@@ -155,42 +158,43 @@ class StepControl:
     The caller tries a step-doubled step of h = ``clip()`` from t and passes
     its error, in units of the tolerance, to ``control``.  h starts at 1e-3
     and scales by 0.9 err^(-1/5), clamped to [0.2, 5]; a step that reaches the
-    end of its piece lands exactly on it.  NumericalFailure, prefixed by
+    end of its span lands exactly on it.  NumericalFailure, prefixed by
     ``where``, stops a segment after MAX_STEPS tries, a step below
     1e-13 max(1, duration) and a step that fails its tolerance at h <= 1e-12.
+    ``enter`` starts the segment's count of tries, ``tried``, which spans of
+    one segment may share.
     """
 
     def __init__(self, where):
         self.where = where
         self.h = 1e-3
-        self.steps = 0              # attempted, over all segments
+        self.steps = 0              # attempted, over all spans
         self.accepted = 0
         self.h_min = math.inf
 
     def fail(self, msg):
         return NumericalFailure("%s: %s" % (self.where, msg))
 
-    def enter(self, t, t_end, segment=None):
-        """Start the piece [t, t_end], the first of ``segment`` if one is given."""
-        if segment is not None:
-            self.h_tiny = 1e-13 * max(1.0, segment.duration)
-            self.seg_steps = 0
+    def enter(self, t, t_end, segment):
+        """Start the span [t, t_end] of ``segment`` with a fresh step budget."""
+        self.h_tiny = 1e-13 * max(1.0, segment.duration)
+        self.tried = [0]
         self.t, self.t_end = t, t_end
         self.h = min(self.h, t_end - t)
 
     def clip(self):
         """The step size to try next; raises once the step budget or size runs out."""
-        if self.seg_steps >= MAX_STEPS:
+        if self.tried[0] >= MAX_STEPS:
             raise self.fail("step budget exhausted at t=%g (h=%g)" % (self.t, self.h))
         if self.h < self.h_tiny:
             raise self.fail("step underflow at t=%g" % (self.t,))
+        self.tried[0] += 1
         self.lands = self.h >= self.t_end - self.t
         self.h = min(self.h, self.t_end - self.t)
         return self.h
 
     def control(self, err):
         """Accept or reject the step just tried (err in units of the tolerance)."""
-        self.seg_steps += 1
         self.steps += 1
         accepted = err <= 1.0
         if accepted:
@@ -206,62 +210,24 @@ class StepControl:
 
 
 class _Group(StepControl):
-    """One segment's modes in one frame, advanced under its own step controller.
+    """One span of one segment's modes in one frame, advanced under its own step controller.
 
     The controller state and the drift are scalar and belong to the group
     alone; its modes hold one contiguous slice of the lock-step batch.  The
-    group starts from the ground state at the segment's first parameters,
-    and ``finish`` leaves its amplitudes (a, b) in the eigenbasis at the
-    last: the first column of the segment's transfer [[a, -b*], [b, a*]].
-    ``tol`` is the unit of step error, (abs_tol + rel_tol) / m for a
-    transfer that enters its schedule m times.  The group walks its segment
-    in pieces (t_a, t_b, sa): the segment, cut at the edges of the group's
-    superadiabatic windows in the adiabatic frame; ``sa_time`` is their
-    total length.
+    group starts from the ground state (1, 0) in the eigenbasis at the start
+    t_a of its ``span`` (t_a, t_b), and ``_lockstep`` leaves its amplitudes
+    (a, b) in the eigenbasis at t_b: the first column of the span's transfer
+    [[a, -b*], [b, a*]].  ``tol`` is the unit of step error,
+    (abs_tol + rel_tol) / m for a transfer that enters its schedule m times.
+    The spans of one segment share ``tried``, so MAX_STEPS bounds them together.
     """
 
-    def __init__(self, segment, q, where, frame, tol):
+    def __init__(self, segment, q, where, frame, tol, span, tried):
         super().__init__(where)
-        self.segment = segment
-        self.q = q
-        self.tol = tol
-        self.pieces = []
-        t = segment.t_start
-        for ta, tb in _sa_windows(segment, q) if frame == "adiabatic" else ():
-            if ta > t:
-                self.pieces.append((t, ta, False))
-            self.pieces.append((ta, tb, True))
-            t = tb
-        if t < segment.t_end:
-            self.pieces.append((t, segment.t_end, False))
-        windows = [tb - ta for ta, tb, sa in self.pieces if sa]
-        self.sa_windows = len(windows)
-        self.sa_time = sum(windows)
-        self.piece = -1
-        self.sa = False
+        self.segment, self.q, self.frame, self.tol, self.span = segment, q, frame, tol, span
+        self.enter(*span, segment)
+        self.tried = tried
         self.drift = 0.0
-
-    def next_piece(self):
-        """Enter the next piece; False once the segment is done."""
-        self.piece += 1
-        if self.piece == len(self.pieces):
-            return False
-        t, t_end, self.sa = self.pieces[self.piece]
-        self.enter(t, t_end, None if self.piece else self.segment)
-        return True
-
-    def finish(self, frame, a, b):
-        """Keep the final amplitudes as (a, b), in the eigenbasis at the segment's end.
-
-        The adiabatic frame's amplitudes are already there; a lab group
-        rotates its (u, v) into it.
-        """
-        if frame == "lab":
-            thetaf = _bogoliubov_angle(self.segment.params_end, self.q)
-            cf, sf = np.cos(thetaf), np.sin(thetaf)
-            a, b = a * cf + b * sf, b * cf - a * sf
-        # copies, so that no view keeps the batch's arrays alive
-        self.a, self.b = a.copy(), b.copy()
 
 
 def _step_rows(t, h, t0):
@@ -281,16 +247,16 @@ def _step_rows(t, h, t0):
     return rows
 
 
-def _generator(frame, modes, sa, dt):
+def _generator(frame, modes, dt):
     """The two non-zero components (w, z) of every mode's su(2) generator at dt.
 
     ``modes`` holds the rows of ``Segment.affine`` and ``dt`` the time
     since the segment's start.  The generator is (w, 0, z) = (delta, 0, eps)
     in the lab frame and (0, w, z) = (0, -theta_dot, omega) in the adiabatic
-    frame.  Modes in a superadiabatic window (``sa``: False, True or a
-    per-mode mask) have (0, w, z) = (0, alpha_dot, sqrt(omega^2 + theta_dot^2))
-    instead; on an affine segment theta_ddot = -2 theta_dot omega_dot / omega
-    exactly, so alpha_dot = -1.5 theta_dot omega_dot / (omega^2 + theta_dot^2),
+    frame.  A span in a superadiabatic window (the "sa" frame) has
+    (0, w, z) = (0, alpha_dot, sqrt(omega^2 + theta_dot^2)) instead; on an
+    affine segment theta_ddot = -2 theta_dot omega_dot / omega exactly, so
+    alpha_dot = -1.5 theta_dot omega_dot / (omega^2 + theta_dot^2),
     where omega omega_dot = eps eps_dot + delta delta_dot = v2 (dt - s_v).
     """
     e0, d0, e1, d1, v2, s_v, c, m2 = modes
@@ -301,26 +267,23 @@ def _generator(frame, modes, sa, dt):
     om2 = vx * x + m2
     thetadot = c / om2
     om = np.sqrt(om2)
-    if sa is False:
+    if frame == "adiabatic":
         return -thetadot, om
     z2 = om2 + thetadot * thetadot
-    w = -1.5 * thetadot * vx / (om * z2)
-    if sa is True:
-        return w, np.sqrt(z2)
-    return np.where(sa, w, -thetadot), np.where(sa, np.sqrt(z2), om)
+    return -1.5 * thetadot * vx / (om * z2), np.sqrt(z2)
 
 
-def _magnus_apply(frame, modes, sa, rows, a, b):
+def _magnus_apply(frame, modes, rows, a, b):
     """One 4th-order Magnus step: exact su(2) exponential of the averaged generator.
 
     The Magnus vector is h/2 (G1 + G2) + sqrt(3) h^2 / 6 (G2 x G1) for the
     generators G1, G2 at the two Gauss points; with one generator component
-    zero in either frame, the terms that vanish are left out.  Its
+    zero in every frame, the terms that vanish are left out.  Its
     exponential takes cos(phi) and sin(phi) / phi from one half-angle tangent.
     """
     dt1, dt2, hh, k = rows
-    w1, z1 = _generator(frame, modes, sa, dt1)
-    w2, z2 = _generator(frame, modes, sa, dt2)
+    w1, z1 = _generator(frame, modes, dt1)
+    w2, z2 = _generator(frame, modes, dt2)
     if frame == "lab":
         dx = hh * (w1 + w2)
         dy = k * (z2 * w1 - w2 * z1)
@@ -352,8 +315,8 @@ def _magnus_apply(frame, modes, sa, rows, a, b):
 # Superadiabatic (SA) windows.  Far from its gap minimum a mode's adiabatic-
 # frame coupling theta_dot rides on a large omega and sets the step there.
 # One more adiabatic iteration (M. V. Berry, Proc. R. Soc. A 414 (1987) 31)
-# scales it down by about 1.5 |omega_dot| / omega^2, so each group steps in
-# the SA frame wherever that factor is small for all its modes.  SA local
+# scales it down by about 1.5 |omega_dot| / omega^2, so a segment's modes step
+# in the SA frame wherever that factor is small for all of them.  SA local
 # errors add up coherently along a window, so they are held to half the
 # tolerance.  Both constants come from round trips at 13 tau_Q in [10, 128],
 # rel_tol 1e-8, against rel_tol 1e-13 references: thresholds 0.03-0.05 and
@@ -363,7 +326,7 @@ def _magnus_apply(frame, modes, sa, rows, a, b):
 # but biases n by -0.9e-8, -1.3e-8 and -2.0e-8 at tau_Q = 10, 32 and 128.
 SA_THRESHOLD = 0.04
 SA_ERROR_WEIGHT = 2.0
-# pieces shorter than this share of their segment are not cut out, so that
+# spans shorter than this share of their segment are not cut out, so that
 # landing on a window edge never underflows the step
 _SA_MIN_SPAN = 1e-6
 _EXP_IPI4 = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
@@ -423,7 +386,7 @@ def _sa_windows(seg, q):
 
 def _sa_angle(modes, dt):
     """The SA frame's angle alpha = atan2(theta_dot, omega) / 2 at dt, as in ``_generator``."""
-    w, z = _generator("adiabatic", modes, False, dt)
+    w, z = _generator("adiabatic", modes, dt)
     return 0.5 * np.arctan2(-w, z)
 
 
@@ -444,68 +407,68 @@ def _from_sa(alpha, a, b):
     return c * a - s * b, c * b - s * a
 
 
+def _spans(seg, q, lab):
+    """The (t_a, t_b, frame) spans of seg for its modes q, in time order.
+
+    Lab-frame modes have one span, the whole segment; the others run in the
+    adiabatic frame, cut at the edges of their SA windows, and each window
+    is a span of its own in the "sa" frame.
+    """
+    if lab:
+        return [(seg.t_start, seg.t_end, "lab")]
+    spans, t = [], seg.t_start
+    for ta, tb in _sa_windows(seg, q):
+        if ta > t:
+            spans.append((t, ta, "adiabatic"))
+        spans.append((ta, tb, "sa"))
+        t = tb
+    if t < seg.t_end:
+        spans.append((t, seg.t_end, "adiabatic"))
+    return spans
+
+
 def _drift(a, b):
     return np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0))
 
 
 def _lockstep(frame, groups):
-    """Advance every group across its segment in one frame, all in lock step.
+    """Advance every group across its span in one frame, all in lock step.
 
-    Each pass tries one step-doubled Magnus-4 step of every group at the
-    group's own t and h, on mode arrays concatenated over the groups.  Each
-    group's controller then accepts or rejects on the largest error among
-    its own modes in units of its own ``tol``, weighted by SA_ERROR_WEIGHT
-    inside an SA window.  The
-    arithmetic per mode and per group is the same as for the group alone,
-    so its results are bitwise independent of the batch.  A group that ends
-    a piece rewrites only its own slice (and rotates it into or out of the
-    SA frame at a window edge); a group that ends its segment keeps its
-    amplitudes and leaves the batch.
+    Each group enters the frame from (1, 0) in the eigenbasis at its span's
+    start.  Each pass tries one step-doubled Magnus-4 step of every group at
+    the group's own t and h, on mode arrays concatenated over the groups.
+    Each group's controller then accepts or rejects on the largest error
+    among its own modes in units of its own ``tol``, weighted by
+    SA_ERROR_WEIGHT in the SA frame.  The arithmetic per mode and per group
+    is the same as for the group alone, so its results are bitwise
+    independent of the batch.  A group that ends its span leaves the frame
+    for the eigenbasis there, keeps its amplitudes and leaves the batch.
     """
     counts = np.array([len(g.q) for g in groups])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     modes = np.concatenate([g.segment.affine(g.q) for g in groups], axis=1)
-    sa = np.zeros(modes.shape[1], dtype=bool)
     t0 = np.array([g.segment.t_start for g in groups])
-
-    def angle(i, sl, t):
-        return _sa_angle(modes[:, sl], t - t0[i])
-
-    def enter(i, group):
-        """Set group i up on its next piece; False once it has none."""
-        sl = slice(starts[i], starts[i] + counts[i])
-        if group.sa:
-            a[sl], b[sl] = _from_sa(angle(i, sl, group.t), a[sl], b[sl])
-        if not group.next_piece():
-            return False
-        if group.sa:
-            a[sl], b[sl] = _to_sa(angle(i, sl, group.t), a[sl], b[sl])
-        sa[sl] = group.sa
-        return True
-
-    if frame == "adiabatic":
-        a = np.ones(sa.shape, dtype=complex)
-        b = np.zeros(sa.shape, dtype=complex)
-    else:
+    a = np.ones(modes.shape[1], dtype=complex)
+    b = np.zeros(modes.shape[1], dtype=complex)
+    if frame == "sa":
+        a, b = _to_sa(_sa_angle(modes, np.repeat([g.t for g in groups] - t0, counts)), a, b)
+    elif frame == "lab":
         theta0 = np.concatenate([_bogoliubov_angle(g.segment.params_start, g.q) for g in groups])
         a = np.cos(theta0).astype(complex)   # lab-frame u
         b = np.sin(theta0).astype(complex)   # lab-frame v
-    for i, g in enumerate(groups):
-        enter(i, g)
+    weight = SA_ERROR_WEIGHT if frame == "sa" else 1.0
     while groups:
         t = np.array([g.t for g in groups])
         h = np.array([g.clip() for g in groups])
         rows = _step_rows(t, h, t0)
         if len(groups) > 1:
             rows = np.repeat(rows, counts, axis=2)
-        in_sa = [g.sa for g in groups]
-        mix = True if all(in_sa) else sa if any(in_sa) else False
-        a1, b1 = _magnus_apply(frame, modes, mix, rows[0], a, b)
-        ah, bh = _magnus_apply(frame, modes, mix, rows[1], a, b)
-        a2, b2 = _magnus_apply(frame, modes, mix, rows[2], ah, bh)
+        a1, b1 = _magnus_apply(frame, modes, rows[0], a, b)
+        ah, bh = _magnus_apply(frame, modes, rows[1], a, b)
+        a2, b2 = _magnus_apply(frame, modes, rows[2], ah, bh)
         err_a = np.maximum.reduceat(np.abs(a1 - a2), starts)
         err_b = np.maximum.reduceat(np.abs(b1 - b2), starts)
-        accepted = [g.control(max(ea, eb) / g.tol * (SA_ERROR_WEIGHT if g.sa else 1.0))
+        accepted = [g.control(max(ea, eb) / g.tol * weight)
                     for g, ea, eb in zip(groups, err_a, err_b)]
         if all(accepted):
             a, b = a2, b2
@@ -515,18 +478,24 @@ def _lockstep(frame, groups):
         done = []
         for i, g in enumerate(groups):
             sl = slice(starts[i], starts[i] + counts[i])
-            if accepted[i] and g.seg_steps % 64 == 0:
+            ended = not g.t < g.t_end
+            if ended or accepted[i] and g.steps % 64 == 0:
                 g.drift = max(g.drift, _drift(a[sl], b[sl]))
-            if not g.t < g.t_end:
-                g.drift = max(g.drift, _drift(a[sl], b[sl]))
-                if not enter(i, g):
-                    g.finish(frame, a[sl], b[sl])
-                    done.append(i)
+            if ended:
+                # copies, so that no view keeps the batch's arrays alive
+                g.a, g.b = a[sl].copy(), b[sl].copy()
+                if frame == "sa":
+                    g.a, g.b = _from_sa(_sa_angle(modes[:, sl], g.t - t0[i]), g.a, g.b)
+                elif frame == "lab":
+                    thetaf = _bogoliubov_angle(g.segment.params_end, g.q)
+                    cf, sf = np.cos(thetaf), np.sin(thetaf)
+                    g.a, g.b = g.a * cf + g.b * sf, g.b * cf - g.a * sf
+                done.append(i)
         if done:
             keep = np.ones(len(groups), dtype=bool)
             keep[done] = False
             take = np.repeat(keep, counts)
-            a, b, sa, modes = a[take], b[take], sa[take], modes[:, take]
+            a, b, modes = a[take], b[take], modes[:, take]
             t0 = t0[keep]
             counts = counts[keep]
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -558,13 +527,13 @@ def evolve(jobs, opts=None):
     (u_rot, v_rot), p = |v_rot|^2, the worst norm drift and the solver
     statistics in ``meta``: the product of its segments' transfers applied
     to (1, 0), a reused transfer evolved once at tol / m (see Transfers).
-    Each evolved segment's modes are split by frame into groups, and the
+    Each evolved segment's modes are cut into spans, one group each, and the
     groups of each frame advance together in lock-step batches of up to
     _LOCKSTEP_BLOCK modes, so each result is bitwise what its job gives alone.
     """
     opts = opts or SolverOptions()
     tol = opts.abs_tol + opts.rel_tol
-    groups = {"adiabatic": [], "lab": []}
+    groups = {"adiabatic": [], "sa": [], "lab": []}
     plans = []
     for j, (schedule, q) in enumerate(jobs):
         q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -578,20 +547,24 @@ def evolve(jobs, opts=None):
             sources.append(next(((i, not tr) for (i, tr), s in zip(sources, segs)
                                  if s.duration == seg.duration and s.params_start == seg.params_end
                                  and s.params_end == seg.params_start), (k, False)))
-        parts, lab = {}, np.zeros(q.shape, dtype=bool)     # evolved segment -> (mask, group)s
+        parts, lab = {}, np.zeros(q.shape, dtype=bool)  # evolved segment -> (mask, spans)s
         for k, m in Counter(i for i, _ in sources).items():
+            seg = segs[k]
             # the smallest gap, not its square, meets GAP_FLOOR (sqrt is monotone)
-            lab_mask = np.sqrt(segs[k].closest_approach(q)[0]) <= GAP_FLOOR
+            lab_mask = np.sqrt(seg.closest_approach(q)[0]) <= GAP_FLOOR
             lab |= lab_mask
-            parts[k] = []
-            for frame, mask in (("adiabatic", ~lab_mask), ("lab", lab_mask)):
+            parts[k], tried = [], [0]       # the segment's spans share one step budget
+            for mask in (~lab_mask, lab_mask):
                 if np.any(mask):
-                    where = "%s frame failed for modes %s" % (frame, np.flatnonzero(mask)[:8])
-                    if len(jobs) > 1:
-                        where = "schedule %d (tau_q=%s): %s" % (j, schedule.tau_q, where)
-                    group = _Group(segs[k], q[mask], where, frame, tol / m)
-                    parts[k].append((mask, group))
-                    groups[frame].append(group)
+                    spans = []
+                    for ta, tb, frame in _spans(seg, q[mask], mask is lab_mask):
+                        name = "superadiabatic" if frame == "sa" else frame
+                        where = "%s frame failed for modes %s" % (name, np.flatnonzero(mask)[:8])
+                        if len(jobs) > 1:
+                            where = "schedule %d (tau_q=%s): %s" % (j, schedule.tau_q, where)
+                        spans.append(_Group(seg, q[mask], where, frame, tol / m, (ta, tb), tried))
+                        groups[frame].append(spans[-1])
+                    parts[k].append((mask, spans))
         plans.append((schedule, q, sources, parts, int(np.count_nonzero(lab))))
     for frame, frame_groups in groups.items():
         for block in _blocks(frame_groups):
@@ -613,27 +586,31 @@ def _apply_transfer(ta, tb, a, b, transposed):
 def _compose(schedule, q, sources, parts, lab_modes):
     """One job's SpectrumResult from the groups of its evolved segments.
 
-    The state starts as the first segment's (a, b), and each later segment's
-    transfer [[a, -b*], [b, a*]], or its transpose, is applied to it in turn.
+    A segment's transfer is its first span's (a, b) with each later span's
+    transfer [[a, -b*], [b, a*]] applied in turn.  The state starts as the
+    first segment's transfer, and each later segment's, or its transpose, is
+    applied to it in turn.
     """
     transfers = {}
     for k, pairs in parts.items():
         transfers[k] = np.empty((2, len(q)), dtype=complex)
-        for mask, g in pairs:
-            transfers[k][:, mask] = g.a, g.b
+        for mask, spans in pairs:
+            a, b = spans[0].a, spans[0].b
+            for g in spans[1:]:
+                a, b = _apply_transfer(g.a, g.b, a, b, False)
+            transfers[k][:, mask] = a, b
     a, b = transfers[0]
     for i, transposed in sources[1:]:
         a, b = _apply_transfer(*transfers[i], a, b, transposed)
-    groups = [g for pairs in parts.values() for _, g in pairs]
-    drift = max([0.0] + [g.drift for g in groups])
-    if len(sources) > 1:
-        drift = max(drift, _drift(a, b))
+    groups = [g for pairs in parts.values() for _, spans in pairs for g in spans]
+    drift = max([_drift(a, b)] + [g.drift for g in groups])
     steps, accepted = sum(g.steps for g in groups), sum(g.accepted for g in groups)
     # each reuse of a transfer counts its windows again
-    sa_time = sum(g.sa_time for i, _ in sources for _, g in parts[i])
+    sa_time = sum(sum(g.span[1] - g.span[0] for _, spans in parts[i] for g in spans
+                      if g.frame == "sa") for i, _ in sources)
     meta = {"steps": steps, "accepted": accepted, "rejected": steps - accepted,
             "h_min": min([math.inf] + [float(g.h_min) for g in groups]),
-            "lab_modes": lab_modes, "sa_windows": sum(g.sa_windows for g in groups),
+            "lab_modes": lab_modes, "sa_windows": sum(g.frame == "sa" for g in groups),
             "sa_share": sa_time / (schedule.t_end - schedule.t_start),
             "mirrored": any(i != k for k, (i, _) in enumerate(sources))}
     thetaf = _bogoliubov_angle(schedule.segments[-1].params_end, q)

@@ -211,6 +211,23 @@ def test_step_budget_is_the_limit(monkeypatch):
         ev.evolve([job])
 
 
+def test_spans_share_the_segment_step_budget(monkeypatch):
+    # this segment has two superadiabatic windows, so it runs in three spans;
+    # MAX_STEPS bounds their attempted steps together, and a failure names the
+    # frame of the span where the budget ran out
+    job = (proto.one_way(10.0, -10.0, 10.0), [0.5, 2.5])
+    (res,) = ev.evolve([job])
+    steps = res.meta["steps"]
+    assert res.meta["sa_windows"] == 2
+    monkeypatch.setattr(ev, "MAX_STEPS", steps)
+    (again,) = ev.evolve([job])
+    assert again.meta == res.meta and again.p.tobytes() == res.p.tobytes()
+    monkeypatch.setattr(ev, "MAX_STEPS", steps - 1)
+    with pytest.raises(ev.NumericalFailure,
+                       match=r"^superadiabatic frame failed for modes \[0 1\]: step budget exhausted"):
+        ev.evolve([job])
+
+
 def test_solver_statistics(fast_opts, monkeypatch):
     sch = proto.round_trip(0.0, 6.0, 1.0)
     (sp,) = ev.evolve_spectra_quadrature([sch], fast_opts, order=8, n_support=4)
@@ -414,15 +431,15 @@ def test_sa_generator_matches_finite_difference(schedule):
             h = 1e-4 * seg.duration
             alpha = [ev._sa_angle(modes, dt + j * h) for j in (-2, -1, 1, 2)]
             fd = (alpha[0] - 8 * alpha[1] + 8 * alpha[2] - alpha[3]) / (12 * h)
-            w, z = ev._generator("adiabatic", modes, True, dt)
-            w_ad, z_ad = ev._generator("adiabatic", modes, False, dt)
+            w, z = ev._generator("sa", modes, dt)
+            w_ad, z_ad = ev._generator("adiabatic", modes, dt)
             assert np.allclose(w, fd, rtol=1e-6, atol=1e-12 * np.max(np.abs(w_ad)))
             assert np.allclose(z, np.hypot(z_ad, w_ad), rtol=1e-14)
             eps, delta = lat.eps_delta(*seg.eval(seg.t_start + dt), cq, sq)
             om2 = eps * eps + delta * delta
             assert np.allclose(z_ad, np.sqrt(om2), rtol=1e-13)
             assert np.allclose(w_ad, -(eps * deltadot - delta * epsdot) / (2 * om2), rtol=1e-12)
-            w_lab, z_lab = ev._generator("lab", modes, False, dt)
+            w_lab, z_lab = ev._generator("lab", modes, dt)
             assert np.allclose(w_lab, delta, rtol=1e-13, atol=1e-13)
             assert np.allclose(z_lab, eps, rtol=1e-13, atol=1e-13)
 
@@ -446,7 +463,7 @@ def test_magnus_apply_is_the_exact_exponential():
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
     a, b = a / norm, b / norm
-    am, bm = ev._magnus_apply("lab", modes, False, rows, a, b)
+    am, bm = ev._magnus_apply("lab", modes, rows, a, b)
     # the Magnus vector of the generators (delta, 0, eps) at the two Gauss points
     w1, z1 = d0 + d1 * rows[0], e0 + e1 * rows[0]
     w2, z2 = d0 + d1 * rows[1], e0 + e1 * rows[1]
@@ -467,7 +484,7 @@ def test_roundtrip_density_accuracy_gate():
     # the evolver's accuracy gate: |dn|/n at rel_tol 1e-8 over 13 round trips,
     # against references frozen from rel_tol 1e-13, abs_tol 1e-15 runs.  The error
     # scatters with the step sequence, so the median and the worst case are bounded
-    # (measured: 8.3e-10 and 2.43e-9 over 13,142 steps)
+    # (measured: 7.6e-10 and 2.42e-9 over 13,163 steps)
     with open(Path(__file__).parent / "data" / "roundtrip_density_refs.json") as fh:
         refs = json.load(fh)
     schedules = [proto.round_trip(0.0, tau, 1.0) for tau in refs["tau_q"]]
@@ -481,7 +498,7 @@ def test_nonmirror_density_accuracy_gate():
     # the same gate for schedules that are no mirror: the quarter turn at
     # g_qt = 2 (the tricritical path of c07), 1.5 and 2.5, and the R = 2 round
     # trip, against references frozen from rel_tol 1e-13, abs_tol 1e-15 runs
-    # (measured: median 1.10e-9 and worst 4.07e-9 over 21,911 steps)
+    # (measured: median 1.21e-9 and worst 3.64e-9 over 21,017 steps)
     with open(Path(__file__).parent / "data" / "nonmirror_density_refs.json") as fh:
         refs = json.load(fh)
     build = {"quarter_turn": lambda g, tau, R: proto.quarter_turn(g, tau, R, jy_initial=6.0),
@@ -528,12 +545,46 @@ def test_sa_windows_exclude_gap_minima(schedule, share):
     assert total >= share * (schedule.t_end - schedule.t_start)
 
 
+@pytest.mark.parametrize("schedule", [
+    *(proto.round_trip(0.0, 10.0 + 0.35 * i, 1.0) for i in range(10)),   # the benchmark sweep
+    proto.quarter_turn(2.0, 10.0, 1.0, jy_initial=6.0),                   # has lab-frame modes
+    proto.round_trip(0.0, 10.0, 2.0),
+    proto.one_way(10.0, -10.0, 10.0)])
+def test_spans_tile_each_segment(schedule, monkeypatch):
+    # the spans of each evolved segment's modes are contiguous in exact floats and
+    # cover the segment: lab-frame modes in one span, the others cut at their SA
+    # windows, each window a span of its own and no two of them adjacent
+    seen = []
+    lockstep = ev._lockstep
+    monkeypatch.setattr(ev, "_lockstep", lambda frame, groups: (
+        seen.extend((frame, g) for g in groups), lockstep(frame, groups)))
+    q, _ = support_panels(schedule)
+    (res,) = ev.evolve([(schedule, q)], ev.SolverOptions(1e-8, 1e-10))
+    runs = {}
+    for frame, g in seen:
+        assert g.frame == frame and g.t == g.span[1]
+        runs.setdefault((id(g.segment), g.q.tobytes()), []).append(g)
+    for spans in runs.values():
+        spans.sort(key=lambda g: g.span)
+        seg, frames = spans[0].segment, [g.frame for g in spans]
+        assert spans[0].span[0] == seg.t_start and spans[-1].span[1] == seg.t_end
+        assert all(g0.span[1] == g1.span[0] for g0, g1 in zip(spans[:-1], spans[1:]))
+        if "lab" in frames:
+            assert frames == ["lab"]
+            continue
+        assert [g.span for g in spans if g.frame == "sa"] == ev._sa_windows(seg, spans[0].q)
+        assert ("sa", "sa") not in zip(frames[:-1], frames[1:])
+    assert res.meta["sa_windows"] == sum(frame == "sa" for frame, _ in seen)
+    assert res.meta["lab_modes"] == sum(len(g.q) for frame, g in seen if frame == "lab")
+
+
 def test_sa_windows_accuracy_tau32():
     # rel_tol 1e-8 against a rel_tol 1e-12 reference on 32 Gauss nodes of the
     # tau_Q = 32 round trip, a mirror of which only the first ramp is evolved.
-    # With SA windows: 866 steps, |dn|/n = 1.1e-9 and a largest amplitude error
-    # of 3.3e-8 (both ramps evolved: 1,470 steps, 5.2e-9 and 3.5e-8); in the
-    # adiabatic frame alone, both ramps: 4,476 steps, 3.2e-9 and 1.7e-8.
+    # With SA windows: 866 steps, |dn|/n = 9.8e-10 and a largest amplitude error
+    # of 3.3e-8 (both ramps evolved, the second cut in two so that it is not
+    # reused: 1,483 steps, 6.2e-9 and 3.1e-8); in the adiabatic frame alone, both
+    # ramps: 4,482 steps, 3.3e-9 and 1.7e-8.
     sch = proto.round_trip(0.0, 32.0, 1.0)
     q, w = support_panels(sch, order=4, n_support=3)
     (ref,) = ev.evolve([(sch, q)], ev.SolverOptions(1e-12, 1e-14))
