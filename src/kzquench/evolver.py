@@ -20,19 +20,24 @@ instantaneous-eigenbasis (adiabatic) frame the generator is
 critical crossings.  Far from them it still sets the step, riding on a large
 omega, so each group also has superadiabatic (SA) windows per segment: the
 time spans where 1.5 |omega_dot| / (omega^2 + theta_dot^2) <= SA_THRESHOLD
-for all its modes, on the far side of each mode's gap minimum.  Inside a
-window the state is xi = W^dagger exp(i alpha sigma_x) phi with
-alpha = atan2(theta_dot, omega) / 2 and W = diag(e^{-i pi/4}, e^{i pi/4});
-since eps and delta are affine on a segment, its generator is
-(0, alpha_dot, sqrt(omega^2 + theta_dot^2)) with the much smaller
-alpha_dot = -1.5 theta_dot omega_dot / (omega^2 + theta_dot^2), in the form
-the adiabatic step already takes.  A window is a span of its own: its state
-is rotated exactly into the SA frame at the span's start and back at its
-end, and the step error there counts SA_ERROR_WEIGHT times.  Modes whose gap
-closes on a segment (possible only at isolated quasimomenta of the XY
+for all its modes, on the far side of each mode's gap minimum.  There the
+state steps in the SA frame, where, since eps and delta are affine on a
+segment, the generator is (0, alpha_dot, sqrt(omega^2 + theta_dot^2)) with
+the much smaller alpha_dot = -1.5 theta_dot omega_dot / (omega^2 +
+theta_dot^2), and the step error counts SA_ERROR_WEIGHT times.  Modes whose
+gap closes on a segment (possible only at isolated quasimomenta of the XY
 protocols) fall back to the lab frame on that segment, where the equation is
-smooth and there are no windows.  Every step and frame change is exactly
-unitary, so norm conservation is automatic.
+smooth and there are no windows.
+
+Frames.  Each frame is one per-mode SU(2) rotation out of the eigenbasis
+(``_frame``), read off the segment's affine rows: the "adiabatic" frame is
+the eigenbasis itself, the "sa" frame W^dagger exp(i alpha sigma_x) with
+alpha = atan2(theta_dot, omega) / 2, and the "lab" frame W^dagger R(theta),
+which carries the lab amplitudes as W^dagger (u, v), with the Bogoliubov
+angle theta = atan2(delta, eps) / 2.  W = diag(e^{-i pi/4}, e^{i pi/4})
+puts every frame's generator in the one form (0, w, z), so one Magnus step
+serves all three.  Every step and frame change is exactly unitary, so norm
+conservation is automatic.
 
 Step arithmetic.  A group reads its modes' rows on its segment once, when
 its batch starts, from ``Segment.affine``: eps and delta are affine in the
@@ -54,9 +59,12 @@ h <= 1e-12 raises NumericalFailure instead).  Many groups of one frame, from
 one schedule or from a whole tau_Q sweep, advance together in one loop
 (``_lockstep``): each pass tries one step of every group, each at its own t
 and h, on mode arrays concatenated over the groups, so numpy's per-call
-overhead is paid once for the batch instead of once per span.  A frame's
-groups run in consecutive batches of at most _LOCKSTEP_BLOCK modes, which
-bounds the memory of a long sweep, and the frames run one after another.
+overhead is paid once for the batch instead of once per span.  A group
+enters its frame from the ground state (1, 0) by the frame's rotation at
+its span's start, and leaves for the eigenbasis at its span's end by the
+inverse, each applied as a transfer (below).  A frame's groups run in
+consecutive batches of at most _LOCKSTEP_BLOCK modes, which bounds the
+memory of a long sweep, and the frames run one after another.
 Each group keeps its own t, h, tolerance, step counts and norm drift, and
 its controller does the same scalar arithmetic as for the group alone, so
 its results are bitwise the same whichever groups share the batch and in
@@ -74,17 +82,19 @@ by the one column (a, b) that a group evolves from the ground state (1, 0).
 A segment's transfer is the product of its spans' in time order, and a
 result is the product of its segments' transfers applied to (1, 0), the
 adiabatic-impulse composition of Landau-Zener-Stueckelberg interferometry
-(Shevchenko, Ashhab & Nori, Phys. Rep. 492 (2010) 1).  H = eps sigma_z +
-delta sigma_x is real symmetric, so a segment that retraces an earlier one
-backwards (equal duration, start and end parameters swapped, compared
-exactly) has the transposed transfer and is not evolved again: the R = 1
-round trip with g_i = g_f and the R = 1 reversed round trip evolve their
-first ramp only (``mirrored``).  A transfer that enters its schedule m
-times brings its error in m times, so its steps are held to rel_tol/m and
-abs_tol/m.  ``steps``, ``accepted``, ``rejected``, ``h_min`` and
-``sa_windows`` count the spans evolved, ``sa_share`` counts each reuse,
-and the norm drift is the largest of the groups' and that of the composed
-state.
+(Shevchenko, Ashhab & Nori, Phys. Rep. 492 (2010) 1).  One
+``_apply_transfer`` applies them all, and also the frame rotations and the
+final turn by the Bogoliubov angle into the lab frame's (u, v).
+H = eps sigma_z + delta sigma_x is real symmetric, so a segment that
+retraces an earlier one backwards (equal duration, start and end
+parameters swapped, compared exactly) has the transposed transfer and is
+not evolved again: the R = 1 round trip with g_i = g_f and the R = 1
+reversed round trip evolve their first ramp only (``mirrored``).  A
+transfer that enters its schedule m times brings its error in m times, so
+its steps are held to rel_tol/m and abs_tol/m.  ``steps``, ``accepted``,
+``rejected``, ``h_min`` and ``sa_windows`` count the spans evolved,
+``sa_share`` counts each reuse, and the norm drift is the largest of the
+groups' and that of the composed state.
 """
 
 from __future__ import annotations
@@ -95,7 +105,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lattice
 from .quadrature import support_panels
 
 _SQRT3 = math.sqrt(3.0)
@@ -160,7 +169,8 @@ class StepControl:
     and scales by 0.9 err^(-1/5), clamped to [0.2, 5]; a step that reaches the
     end of its span lands exactly on it.  NumericalFailure, prefixed by
     ``where``, stops a segment after MAX_STEPS tries, a step below
-    1e-13 max(1, duration) and a step that fails its tolerance at h <= 1e-12.
+    1e-13 max(1, duration), a step that fails its tolerance at h <= 1e-12 and
+    a step whose error is NaN.
     ``enter`` starts the segment's count of tries, ``tried``, which spans of
     one segment may share.
     """
@@ -195,6 +205,8 @@ class StepControl:
 
     def control(self, err):
         """Accept or reject the step just tried (err in units of the tolerance)."""
+        if math.isnan(err):
+            raise self.fail("step at t=%g has a NaN error (h=%g)" % (self.t, self.h))
         self.steps += 1
         accepted = err <= 1.0
         if accepted:
@@ -248,20 +260,21 @@ def _step_rows(t, h, t0):
 
 
 def _generator(frame, modes, dt):
-    """The two non-zero components (w, z) of every mode's su(2) generator at dt.
+    """The two non-zero components (w, z) of every mode's su(2) generator (0, w, z) at dt.
 
     ``modes`` holds the rows of ``Segment.affine`` and ``dt`` the time
-    since the segment's start.  The generator is (w, 0, z) = (delta, 0, eps)
-    in the lab frame and (0, w, z) = (0, -theta_dot, omega) in the adiabatic
-    frame.  A span in a superadiabatic window (the "sa" frame) has
-    (0, w, z) = (0, alpha_dot, sqrt(omega^2 + theta_dot^2)) instead; on an
+    since the segment's start.  Every frame's generator has the (0, w, z)
+    form: (0, -delta, eps) in the lab frame, whose state is carried as
+    W^dagger (u, v) (see ``_frame``), and (0, -theta_dot, omega) in the
+    adiabatic frame.  A span in a superadiabatic window (the "sa" frame) has
+    (0, w, z) = (0, alpha_dot, sqrt(omega^2 + theta_dot^2)); on an
     affine segment theta_ddot = -2 theta_dot omega_dot / omega exactly, so
     alpha_dot = -1.5 theta_dot omega_dot / (omega^2 + theta_dot^2),
     where omega omega_dot = eps eps_dot + delta delta_dot = v2 (dt - s_v).
     """
     e0, d0, e1, d1, v2, s_v, c, m2 = modes
     if frame == "lab":
-        return d0 + d1 * dt, e0 + e1 * dt
+        return -(d0 + d1 * dt), e0 + e1 * dt
     x = dt - s_v
     vx = v2 * x
     om2 = vx * x + m2
@@ -277,19 +290,16 @@ def _magnus_apply(frame, modes, rows, a, b):
     """One 4th-order Magnus step: exact su(2) exponential of the averaged generator.
 
     The Magnus vector is h/2 (G1 + G2) + sqrt(3) h^2 / 6 (G2 x G1) for the
-    generators G1, G2 at the two Gauss points; with one generator component
-    zero in every frame, the terms that vanish are left out.  Its
+    generators G1, G2 at the two Gauss points.  Every frame's generator has
+    the (0, w, z) form, so the Magnus vector is
+    (sqrt(3) h^2 / 6 (w2 z1 - z2 w1), h/2 (w1 + w2), h/2 (z1 + z2)).  Its
     exponential takes cos(phi) and sin(phi) / phi from one half-angle tangent.
     """
     dt1, dt2, hh, k = rows
     w1, z1 = _generator(frame, modes, dt1)
     w2, z2 = _generator(frame, modes, dt2)
-    if frame == "lab":
-        dx = hh * (w1 + w2)
-        dy = k * (z2 * w1 - w2 * z1)
-    else:
-        dx = k * (w2 * z1 - z2 * w1)
-        dy = hh * (w1 + w2)
+    dx = k * (w2 * z1 - z2 * w1)
+    dy = hh * (w1 + w2)
     dz = hh * (z1 + z2)
     phi = np.sqrt(dx * dx + dy * dy + dz * dz)
     # cos phi = (1 - t^2) / (1 + t^2) and sin phi = 2 t / (1 + t^2), t = tan(phi / 2)
@@ -384,27 +394,23 @@ def _sa_windows(seg, q):
     return [tuple(w) for w in windows]
 
 
-def _sa_angle(modes, dt):
-    """The SA frame's angle alpha = atan2(theta_dot, omega) / 2 at dt, as in ``_generator``."""
-    w, z = _generator("adiabatic", modes, dt)
-    return 0.5 * np.arctan2(-w, z)
+def _frame(frame, modes, dt):
+    """The first column (P, Q) of each mode's rotation [[P, -Q*], [Q, P*]] into ``frame``.
 
-
-def _to_sa(alpha, a, b):
-    """Adiabatic-frame amplitudes into the SA frame: xi = W^dagger exp(i alpha sigma_x) phi.
-
-    W = diag(e^{-i pi/4}, e^{i pi/4}) turns the SA generator into the
-    (0, w, z) form of the adiabatic frame.
+    The rotation takes the eigenbasis at dt, the time since the segment's
+    start, into ``frame``; ``modes`` holds the rows of ``Segment.affine``.
+    It is the identity for "adiabatic", W^dagger exp(i alpha sigma_x) for
+    "sa" and W^dagger R(theta) for "lab", with W = diag(e^{-i pi/4}, e^{i pi/4})
+    and R(theta) = [[cos theta, -sin theta], [sin theta, cos theta]].  Both
+    angles are atan2(-w, z) / 2 of a generator (w, z) of ``_generator``:
+    alpha = atan2(theta_dot, omega) / 2 of the adiabatic frame's, and the
+    Bogoliubov angle theta = atan2(delta, eps) / 2 of the lab frame's.
     """
-    c, s = np.cos(alpha), 1j * np.sin(alpha)
-    return _EXP_IPI4 * (c * a + s * b), (s * a + c * b) / _EXP_IPI4
-
-
-def _from_sa(alpha, a, b):
-    """SA-frame amplitudes back to the adiabatic frame: phi = exp(-i alpha sigma_x) W xi."""
-    c, s = np.cos(alpha), 1j * np.sin(alpha)
-    a, b = a / _EXP_IPI4, _EXP_IPI4 * b
-    return c * a - s * b, c * b - s * a
+    if frame == "adiabatic":
+        return np.ones(modes.shape[1], dtype=complex), np.zeros(modes.shape[1], dtype=complex)
+    w, z = _generator("lab" if frame == "lab" else "adiabatic", modes, dt)
+    angle = 0.5 * np.arctan2(-w, z)
+    return _EXP_IPI4 * np.cos(angle), (1j if frame == "sa" else 1.0) * np.sin(angle) / _EXP_IPI4
 
 
 def _spans(seg, q, lab):
@@ -435,27 +441,21 @@ def _lockstep(frame, groups):
     """Advance every group across its span in one frame, all in lock step.
 
     Each group enters the frame from (1, 0) in the eigenbasis at its span's
-    start.  Each pass tries one step-doubled Magnus-4 step of every group at
-    the group's own t and h, on mode arrays concatenated over the groups.
-    Each group's controller then accepts or rejects on the largest error
-    among its own modes in units of its own ``tol``, weighted by
-    SA_ERROR_WEIGHT in the SA frame.  The arithmetic per mode and per group
-    is the same as for the group alone, so its results are bitwise
-    independent of the batch.  A group that ends its span leaves the frame
-    for the eigenbasis there, keeps its amplitudes and leaves the batch.
+    start, by the frame's rotation ``_frame`` there.  Each pass tries one
+    step-doubled Magnus-4 step of every group at the group's own t and h, on
+    mode arrays concatenated over the groups.  Each group's controller then
+    accepts or rejects on the largest error among its own modes in units of
+    its own ``tol``, weighted by SA_ERROR_WEIGHT in the SA frame.  The
+    arithmetic per mode and per group is the same as for the group alone, so
+    its results are bitwise independent of the batch.  A group that ends its
+    span leaves the frame for the eigenbasis there by the inverse rotation,
+    keeps its amplitudes and leaves the batch.
     """
     counts = np.array([len(g.q) for g in groups])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     modes = np.concatenate([g.segment.affine(g.q) for g in groups], axis=1)
     t0 = np.array([g.segment.t_start for g in groups])
-    a = np.ones(modes.shape[1], dtype=complex)
-    b = np.zeros(modes.shape[1], dtype=complex)
-    if frame == "sa":
-        a, b = _to_sa(_sa_angle(modes, np.repeat([g.t for g in groups] - t0, counts)), a, b)
-    elif frame == "lab":
-        theta0 = np.concatenate([_bogoliubov_angle(g.segment.params_start, g.q) for g in groups])
-        a = np.cos(theta0).astype(complex)   # lab-frame u
-        b = np.sin(theta0).astype(complex)   # lab-frame v
+    a, b = _frame(frame, modes, np.repeat([g.t for g in groups] - t0, counts))
     weight = SA_ERROR_WEIGHT if frame == "sa" else 1.0
     while groups:
         t = np.array([g.t for g in groups])
@@ -466,10 +466,9 @@ def _lockstep(frame, groups):
         a1, b1 = _magnus_apply(frame, modes, rows[0], a, b)
         ah, bh = _magnus_apply(frame, modes, rows[1], a, b)
         a2, b2 = _magnus_apply(frame, modes, rows[2], ah, bh)
-        err_a = np.maximum.reduceat(np.abs(a1 - a2), starts)
-        err_b = np.maximum.reduceat(np.abs(b1 - b2), starts)
-        accepted = [g.control(max(ea, eb) / g.tol * weight)
-                    for g, ea, eb in zip(groups, err_a, err_b)]
+        err = np.maximum(np.maximum.reduceat(np.abs(a1 - a2), starts),
+                         np.maximum.reduceat(np.abs(b1 - b2), starts))
+        accepted = [g.control(e / g.tol * weight) for g, e in zip(groups, err)]
         if all(accepted):
             a, b = a2, b2
         elif any(accepted):
@@ -482,14 +481,9 @@ def _lockstep(frame, groups):
             if ended or accepted[i] and g.steps % 64 == 0:
                 g.drift = max(g.drift, _drift(a[sl], b[sl]))
             if ended:
-                # copies, so that no view keeps the batch's arrays alive
-                g.a, g.b = a[sl].copy(), b[sl].copy()
-                if frame == "sa":
-                    g.a, g.b = _from_sa(_sa_angle(modes[:, sl], g.t - t0[i]), g.a, g.b)
-                elif frame == "lab":
-                    thetaf = _bogoliubov_angle(g.segment.params_end, g.q)
-                    cf, sf = np.cos(thetaf), np.sin(thetaf)
-                    g.a, g.b = g.a * cf + g.b * sf, g.b * cf - g.a * sf
+                # new arrays, so that no view keeps the batch's arrays alive
+                p, q = _frame(frame, modes[:, sl], g.t - t0[i])
+                g.a, g.b = _apply_transfer(p.conj(), -q, a[sl], b[sl], False)
                 done.append(i)
         if done:
             keep = np.ones(len(groups), dtype=bool)
@@ -515,11 +509,6 @@ def _blocks(groups):
         yield block
 
 
-def _bogoliubov_angle(params, q):
-    eps, delta = lattice.eps_delta(*params, np.cos(q), np.sin(q))
-    return 0.5 * np.arctan2(delta, eps)
-
-
 def evolve(jobs, opts=None):
     """Evolve the positive quasimomenta q of every (schedule, q) job; one SpectrumResult per job.
 
@@ -537,8 +526,9 @@ def evolve(jobs, opts=None):
     plans = []
     for j, (schedule, q) in enumerate(jobs):
         q = np.atleast_1d(np.asarray(q, dtype=float))
-        if np.any(q <= 0.0) or np.any(q >= math.pi):
-            raise ValueError("quasimomenta must lie in (0, pi)")
+        # written so that NaN fails it
+        if q.ndim != 1 or q.size == 0 or not np.all((q > 0.0) & (q < math.pi)):
+            raise ValueError("quasimomenta must be a non-empty 1-d array in (0, pi)")
         segs = schedule.segments
         # per segment (i, transposed): it applies segment i's transfer; one that
         # retraces an earlier segment backwards (compared exactly) reuses that one's
@@ -613,9 +603,11 @@ def _compose(schedule, q, sources, parts, lab_modes):
             "lab_modes": lab_modes, "sa_windows": sum(g.frame == "sa" for g in groups),
             "sa_share": sa_time / (schedule.t_end - schedule.t_start),
             "mirrored": any(i != k for k, (i, _) in enumerate(sources))}
-    thetaf = _bogoliubov_angle(schedule.segments[-1].params_end, q)
-    cf, sf = np.cos(thetaf), np.sin(thetaf)
-    u, v = cf * a - sf * b, sf * a + cf * b
+    # the lab frame's (u, v) rotate (a, b) by the Bogoliubov angle at the end
+    last = schedule.segments[-1]
+    w, z = _generator("lab", last.affine(q), last.duration)
+    theta = 0.5 * np.arctan2(-w, z)
+    u, v = _apply_transfer(np.cos(theta), np.sin(theta), a, b, False)
     return SpectrumResult(q, np.abs(b) ** 2, u, v, a, b, norm_drift=drift, meta=meta)
 
 

@@ -72,9 +72,15 @@ def test_batch_independence_of_composition(fast_opts):
     assert abs(batch.p[5] - single.p[0]) < 1e-6
 
 
-def test_frames_agree(monkeypatch):
-    # GAP_FLOOR = inf puts every mode in the lab frame, -inf none
-    sch = proto.round_trip(0.0, 11.0, 1.0)
+@pytest.mark.parametrize("sch", [proto.round_trip(0.0, 11.0, 1.0),
+                                 proto.round_trip(0.0, 11.0, 2.0),
+                                 proto.quarter_turn(1.5, 5.0, 1.0, jy_initial=4.0)],
+                         ids=["mirror", "R2", "quarter_turn"])
+def test_frames_agree(sch, monkeypatch):
+    # GAP_FLOOR = inf puts every mode in the lab frame, -inf none.  The frames
+    # agree on p and on the phases of u_rot v_rot* and u v*; the amplitudes
+    # themselves may differ by a global sign, where the principal Bogoliubov
+    # angle jumps by pi as delta changes sign, and that sign reaches no output
     q = np.array([0.05, 0.2, 0.7])
     monkeypatch.setattr(ev, "GAP_FLOOR", math.inf)
     (lab,) = ev.evolve([(sch, q)], ev.SolverOptions(1e-10, 1e-12))
@@ -82,6 +88,10 @@ def test_frames_agree(monkeypatch):
     (adi,) = ev.evolve([(sch, q)], ev.SolverOptions(1e-10, 1e-12))
     assert lab.meta["lab_modes"] == 3 and adi.meta["lab_modes"] == 0
     assert np.max(np.abs(lab.p - adi.p)) < 1e-8
+    for u, v in (("u_rot", "v_rot"), ("u", "v")):
+        uv_lab = getattr(lab, u) * getattr(lab, v).conj()
+        uv_adi = getattr(adi, u) * getattr(adi, v).conj()
+        assert np.max(np.abs(uv_lab - uv_adi)) < 1e-8, u
 
 
 def test_interference_revival_smallest_mode(fast_opts):
@@ -148,11 +158,20 @@ def test_time_reversal_sanity(fast_opts):
 
 
 def test_spectrum_rejects_bad_modes(fast_opts):
+    # q must be a non-empty 1-d array inside (0, pi); NaN is outside
     sch = proto.one_way(10.0, 0.0, 5.0)
-    with pytest.raises(ValueError):
-        ev.evolve([(sch, [0.0])], fast_opts)
-    with pytest.raises(ValueError):
-        ev.evolve([(sch, [math.pi])], fast_opts)
+    for q in ([0.0], [math.pi], [math.nan], [], [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="quasimomenta"):
+            ev.evolve([(sch, q)], fast_opts)
+
+
+def test_nan_step_error_fails_at_once(monkeypatch):
+    # a NaN parameter makes every step error NaN: the controller stops at the
+    # first one instead of growing h and retrying until the budget runs out
+    monkeypatch.setattr(ev, "MAX_STEPS", 1000)
+    sch = proto.Schedule((proto.Segment(0.0, 10.0, (math.nan, 1.0, 0.0), (0.0, 1.0, 0.0)),), "ramp")
+    with pytest.raises(ev.NumericalFailure, match=r"step at t=0 has a NaN error"):
+        ev.evolve([(sch, [0.5])])
 
 
 def test_solver_options_validation():
@@ -289,6 +308,22 @@ def test_batch_bitwise_equals_solo(frame, monkeypatch):
     assert [one.meta["mirrored"] for one in solo[6:8]] == [True, False]
 
 
+@pytest.mark.parametrize("floor", [ev.GAP_FLOOR, math.inf])
+def test_lab_amplitudes_rotate_the_final_basis(floor, monkeypatch):
+    # (u, v) is (u_rot, v_rot) turned by the Bogoliubov angle atan2(delta, eps) / 2
+    # of the schedule's final parameters, whichever frame each mode ran in
+    monkeypatch.setattr(ev, "GAP_FLOOR", floor)
+    q = np.array([0.05, 0.3, 0.7, 1.5, 2.5, 3.0])
+    cq, sq = np.cos(q), np.sin(q)
+    schedules = _batch_cases()
+    for sch, res in zip(schedules, ev.evolve([(s, q) for s in schedules], ev.SolverOptions(1e-7, 1e-9))):
+        eps, delta = lat.eps_delta(*sch.segments[-1].params_end, cq, sq)
+        theta = 0.5 * np.arctan2(delta, eps)
+        c, s = np.cos(theta), np.sin(theta)
+        assert np.max(np.abs(res.u - (c * res.u_rot - s * res.v_rot))) <= 1e-15
+        assert np.max(np.abs(res.v - (s * res.u_rot + c * res.v_rot))) <= 1e-15
+
+
 def test_lockstep_blocks_bitwise_equal_one_block(monkeypatch):
     # a frame's groups split into blocks of a few modes give what one block gives
     jobs = [(s, [0.1, 0.7, 2.0]) for s in _batch_cases()]
@@ -403,13 +438,17 @@ def test_transposed_transfer_of_its_own_column():
     assert np.all(x == a * a + b * b) and np.all(y == 2j * (a.conj() * b).imag)
 
 
-def test_sa_frame_round_trip_is_identity():
-    # entering and leaving a superadiabatic window at the same t changes nothing
+@pytest.mark.parametrize("frame", ["adiabatic", "sa", "lab"])
+def test_frame_round_trip_is_identity(frame):
+    # entering a frame and leaving it at the same t changes nothing
     rng = np.random.default_rng(3)
-    alpha = rng.uniform(-1.5, 1.5, 64)
+    seg = proto.quarter_turn(1.5, 5.0, 1.0, jy_initial=4.0).segments[0]
+    modes = seg.affine(rng.uniform(0.01, math.pi - 0.01, 64))
+    dt = rng.uniform(0.0, seg.duration, 64)
     a = rng.normal(size=64) + 1j * rng.normal(size=64)
     b = rng.normal(size=64) + 1j * rng.normal(size=64)
-    a2, b2 = ev._from_sa(alpha, *ev._to_sa(alpha, a, b))
+    p, q = ev._frame(frame, modes, dt)
+    a2, b2 = ev._apply_transfer(p.conj(), -q, *ev._apply_transfer(p, q, a, b, False), False)
     assert np.max(np.abs(a2 - a)) < 1e-15 and np.max(np.abs(b2 - b)) < 1e-15
 
 
@@ -417,10 +456,10 @@ def test_sa_frame_round_trip_is_identity():
                                       proto.quarter_turn(1.5, 5.0, 1.0, jy_initial=4.0)])
 def test_sa_generator_matches_finite_difference(schedule):
     # the SA generator is (0, alpha', sqrt(omega^2 + theta'^2)) with alpha' from the
-    # affine-segment identity; compare alpha' with a central difference of alpha(t).
-    # The generators read from the segment constants are (delta, eps) in the lab
-    # frame and (-theta', omega) in the adiabatic frame, with eps and delta from
-    # the schedule's parameters at t
+    # affine-segment identity; compare alpha' with a central difference of
+    # alpha(t) = atan2(theta', omega) / 2.  The generators (w, z) read from the
+    # segment constants are (-delta, eps) in the lab frame and (-theta', omega)
+    # in the adiabatic frame, with eps and delta from the schedule's parameters at t
     q = np.array([0.05, 0.3, 1.0, 2.0, 3.0])
     cq, sq = np.cos(q), np.sin(q)
     for seg in schedule.segments:
@@ -429,7 +468,10 @@ def test_sa_generator_matches_finite_difference(schedule):
         for x in (0.1, 0.5, 0.9):
             dt = x * seg.duration
             h = 1e-4 * seg.duration
-            alpha = [ev._sa_angle(modes, dt + j * h) for j in (-2, -1, 1, 2)]
+            alpha = []
+            for j in (-2, -1, 1, 2):
+                w_ad, z_ad = ev._generator("adiabatic", modes, dt + j * h)
+                alpha.append(0.5 * np.arctan2(-w_ad, z_ad))
             fd = (alpha[0] - 8 * alpha[1] + 8 * alpha[2] - alpha[3]) / (12 * h)
             w, z = ev._generator("sa", modes, dt)
             w_ad, z_ad = ev._generator("adiabatic", modes, dt)
@@ -440,7 +482,7 @@ def test_sa_generator_matches_finite_difference(schedule):
             assert np.allclose(z_ad, np.sqrt(om2), rtol=1e-13)
             assert np.allclose(w_ad, -(eps * deltadot - delta * epsdot) / (2 * om2), rtol=1e-12)
             w_lab, z_lab = ev._generator("lab", modes, dt)
-            assert np.allclose(w_lab, delta, rtol=1e-13, atol=1e-13)
+            assert np.allclose(w_lab, -delta, rtol=1e-13, atol=1e-13)
             assert np.allclose(z_lab, eps, rtol=1e-13, atol=1e-13)
 
 
@@ -464,12 +506,12 @@ def test_magnus_apply_is_the_exact_exponential():
     norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
     a, b = a / norm, b / norm
     am, bm = ev._magnus_apply("lab", modes, rows, a, b)
-    # the Magnus vector of the generators (delta, 0, eps) at the two Gauss points
-    w1, z1 = d0 + d1 * rows[0], e0 + e1 * rows[0]
-    w2, z2 = d0 + d1 * rows[1], e0 + e1 * rows[1]
-    dx, dy, dz = hh * (w1 + w2), k * (z2 * w1 - w2 * z1), hh * (z1 + z2)
+    # the Magnus vector of the generators (0, -delta, eps) at the two Gauss points
+    w1, z1 = -(d0 + d1 * rows[0]), e0 + e1 * rows[0]
+    w2, z2 = -(d0 + d1 * rows[1]), e0 + e1 * rows[1]
+    dx, dy, dz = k * (w2 * z1 - z2 * w1), hh * (w1 + w2), hh * (z1 + z2)
     phi = np.sqrt(dx * dx + dy * dy + dz * dz)
-    assert phi[0] == 0.0 and np.allclose(phi, lam, rtol=1e-3) and np.all(dy[1:] != 0.0)
+    assert phi[0] == 0.0 and np.allclose(phi, lam, rtol=1e-3) and np.all(dx[1:] != 0.0)
     c = np.cos(phi)
     s = np.sin(phi) / np.where(phi > 0.0, phi, 1.0)
     s[0] = 1.0
