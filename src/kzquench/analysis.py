@@ -74,6 +74,25 @@ def _lstsq_residual(x, y, omega, exponent, harmonics):
     return float(r @ r), coef
 
 
+def _scan_residuals(x, y, omegas, exponent, harmonics):
+    """``_lstsq_residual``'s residual at every trial frequency, in one batched solve.
+
+    The design matrices of all frequencies are stacked and each one's least
+    squares comes from its normal equations; the residual is then formed
+    from y, not from the normal equations, so that it keeps its precision.
+    """
+    base = x ** exponent
+    cols = [np.broadcast_to(base, (len(omegas), len(x)))]
+    for k in range(1, harmonics + 1):
+        phase = np.multiply.outer(k * omegas, x)
+        cols += [base * np.cos(phase), base * np.sin(phase)]
+    A = np.stack(cols, axis=-1)
+    At = A.transpose(0, 2, 1)
+    coef = np.linalg.solve(At @ A, At @ y[:, None])
+    r = y - (A @ coef)[..., 0]
+    return np.einsum("gn,gn->g", r, r)
+
+
 def fit_oscillation(sweep, expected_period, exponent=-0.5, harmonics=1,
                     max_residual=0.05):
     """Fit n(x) = x^exponent (b0 + M cos(Omega x + delta)) with Omega near
@@ -94,8 +113,7 @@ def fit_oscillation(sweep, expected_period, exponent=-0.5, harmonics=1,
         raise InsufficientData("need >= 4 samples per expected period")
     omega0 = 2.0 * math.pi / expected_period
     grid = np.linspace(0.5 * omega0, 1.5 * omega0, 1201)
-    res = np.array([_lstsq_residual(x, y, om, exponent, harmonics)[0] for om in grid])
-    i = int(np.argmin(res))
+    i = int(np.argmin(_scan_residuals(x, y, grid, exponent, harmonics)))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     # golden-section refinement of the projected residual

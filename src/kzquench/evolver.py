@@ -21,18 +21,27 @@ critical crossings.  Far from them it still sets the step, riding on a large
 omega, so each group also has superadiabatic (SA) windows per segment: the
 time spans where 1.5 |omega_dot| / (omega^2 + theta_dot^2) <= SA_THRESHOLD
 for all its modes, on the far side of each mode's gap minimum.  There the
-state steps in the SA frame, where, since eps and delta are affine on a
-segment, the generator is (0, alpha_dot, sqrt(omega^2 + theta_dot^2)) with
-the much smaller alpha_dot = -1.5 theta_dot omega_dot / (omega^2 +
-theta_dot^2), and the step error counts SA_ERROR_WEIGHT times.  Modes whose
+state steps in the second SA frame ("sa").  Since eps and delta are affine
+on a segment, the first SA frame has the generator
+(0, alpha_dot, sqrt(omega^2 + theta_dot^2)) with the much smaller
+alpha_dot = -1.5 theta_dot omega_dot / (omega^2 + theta_dot^2); the second
+turns that one's coupling away in turn, and its coupling beta_dot is
+smaller again, 34 times over a window of the benchmark sweep.  Inside a
+window the step error counts SA_ERROR_WEIGHT times.  Modes whose
 gap closes on a segment (possible only at isolated quasimomenta of the XY
 protocols) fall back to the lab frame on that segment, where the equation is
-smooth and there are no windows.
+smooth and there are no windows, and so do all modes of a segment too fast
+for any of them to follow (every Landau-Zener exponent below LAB_EXPONENT,
+as on the second ramp of the tau_Q = 10 round trip with R <= 1e-8).  A lab span shorter
+than the step floor takes no step: its transfer is its frame change alone,
+the sudden quench.
 
 Frames.  Each frame is one per-mode SU(2) rotation out of the eigenbasis
 (``_frame``), read off the segment's affine rows: the "adiabatic" frame is
-the eigenbasis itself, the "sa" frame W^dagger exp(i alpha sigma_x) with
-alpha = atan2(theta_dot, omega) / 2, and the "lab" frame W^dagger R(theta),
+the eigenbasis itself; the "sa" frame is W^dagger exp(i alpha sigma_x) with
+alpha = atan2(theta_dot, omega) / 2, into the first SA frame, followed by
+W^dagger exp(i beta sigma_x) with beta = atan2(-alpha_dot,
+sqrt(omega^2 + theta_dot^2)) / 2; and the "lab" frame is W^dagger R(theta),
 which carries the lab amplitudes as W^dagger (u, v), with the Bogoliubov
 angle theta = atan2(delta, eps) / 2.  W = diag(e^{-i pi/4}, e^{i pi/4})
 puts every frame's generator in the one form (0, w, z), so one Magnus step
@@ -120,6 +129,14 @@ class NumericalFailure(RuntimeError):
 # Modes whose smallest gap on a segment is at or below GAP_FLOOR integrate there
 # in the lab frame, all others in the adiabatic frame (inf: all lab, -inf: none).
 GAP_FLOOR = 1e-4
+# A segment on which every mode's Landau-Zener exponent pi omega_min^2 / speed is
+# below LAB_EXPONENT is too fast for any mode to follow: all its modes run in the
+# lab frame, where the step need not resolve a crossing.  The adiabatic frame
+# fails on the second ramp of the tau_Q = 10 round trip from R = 1e-10 on,
+# whose largest exponent over the panels is 6.3e-9 (6.3e-7 at R = 1e-8, which
+# this cut also takes); on the schedules of the benchmark and of the accuracy
+# gates every segment has some exponent of 50 or more.
+LAB_EXPONENT = 1e-6
 # attempted steps per segment
 MAX_STEPS = 2_000_000
 # most modes in one lock-step batch: a frame's groups run in consecutive blocks
@@ -240,6 +257,9 @@ class _Group(StepControl):
         self.enter(*span, segment)
         self.tried = tried
         self.drift = 0.0
+        if frame == "lab" and span[1] - span[0] < self.h_tiny:
+            # no step fits: the span takes only its frame change, a sudden quench
+            self.t = span[1]
 
 
 def _step_rows(t, h, t0):
@@ -266,11 +286,17 @@ def _generator(frame, modes, dt):
     since the segment's start.  Every frame's generator has the (0, w, z)
     form: (0, -delta, eps) in the lab frame, whose state is carried as
     W^dagger (u, v) (see ``_frame``), and (0, -theta_dot, omega) in the
-    adiabatic frame.  A span in a superadiabatic window (the "sa" frame) has
-    (0, w, z) = (0, alpha_dot, sqrt(omega^2 + theta_dot^2)); on an
-    affine segment theta_ddot = -2 theta_dot omega_dot / omega exactly, so
-    alpha_dot = -1.5 theta_dot omega_dot / (omega^2 + theta_dot^2),
-    where omega omega_dot = eps eps_dot + delta delta_dot = v2 (dt - s_v).
+    adiabatic frame.  The first superadiabatic frame ("sa1", which only
+    ``_frame`` reads) has (w1, z1) = (alpha_dot, sqrt(omega^2 + theta_dot^2));
+    on an affine segment theta_ddot = -2 theta_dot omega_dot / omega exactly,
+    so alpha_dot = -1.5 theta_dot omega_dot / (omega^2 + theta_dot^2), where
+    omega omega_dot = eps eps_dot + delta delta_dot = v2 x, x = dt - s_v.
+    A span in a superadiabatic window (the "sa" frame) steps in the second
+    one, (0, beta_dot, sqrt(z1^2 + w1^2)) with beta = -atan(mu) / 2 and
+    mu = w1 / z1 = -1.5 c v2 x omega^3 / P^1.5, P = omega^6 + c^2, whose rate
+    is mu_dot = -1.5 c v2 omega [(omega^2 + 3 v2 x^2) P - 9 v2 x^2 omega^6] / P^2.5.
+    Both are written in s = theta_dot / omega and g = omega_dot / omega^2,
+    so that no power of omega beyond the fifth is formed.
     """
     e0, d0, e1, d1, v2, s_v, c, m2 = modes
     if frame == "lab":
@@ -278,12 +304,20 @@ def _generator(frame, modes, dt):
     x = dt - s_v
     vx = v2 * x
     om2 = vx * x + m2
-    thetadot = c / om2
     om = np.sqrt(om2)
     if frame == "adiabatic":
-        return -thetadot, om
-    z2 = om2 + thetadot * thetadot
-    return -1.5 * thetadot * vx / (om * z2), np.sqrt(z2)
+        return -c / om2, om
+    om3 = om2 * om
+    s, g = c / om3, vx / om3
+    q = 1.0 + s * s
+    sq = np.sqrt(q)
+    if frame == "sa1":
+        return -1.5 * s * g * om / q, om * sq
+    mu = -1.5 * s * g / (q * sq)
+    y = vx * x
+    mudot = -1.5 * s * v2 * ((om2 + 3.0 * y) * q - 9.0 * y) / (om3 * om2 * q * q * sq)
+    mu2 = 1.0 + mu * mu
+    return -0.5 * mudot / mu2, om * np.sqrt(q * mu2)
 
 
 def _magnus_apply(frame, modes, rows, a, b):
@@ -324,27 +358,34 @@ def _magnus_apply(frame, modes, rows, a, b):
 
 # Superadiabatic (SA) windows.  Far from its gap minimum a mode's adiabatic-
 # frame coupling theta_dot rides on a large omega and sets the step there.
-# One more adiabatic iteration (M. V. Berry, Proc. R. Soc. A 414 (1987) 31)
-# scales it down by about 1.5 |omega_dot| / omega^2, so a segment's modes step
-# in the SA frame wherever that factor is small for all of them.  SA local
-# errors add up coherently along a window, so they are held to half the
-# tolerance.  Both constants come from round trips at 13 tau_Q in [10, 128],
-# rel_tol 1e-8, against rel_tol 1e-13 references: thresholds 0.03-0.05 and
-# weights 1.5-2.5 all take 2.7-2.9 times fewer steps than the adiabatic frame,
-# and 0.04 with weight 2 gave the lowest median |dn|/n (0.68 of the adiabatic
-# frame's).  SA everywhere, the gap minima included, takes fewer steps still
-# but biases n by -0.9e-8, -1.3e-8 and -2.0e-8 at tau_Q = 10, 32 and 128.
+# Two more adiabatic iterations (M. V. Berry, Proc. R. Soc. A 414 (1987) 31)
+# scale it down, the first by about 1.5 |omega_dot| / omega^2, so a segment's
+# modes step in the second SA frame wherever that factor is small for all of
+# them.  On the seed-1 benchmark sweep |beta_dot| integrates to at most 4.9e-5
+# over a window, 34 times less than |alpha_dot| (1.7e-3), so the steps lengthen.
+# SA local errors add up coherently along a window, so they count
+# SA_ERROR_WEIGHT times.  SA_THRESHOLD comes from round trips at 13 tau_Q in
+# [10, 128], rel_tol 1e-8, against rel_tol 1e-13 references: with the first
+# SA frame, thresholds 0.03-0.05 all took 2.7-2.9 times fewer steps than the
+# adiabatic frame, and 0.04 gave the lowest median |dn|/n.  In the second
+# frame, weights 2, 4, 8, 16 and 32 gave worst |dn|/n of 7.9e-9, 4.0e-9,
+# 3.6e-9, 1.3e-9 and 1.6e-9 over tau_Q = 10 to 13.5 (4e-9 allowed), and of
+# 4.9e-9, 2.5e-9, 2.8e-9, 1.1e-9 and 1.4e-9 over the 13 tau_Q, where they took
+# 9,790 to 11,254 steps; 16 has the lowest worst cases.
+# SA everywhere, the gap minima included, takes fewer steps still but biased
+# n by -0.9e-8, -1.3e-8 and -2.0e-8 at tau_Q = 10, 32 and 128 (first frame).
 SA_THRESHOLD = 0.04
-SA_ERROR_WEIGHT = 2.0
+SA_ERROR_WEIGHT = 16.0
 # spans shorter than this share of their segment are not cut out, so that
 # landing on a window edge never underflows the step
 _SA_MIN_SPAN = 1e-6
 _EXP_IPI4 = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
 
 
-def _sa_windows(seg, q):
-    """The (t_a, t_b) spans of seg where every mode q is on the far side of its
-    gap minimum with 1.5 |omega_dot| / (omega^2 + theta_dot^2) <= SA_THRESHOLD.
+def _sa_windows(cases):
+    """For each (seg, q) of ``cases``, the (t_a, t_b) spans of seg where every
+    mode q is on the far side of its gap minimum with
+    1.5 |omega_dot| / (omega^2 + theta_dot^2) <= SA_THRESHOLD; none for no modes.
 
     eps and delta are affine in t, so omega^2 = v^2 (t - t_v)^2 + m^2 with
     m v = |eps delta_dot - delta eps_dot| = 2 |c|, c from ``Segment.affine``.
@@ -353,12 +394,13 @@ def _sa_windows(seg, q):
     F rises from 0 at the minimum to one peak, where
     P(u) = -2u^4 + 3u^3 + k^2 u - 0.75 k^2 changes sign, and then falls.
     Each mode excludes |y| < sqrt(u* - 1), u* the first u past the peak with
-    F <= SA_THRESHOLD, found by bisection; the windows are what no mode
-    excludes.
+    F <= SA_THRESHOLD, found by one bisection over the modes of all cases;
+    the windows are what no mode excludes.  A mode whose (eps, delta) stands
+    still never couples and excludes nothing.
     """
-    rows = seg.affine(q)
-    # a mode whose (eps, delta) stands still never couples
-    v2, s_v, c = rows[4:7, rows[4] > 0.0]
+    rows = [seg.affine(q)[4:7] for seg, q in cases]
+    bounds = np.cumsum([0] + [r.shape[1] for r in rows])
+    v2, s_v, c = np.concatenate(rows, axis=1) if rows else np.empty((3, 0))
     cross = 2.0 * np.abs(c)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = v2 * np.sqrt(v2) / (cross * cross)
@@ -375,7 +417,14 @@ def _sa_windows(seg, q):
         half = np.sqrt(hi - 1.0) * cross / v2
     # a closed gap (k infinite) excludes the whole line
     half = np.where(np.isfinite(half), half, np.inf)
-    t_v = seg.t_start + s_v
+    return [_windows(seg, s_v[i:j], half[i:j], v2[i:j] > 0.0) if j > i else []
+            for (seg, _), i, j in zip(cases, bounds[:-1], bounds[1:])]
+
+
+def _windows(seg, s_v, half, moves):
+    """The windows of seg that no moving mode's excluded span s_v +- half meets."""
+    t_v = seg.t_start + s_v[moves]
+    half = half[moves]
     order = np.argsort(t_v - half, kind="stable")
     starts = np.concatenate(([-np.inf], np.maximum.accumulate((t_v + half)[order])))
     ends = np.concatenate(((t_v - half)[order], [np.inf]))
@@ -399,31 +448,38 @@ def _frame(frame, modes, dt):
 
     The rotation takes the eigenbasis at dt, the time since the segment's
     start, into ``frame``; ``modes`` holds the rows of ``Segment.affine``.
-    It is the identity for "adiabatic", W^dagger exp(i alpha sigma_x) for
-    "sa" and W^dagger R(theta) for "lab", with W = diag(e^{-i pi/4}, e^{i pi/4})
-    and R(theta) = [[cos theta, -sin theta], [sin theta, cos theta]].  Both
-    angles are atan2(-w, z) / 2 of a generator (w, z) of ``_generator``:
-    alpha = atan2(theta_dot, omega) / 2 of the adiabatic frame's, and the
-    Bogoliubov angle theta = atan2(delta, eps) / 2 of the lab frame's.
+    It is a chain of turns: none for "adiabatic", W^dagger R(theta) for
+    "lab", and for "sa" W^dagger exp(i alpha sigma_x) followed by
+    W^dagger exp(i beta sigma_x), with W = diag(e^{-i pi/4}, e^{i pi/4}) and
+    R(theta) = [[cos theta, -sin theta], [sin theta, cos theta]].  Each angle
+    is atan2(-w, z) / 2 of the generator (w, z) of ``_generator`` in the
+    frame that the turn starts from: the Bogoliubov angle
+    theta = atan2(delta, eps) / 2 of the lab frame's, alpha =
+    atan2(theta_dot, omega) / 2 of the adiabatic frame's and
+    beta = atan2(-w1, z1) / 2 of the first superadiabatic frame's ("sa1").
     """
-    if frame == "adiabatic":
-        return np.ones(modes.shape[1], dtype=complex), np.zeros(modes.shape[1], dtype=complex)
-    w, z = _generator("lab" if frame == "lab" else "adiabatic", modes, dt)
-    angle = 0.5 * np.arctan2(-w, z)
-    return _EXP_IPI4 * np.cos(angle), (1j if frame == "sa" else 1.0) * np.sin(angle) / _EXP_IPI4
+    p = np.ones(modes.shape[1], dtype=complex)
+    q = np.zeros(modes.shape[1], dtype=complex)
+    for turn in {"adiabatic": (), "sa": ("adiabatic", "sa1"), "lab": ("lab",)}[frame]:
+        w, z = _generator(turn, modes, dt)
+        angle = 0.5 * np.arctan2(-w, z)
+        p, q = _apply_transfer(_EXP_IPI4 * np.cos(angle),
+                               (1.0 if turn == "lab" else 1j) * np.sin(angle) / _EXP_IPI4,
+                               p, q, False)
+    return p, q
 
 
-def _spans(seg, q, lab):
-    """The (t_a, t_b, frame) spans of seg for its modes q, in time order.
+def _spans(seg, windows):
+    """The (t_a, t_b, frame) spans of seg for modes with these SA windows, in time order.
 
-    Lab-frame modes have one span, the whole segment; the others run in the
-    adiabatic frame, cut at the edges of their SA windows, and each window
-    is a span of its own in the "sa" frame.
+    Lab-frame modes (``windows`` None) have one span, the whole segment; the
+    others run in the adiabatic frame, cut at the edges of their windows,
+    and each window is a span of its own in the "sa" frame.
     """
-    if lab:
+    if windows is None:
         return [(seg.t_start, seg.t_end, "lab")]
     spans, t = [], seg.t_start
-    for ta, tb in _sa_windows(seg, q):
+    for ta, tb in windows:
         if ta > t:
             spans.append((t, ta, "adiabatic"))
         spans.append((ta, tb, "sa"))
@@ -455,25 +511,12 @@ def _lockstep(frame, groups):
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     modes = np.concatenate([g.segment.affine(g.q) for g in groups], axis=1)
     t0 = np.array([g.segment.t_start for g in groups])
-    a, b = _frame(frame, modes, np.repeat([g.t for g in groups] - t0, counts))
+    a, b = _frame(frame, modes, np.repeat([g.span[0] for g in groups] - t0, counts))
     weight = SA_ERROR_WEIGHT if frame == "sa" else 1.0
-    while groups:
-        t = np.array([g.t for g in groups])
-        h = np.array([g.clip() for g in groups])
-        rows = _step_rows(t, h, t0)
-        if len(groups) > 1:
-            rows = np.repeat(rows, counts, axis=2)
-        a1, b1 = _magnus_apply(frame, modes, rows[0], a, b)
-        ah, bh = _magnus_apply(frame, modes, rows[1], a, b)
-        a2, b2 = _magnus_apply(frame, modes, rows[2], ah, bh)
-        err = np.maximum(np.maximum.reduceat(np.abs(a1 - a2), starts),
-                         np.maximum.reduceat(np.abs(b1 - b2), starts))
-        accepted = [g.control(e / g.tol * weight) for g, e in zip(groups, err)]
-        if all(accepted):
-            a, b = a2, b2
-        elif any(accepted):
-            take = np.repeat(accepted, counts)
-            a, b = np.where(take, a2, a), np.where(take, b2, b)
+    # each pass first retires the groups that have ended (a span shorter than the
+    # step floor ends before its first step), then steps the others
+    accepted = [False] * len(groups)
+    while True:
         done = []
         for i, g in enumerate(groups):
             sl = slice(starts[i], starts[i] + counts[i])
@@ -494,6 +537,24 @@ def _lockstep(frame, groups):
             counts = counts[keep]
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
             groups = [g for g, k in zip(groups, keep) if k]
+        if not groups:
+            return
+        t = np.array([g.t for g in groups])
+        h = np.array([g.clip() for g in groups])
+        rows = _step_rows(t, h, t0)
+        if len(groups) > 1:
+            rows = np.repeat(rows, counts, axis=2)
+        a1, b1 = _magnus_apply(frame, modes, rows[0], a, b)
+        ah, bh = _magnus_apply(frame, modes, rows[1], a, b)
+        a2, b2 = _magnus_apply(frame, modes, rows[2], ah, bh)
+        err = np.maximum(np.maximum.reduceat(np.abs(a1 - a2), starts),
+                         np.maximum.reduceat(np.abs(b1 - b2), starts))
+        accepted = [g.control(e / g.tol * weight) for g, e in zip(groups, err)]
+        if all(accepted):
+            a, b = a2, b2
+        elif any(accepted):
+            take = np.repeat(accepted, counts)
+            a, b = np.where(take, a2, a), np.where(take, b2, b)
 
 
 def _blocks(groups):
@@ -516,15 +577,15 @@ def evolve(jobs, opts=None):
     (u_rot, v_rot), p = |v_rot|^2, the worst norm drift and the solver
     statistics in ``meta``: the product of its segments' transfers applied
     to (1, 0), a reused transfer evolved once at tol / m (see Transfers).
-    Each evolved segment's modes are cut into spans, one group each, and the
+    Each evolved segment's modes are cut into spans, one group each, at SA
+    windows found for all jobs' segments in one ``_sa_windows`` call, and the
     groups of each frame advance together in lock-step batches of up to
     _LOCKSTEP_BLOCK modes, so each result is bitwise what its job gives alone.
     """
     opts = opts or SolverOptions()
     tol = opts.abs_tol + opts.rel_tol
-    groups = {"adiabatic": [], "sa": [], "lab": []}
-    plans = []
-    for j, (schedule, q) in enumerate(jobs):
+    plans, cases = [], []
+    for schedule, q in jobs:
         q = np.atleast_1d(np.asarray(q, dtype=float))
         # written so that NaN fails it
         if q.ndim != 1 or q.size == 0 or not np.all((q > 0.0) & (q < math.pi)):
@@ -537,29 +598,42 @@ def evolve(jobs, opts=None):
             sources.append(next(((i, not tr) for (i, tr), s in zip(sources, segs)
                                  if s.duration == seg.duration and s.params_start == seg.params_end
                                  and s.params_end == seg.params_start), (k, False)))
-        parts, lab = {}, np.zeros(q.shape, dtype=bool)  # evolved segment -> (mask, spans)s
-        for k, m in Counter(i for i, _ in sources).items():
-            seg = segs[k]
-            # the smallest gap, not its square, meets GAP_FLOOR (sqrt is monotone)
-            lab_mask = np.sqrt(seg.closest_approach(q)[0]) <= GAP_FLOOR
-            lab |= lab_mask
-            parts[k], tried = [], [0]       # the segment's spans share one step budget
+        labs = {}       # evolved segment -> its lab-frame modes
+        for k in dict.fromkeys(i for i, _ in sources):
+            om2, speed = segs[k].closest_approach(q)
+            # the smallest gap, not its square, meets GAP_FLOOR (sqrt is monotone), and
+            # every Landau-Zener exponent pi om2 / speed below LAB_EXPONENT, without a division
+            labs[k] = (np.sqrt(om2) <= GAP_FLOOR) | np.all(math.pi * om2 < LAB_EXPONENT * speed)
+            if not np.all(labs[k]):
+                cases.append((segs[k], q[~labs[k]]))
+        plans.append((schedule, q, sources, labs))
+    windows = iter(_sa_windows(cases))
+    groups = {"adiabatic": [], "sa": [], "lab": []}
+    composed = []
+    for j, (schedule, q, sources, labs) in enumerate(plans):
+        reuses = Counter(i for i, _ in sources)
+        parts = {}      # evolved segment -> (mask, spans)s
+        for k, lab_mask in labs.items():
+            seg, tried = schedule.segments[k], [0]    # the segment's spans share one step budget
+            parts[k] = []
             for mask in (~lab_mask, lab_mask):
                 if np.any(mask):
                     spans = []
-                    for ta, tb, frame in _spans(seg, q[mask], mask is lab_mask):
+                    for ta, tb, frame in _spans(seg, None if mask is lab_mask else next(windows)):
                         name = "superadiabatic" if frame == "sa" else frame
                         where = "%s frame failed for modes %s" % (name, np.flatnonzero(mask)[:8])
                         if len(jobs) > 1:
                             where = "schedule %d (tau_q=%s): %s" % (j, schedule.tau_q, where)
-                        spans.append(_Group(seg, q[mask], where, frame, tol / m, (ta, tb), tried))
+                        spans.append(_Group(seg, q[mask], where, frame, tol / reuses[k],
+                                            (ta, tb), tried))
                         groups[frame].append(spans[-1])
                     parts[k].append((mask, spans))
-        plans.append((schedule, q, sources, parts, int(np.count_nonzero(lab))))
+        lab_modes = int(np.count_nonzero(np.logical_or.reduce(list(labs.values()))))
+        composed.append((schedule, q, sources, parts, lab_modes))
     for frame, frame_groups in groups.items():
         for block in _blocks(frame_groups):
             _lockstep(frame, block)
-    return [_compose(*plan) for plan in plans]
+    return [_compose(*plan) for plan in composed]
 
 
 def _apply_transfer(ta, tb, a, b, transposed):

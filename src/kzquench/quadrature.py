@@ -12,6 +12,7 @@ at large r are requested.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,10 +20,18 @@ import numpy as np
 EXPONENT_CAP = 40.0  # modes with LZ exponent above this never get excited at double precision
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_panels(edges, order=16):
     """Composite Gauss-Legendre nodes and weights for the given panel edges."""
     edges = np.asarray(edges, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _leggauss(order)
     lo = edges[:-1, None]
     hi = edges[1:, None]
     nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
@@ -37,16 +46,9 @@ def support_regions(schedule):
     mask = e < EXPONENT_CAP
     if not np.any(mask):
         return []
-    regions = []
-    idx = np.flatnonzero(mask)
-    start = idx[0]
-    prev = idx[0]
-    for i in idx[1:]:
-        if i != prev + 1:
-            regions.append((qs[start], qs[prev]))
-            start = i
-        prev = i
-    regions.append((qs[start], qs[prev]))
+    # each run of the mask starts where it steps up and ends before it steps down
+    steps = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    regions = zip(qs[np.flatnonzero(steps > 0)], qs[np.flatnonzero(steps < 0) - 1])
     # widen each region by 30% and merge
     padded = []
     for lo, hi in regions:

@@ -157,3 +157,18 @@ def test_sweep_validation():
         analysis.Sweep(np.array([1.0, 1.0, 2.0]), np.zeros(3))
     with pytest.raises(ValueError):
         analysis.Sweep(np.array([1.0, 2.0]), np.zeros(3))
+
+
+@pytest.mark.parametrize("exponent, harmonics, noise", [(-0.5, 1, 0.02), (-0.5, 1, 0.2),
+                                                        (-1.0, 2, 0.05)])
+def test_frequency_scan_matches_per_frequency_lstsq(exponent, harmonics, noise):
+    # the batched scan of fit_oscillation gives each trial frequency's residual
+    # as lstsq does, and so the same grid point
+    x = np.arange(10.0, 40.0, 0.3)
+    rng = np.random.default_rng(int(100 * noise) + harmonics)
+    y = _model(x, 0.6, 0.3, 4.0, 0.5, exponent) * (1.0 + noise * rng.standard_normal(len(x)))
+    grid = np.linspace(2.0, 6.0, 401)
+    batched = analysis._scan_residuals(x, y, grid, exponent, harmonics)
+    single = np.array([analysis._lstsq_residual(x, y, om, exponent, harmonics)[0] for om in grid])
+    assert np.max(np.abs(batched / single - 1.0)) <= 1e-12
+    assert np.argmin(batched) == np.argmin(single)

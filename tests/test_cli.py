@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kzquench
-from kzquench import cli, closedform, correlators, edoracle, evolver, protocol
+from kzquench import cli, closedform, correlators, edoracle, evolver, protocol, quadrature
 
 
 def child_env(**extra):
@@ -482,6 +482,25 @@ def test_sweep_sidecar_records_mirror_and_numpy_build(tmp_path):
     assert set(mirror["solver_rows"][0]) == {"tau_Q", "norm_drift", *spectrum.meta}
     assert mirror["numpy"]["version"] == np.__version__
     assert isinstance(mirror["numpy"]["simd_target"], str) and mirror["numpy"]["simd_target"]
+
+
+def test_sweep_with_a_sudden_second_ramp(tmp_path):
+    # at R = 1e-10 and 1e-20 no mode can follow the second ramp, so it runs in the
+    # lab frame for every mode; at 1e-20 it is shorter than the step floor and
+    # takes only its frame change.  Both rows are the sudden-quench limit
+    def sweep(R):
+        prefix = str(tmp_path / ("r%g" % R))
+        args = ["--set", "protocol.R=%r" % R, "--set", "sweep.tau_q=[10.0]",
+                "--set", "output.prefix=" + prefix, "sweep"]
+        assert cli.main(args) == cli.EXIT_OK
+        (row,) = _read_rows(Path(prefix + "_sweep.csv"))
+        (record,) = json.loads(Path(prefix + "_sweep.json").read_text())["solver_rows"]
+        modes = len(quadrature.support_panels(protocol.round_trip(0.0, 10.0, R))[0])
+        assert all(math.isfinite(x) for x in row) and record["lab_modes"] == modes
+        return row[1]
+
+    slow, sudden = sweep(1e-10), sweep(1e-20)
+    assert abs(sudden / slow - 1.0) <= 1e-8 and 0.4 < sudden < 0.5
 
 
 @pytest.mark.parametrize("g_qt", [1.5, 2.5])

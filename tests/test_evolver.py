@@ -455,11 +455,13 @@ def test_frame_round_trip_is_identity(frame):
 @pytest.mark.parametrize("schedule", [proto.round_trip(0.0, 10.0, 1.0),
                                       proto.quarter_turn(1.5, 5.0, 1.0, jy_initial=4.0)])
 def test_sa_generator_matches_finite_difference(schedule):
-    # the SA generator is (0, alpha', sqrt(omega^2 + theta'^2)) with alpha' from the
-    # affine-segment identity; compare alpha' with a central difference of
-    # alpha(t) = atan2(theta', omega) / 2.  The generators (w, z) read from the
-    # segment constants are (-delta, eps) in the lab frame and (-theta', omega)
-    # in the adiabatic frame, with eps and delta from the schedule's parameters at t
+    # each superadiabatic turn by angle(t) = atan2(-w, z) / 2 of the frame it starts
+    # from gives the generator (0, angle', hypot(z, w)).  The first ("sa1") turns
+    # the adiabatic frame's (-theta', omega) by alpha; the "sa" frame's generator
+    # turns the first one's (w1, z1) by beta.  Compare each rate with a central
+    # difference of its angle.  The generators (w, z) read from the segment
+    # constants are (-delta, eps) in the lab frame and (-theta', omega) in the
+    # adiabatic frame, with eps and delta from the schedule's parameters at t
     q = np.array([0.05, 0.3, 1.0, 2.0, 3.0])
     cq, sq = np.cos(q), np.sin(q)
     for seg in schedule.segments:
@@ -468,15 +470,17 @@ def test_sa_generator_matches_finite_difference(schedule):
         for x in (0.1, 0.5, 0.9):
             dt = x * seg.duration
             h = 1e-4 * seg.duration
-            alpha = []
-            for j in (-2, -1, 1, 2):
-                w_ad, z_ad = ev._generator("adiabatic", modes, dt + j * h)
-                alpha.append(0.5 * np.arctan2(-w_ad, z_ad))
-            fd = (alpha[0] - 8 * alpha[1] + 8 * alpha[2] - alpha[3]) / (12 * h)
-            w, z = ev._generator("sa", modes, dt)
+            for inner, outer in (("adiabatic", "sa1"), ("sa1", "sa")):
+                angle = []
+                for j in (-2, -1, 1, 2):
+                    w_in, z_in = ev._generator(inner, modes, dt + j * h)
+                    angle.append(0.5 * np.arctan2(-w_in, z_in))
+                fd = (angle[0] - 8 * angle[1] + 8 * angle[2] - angle[3]) / (12 * h)
+                w, z = ev._generator(outer, modes, dt)
+                w_in, z_in = ev._generator(inner, modes, dt)
+                assert np.allclose(w, fd, rtol=1e-6, atol=1e-12 * np.max(np.abs(w_in)))
+                assert np.allclose(z, np.hypot(z_in, w_in), rtol=1e-14)
             w_ad, z_ad = ev._generator("adiabatic", modes, dt)
-            assert np.allclose(w, fd, rtol=1e-6, atol=1e-12 * np.max(np.abs(w_ad)))
-            assert np.allclose(z, np.hypot(z_ad, w_ad), rtol=1e-14)
             eps, delta = lat.eps_delta(*seg.eval(seg.t_start + dt), cq, sq)
             om2 = eps * eps + delta * delta
             assert np.allclose(z_ad, np.sqrt(om2), rtol=1e-13)
@@ -554,6 +558,20 @@ def test_nonmirror_density_accuracy_gate():
     assert np.median(dn) <= 2e-9 and np.max(dn) <= 5e-9
 
 
+def test_sweep_range_density_accuracy_gate():
+    # the same gate on the tau_Q range of the benchmark sweep, tau = 10.0, 10.25,
+    # ..., 13.5, where the first superadiabatic frame let |dn|/n reach 1.33e-8
+    # (tau = 10.5; median 9.9e-10).  Measured: median 8.2e-10 and worst 1.32e-9
+    # over 9,408 steps
+    with open(Path(__file__).parent / "data" / "sweep_density_refs.json") as fh:
+        refs = json.load(fh)
+    schedules = [proto.round_trip(0.0, tau, 1.0) for tau in refs["tau_q"]]
+    spectra = ev.evolve_spectra_quadrature(schedules, ev.SolverOptions(1e-8, 1e-10))
+    dn = np.abs([ev.defect_density(sp) / n - 1.0
+                 for sp, n in zip(spectra, refs["defect_density"])])
+    assert np.median(dn) <= 2e-9 and np.max(dn) <= 4e-9
+
+
 @pytest.mark.parametrize("schedule, share", [
     (proto.round_trip(0.0, 10.0, 1.0), 0.7),
     (proto.round_trip(0.5, 128.0, 2.0), 0.7),
@@ -567,7 +585,7 @@ def test_sa_windows_exclude_gap_minima(schedule, share):
     cq, sq = np.cos(q), np.sin(q)
     total = 0.0
     for seg in schedule.segments:
-        windows = ev._sa_windows(seg, q)
+        windows = ev._sa_windows([(seg, q)])[0]
         om2, _ = seg.closest_approach(q)
         e0, d0 = lat.eps_delta(*seg.params_start, cq, sq)
         e1, d1 = lat.eps_delta(*seg.rates(), cq, sq)
@@ -585,6 +603,22 @@ def test_sa_windows_exclude_gap_minima(schedule, share):
             total += tb - ta
         assert all(b0[1] < b1[0] for b0, b1 in zip(windows[:-1], windows[1:]))
     assert total >= share * (schedule.t_end - schedule.t_start)
+
+
+def test_sa_windows_of_a_batch_are_those_of_each_case():
+    # one bisection over the modes of every case gives each case's windows
+    # exactly as alone; no modes give no window, and modes that stand still
+    # (a dwell) exclude nothing
+    dwell = proto.Segment(0.0, 5.0, (0.5, 1.0, 0.0), (0.5, 1.0, 0.0))
+    cases = [(dwell, np.array([0.5, 1.5])), (proto.one_way(10.0, 0.0, 10.0).segments[0], np.array([]))]
+    for sch in (proto.round_trip(0.0, 10.0, 1.0), proto.quarter_turn(2.0, 10.0, 1.0, jy_initial=6.0),
+                proto.round_trip(0.5, 32.0, 2.0)):
+        q, _ = support_panels(sch)
+        cases += [(seg, qs) for seg in sch.segments for qs in (q, q[::5], q[-3:])]
+    windows = ev._sa_windows(cases)
+    assert windows == [ev._sa_windows([case])[0] for case in cases]
+    assert windows[0] == [(0.0, 5.0)] and windows[1] == [] and ev._sa_windows([]) == []
+    assert sum(len(w) for w in windows[2:]) >= 10
 
 
 @pytest.mark.parametrize("schedule", [
@@ -614,7 +648,7 @@ def test_spans_tile_each_segment(schedule, monkeypatch):
         if "lab" in frames:
             assert frames == ["lab"]
             continue
-        assert [g.span for g in spans if g.frame == "sa"] == ev._sa_windows(seg, spans[0].q)
+        assert [g.span for g in spans if g.frame == "sa"] == ev._sa_windows([(seg, spans[0].q)])[0]
         assert ("sa", "sa") not in zip(frames[:-1], frames[1:])
     assert res.meta["sa_windows"] == sum(frame == "sa" for frame, _ in seen)
     assert res.meta["lab_modes"] == sum(len(g.q) for frame, g in seen if frame == "lab")
@@ -623,9 +657,10 @@ def test_spans_tile_each_segment(schedule, monkeypatch):
 def test_sa_windows_accuracy_tau32():
     # rel_tol 1e-8 against a rel_tol 1e-12 reference on 32 Gauss nodes of the
     # tau_Q = 32 round trip, a mirror of which only the first ramp is evolved.
-    # With SA windows: 866 steps, |dn|/n = 9.8e-10 and a largest amplitude error
-    # of 3.3e-8 (both ramps evolved, the second cut in two so that it is not
-    # reused: 1,483 steps, 6.2e-9 and 3.1e-8); in the adiabatic frame alone, both
+    # With SA windows: 676 steps, |dn|/n = 1.3e-9 and a largest amplitude error
+    # of 9.7e-9 (both ramps evolved, the second cut in two so that it is not
+    # reused: 1,187 steps, 3.1e-9 and 1.8e-8; with the first SA frame in the
+    # windows 866 steps, 9.8e-10 and 3.3e-8); in the adiabatic frame alone, both
     # ramps: 4,482 steps, 3.3e-9 and 1.7e-8.
     sch = proto.round_trip(0.0, 32.0, 1.0)
     q, w = support_panels(sch, order=4, n_support=3)

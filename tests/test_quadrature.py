@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from kzquench import protocol as proto
 from kzquench import quadrature as quad
@@ -56,3 +57,46 @@ def test_quarter_turn_support_includes_interior_crossing():
     qc = math.acos(g_qt / 2.0)
     assert any(lo <= qc <= hi for lo, hi in regions)
     assert any(lo < 0.05 for lo, _ in regions)
+
+
+def _regions_one_index_at_a_time(schedule):
+    """support_regions with its runs of the mask found by walking the indices."""
+    qs = np.linspace(0.0, math.pi, 4001)[1:-1]
+    idx = np.flatnonzero(schedule.closest_approach(qs)[1] < quad.EXPONENT_CAP)
+    if not len(idx):
+        return []
+    runs, start = [], idx[0]
+    for prev, i in zip(idx[:-1], idx[1:]):
+        if i != prev + 1:
+            runs.append((qs[start], qs[prev]))
+            start = i
+    runs.append((qs[start], qs[idx[-1]]))
+    padded = []
+    for lo, hi in runs:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * 1.3 + 0.02 * (hi - lo + 1e-3)
+        padded.append([max(mid - half, 0.0), min(mid + half, math.pi)])
+    padded.sort()
+    merged = [padded[0]]
+    for lo, hi in padded[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [(lo, hi) for lo, hi in merged]
+
+
+@pytest.mark.parametrize("schedule", [
+    *(proto.round_trip(0.0, 10.0 + 0.35 * i, 1.0) for i in range(10)),
+    proto.round_trip(0.5, 32.0, 2.0), proto.reversed_round_trip(1.5, 8.0, 1.0),
+    proto.quarter_turn(1.5, 20.0, 1.0), proto.quarter_turn(2.0, 10.0, 1.0, jy_initial=6.0),
+    proto.one_way(10.0, 2.0, 15.0), proto.one_way(0.0, 10.0, 0.01)])
+def test_support_panels_bitwise_as_built_one_index_at_a_time(schedule, monkeypatch):
+    # the runs of the mask from np.diff and Gauss-Legendre rules built once per
+    # order give the nodes and weights bit for bit
+    cases = [(order, max_r) for order in (4, 16) for max_r in (0.0, 40.0, 300.0)]
+    fast = [quad.support_panels(schedule, order=o, max_r=r) for o, r in cases]
+    monkeypatch.setattr(quad, "support_regions", _regions_one_index_at_a_time)
+    monkeypatch.setattr(quad, "_leggauss", np.polynomial.legendre.leggauss)
+    for (o, r), (q, w) in zip(cases, fast):
+        q_ref, w_ref = quad.support_panels(schedule, order=o, max_r=r)
+        assert q.tobytes() == q_ref.tobytes() and w.tobytes() == w_ref.tobytes()
