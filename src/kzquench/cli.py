@@ -14,7 +14,8 @@ code it had reached, without a traceback.  ``load_config`` refuses unknown
 sections and keys and fills absent keys in from the defaults; each value is
 then checked by the one function that reads it (protocol values must be
 finite numbers, and no schedule segment may last over
-``protocol.MAX_DURATION``), and every command reads its whole configuration
+``protocol.MAX_DURATION`` or change a parameter faster than
+``protocol.MAX_RATE``), and every command reads its whole configuration
 before it evolves or writes anything, so a configuration error never
 surfaces as a traceback.
 """

@@ -58,58 +58,67 @@ and sin(phi) from one t = tan(phi / 2), as (1 - t^2) / (1 + t^2) and
 2 t / (1 + t^2): numpy runs float64 tan on SIMD units but cos and sin one
 element at a time, and the two forms agree to 2.2e-16 for phi up to 1e5.
 
-Groups and lock step.  A segment's modes are cut into spans: the modes that
-run in the adiabatic frame at the edges of their SA windows, with each
-window a span in the "sa" frame, and the lab-frame modes in one span of the
-whole segment.  A group is one span of one segment's modes in one frame.
-The modes of a group share one adaptive step: its controller accepts a step
-only if every mode of the group meets the tolerance (a step that fails at
-h <= 1e-12 raises NumericalFailure instead).  Many groups of one frame, from
-one schedule or from a whole tau_Q sweep, advance together in one loop
-(``_lockstep``): each pass tries one step of every group, each at its own t
-and h, on mode arrays concatenated over the groups, so numpy's per-call
-overhead is paid once for the batch instead of once per span.  A group
-enters its frame from the ground state (1, 0) by the frame's rotation at
-its span's start, and leaves for the eigenbasis at its span's end by the
-inverse, each applied as a transfer (below).  A frame's groups run in
-consecutive batches of at most _LOCKSTEP_BLOCK modes, which bounds the
-memory of a long sweep, and the frames run one after another.
-Each group keeps its own t, h, tolerance, step counts and norm drift, and
-its controller does the same scalar arithmetic as for the group alone, so
-its results are bitwise the same whichever groups share the batch and in
-whatever order.  There are two entry points: ``evolve`` takes given modes
-of any number of schedules, and ``evolve_spectra_quadrature`` each
-schedule's Gauss-Legendre panels.  A result's ``meta`` records the
-attempted ``steps``, of them ``accepted`` and ``rejected``, the smallest
-accepted step ``h_min``, the number of ``lab_modes`` (in the lab frame on
-some segment), the number of ``sa_windows``, ``sa_share``, the share of the
-schedule's time spent in them, and whether it was ``mirrored``.
+Table, groups and lock step.  ``evolve`` plans every job as keys into one
+table of transfers.  An entry of the table (``_Transfer``) is one evolved
+segment on one job's modes, with its lab-frame mask, its step tolerance and
+its failure prefix; a job is a list of keys (entry, transposed), one per
+segment.  An entry's modes are cut into spans: the modes that run in the
+adiabatic frame at the edges of their SA windows, with each window a span
+in the "sa" frame, and the lab-frame modes in one span of the whole
+segment.  A group is one span of one entry's modes in one frame, and
+carries the mask of its modes.  The modes of a group share one adaptive
+step: its controller accepts a step only if every mode of the group meets
+the tolerance (a step that fails at h <= 1e-12 raises NumericalFailure
+instead), and the groups of an entry share one step budget.  Many groups
+of one frame, from one schedule or from a whole tau_Q sweep, advance
+together in one loop (``_lockstep``): each pass tries one step of every
+group, each at its own t and h, on mode arrays concatenated over the
+groups, so numpy's per-call overhead is paid once for the batch instead of
+once per span.  A group enters its frame from the ground state (1, 0) by
+the frame's rotation at its span's start, and leaves for the eigenbasis at
+its span's end by the inverse, each applied as a transfer (below).  A
+frame's groups run in consecutive batches of at most _LOCKSTEP_BLOCK
+modes, which bounds the memory of a long sweep, and the frames run one
+after another.  Each group keeps its own t, h, tolerance, step counts and
+norm drift, and its controller does the same scalar arithmetic as for the
+group alone, so its results are bitwise the same whichever groups share
+the batch and in whatever order.  There are two entry points: ``evolve``
+takes given modes of any number of schedules, and
+``evolve_spectra_quadrature`` each schedule's Gauss-Legendre panels.  A
+result's ``meta`` records the attempted ``steps``, of them ``accepted``
+and ``rejected``, the smallest accepted step ``h_min``, the number of
+``lab_modes`` (in the lab frame on some segment), the number of
+``sa_windows``, ``sa_share``, the share of the schedule's time spent in
+them, and whether it was ``mirrored``.
 
 Transfers.  Each mode's propagator over a span, from the eigenbasis at its
 start into that at its end, is an SU(2) transfer [[a, -b*], [b, a*]], fixed
 by the one column (a, b) that a group evolves from the ground state (1, 0).
-A segment's transfer is the product of its spans' in time order, and a
-result is the product of its segments' transfers applied to (1, 0), the
-adiabatic-impulse composition of Landau-Zener-Stueckelberg interferometry
-(Shevchenko, Ashhab & Nori, Phys. Rep. 492 (2010) 1).  One
+An entry's transfer is the product of its spans' in time order, so its
+groups fill its column: a group whose span starts at the segment's start
+writes its (a, b) into its modes, and each later group applies its
+transfer to them.  A result is the product of its keys' transfers applied
+to (1, 0), the adiabatic-impulse composition of Landau-Zener-Stueckelberg
+interferometry (Shevchenko, Ashhab & Nori, Phys. Rep. 492 (2010) 1).  One
 ``_apply_transfer`` applies them all, and also the frame rotations and the
 final turn by the Bogoliubov angle into the lab frame's (u, v).
 H = eps sigma_z + delta sigma_x is real symmetric, so a segment that
 retraces an earlier one backwards (equal duration, start and end
-parameters swapped, compared exactly) has the transposed transfer and is
-not evolved again: the R = 1 round trip with g_i = g_f and the R = 1
-reversed round trip evolve their first ramp only (``mirrored``).  A
-transfer that enters its schedule m times brings its error in m times, so
-its steps are held to rel_tol/m and abs_tol/m.  ``steps``, ``accepted``,
-``rejected``, ``h_min`` and ``sa_windows`` count the spans evolved,
-``sa_share`` counts each reuse, and the norm drift is the largest of the
-groups' and that of the composed state.
+parameters swapped, compared exactly) has the transposed transfer: its key
+is that segment's entry, transposed, and it is not evolved again.  The
+R = 1 round trip with g_i = g_f and the R = 1 reversed round trip evolve
+their first ramp only (``mirrored``: fewer entries than keys).  An entry
+that m keys of its schedule name brings its error in m times, so its
+steps are held to rel_tol/m and abs_tol/m.  ``steps``, ``accepted``,
+``rejected``, ``h_min`` and ``sa_windows`` count each entry once,
+``sa_share`` counts each key, and the norm drift is the largest of the
+groups' and that of the composed state.  An entry belongs to one job;
+entries are not shared across jobs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,24 +247,46 @@ class StepControl:
         return accepted
 
 
-class _Group(StepControl):
-    """One span of one segment's modes in one frame, advanced under its own step controller.
+class _Transfer:
+    """An entry of ``evolve``'s transfer table: one evolved segment on one job's modes q.
 
-    The controller state and the drift are scalar and belong to the group
-    alone; its modes hold one contiguous slice of the lock-step batch.  The
-    group starts from the ground state (1, 0) in the eigenbasis at the start
-    t_a of its ``span`` (t_a, t_b), and ``_lockstep`` leaves its amplitudes
-    (a, b) in the eigenbasis at t_b: the first column of the span's transfer
-    [[a, -b*], [b, a*]].  ``tol`` is the unit of step error,
-    (abs_tol + rel_tol) / m for a transfer that enters its schedule m times.
-    The spans of one segment share ``tried``, so MAX_STEPS bounds them together.
+    ``lab`` masks the modes that run in the lab frame on the segment.
+    ``tol`` is the unit of step error, (abs_tol + rel_tol) / m for a transfer
+    that enters its schedule m times, and ``where`` prefixes its failures.
+    Its ``groups`` share one step budget, ``tried``, so MAX_STEPS bounds
+    them together, and together they fill its column (see ``_compose``).
     """
 
-    def __init__(self, segment, q, where, frame, tol, span, tried):
-        super().__init__(where)
-        self.segment, self.q, self.frame, self.tol, self.span = segment, q, frame, tol, span
-        self.enter(*span, segment)
-        self.tried = tried
+    def __init__(self, segment, q, where):
+        om2, speed = segment.closest_approach(q)
+        # the smallest gap, not its square, meets GAP_FLOOR (sqrt is monotone), and
+        # every Landau-Zener exponent pi om2 / speed below LAB_EXPONENT, without a division
+        self.lab = (np.sqrt(om2) <= GAP_FLOOR) | np.all(math.pi * om2 < LAB_EXPONENT * speed)
+        self.segment, self.q, self.where = segment, q, where
+        self.tol, self.tried, self.groups = None, [0], []
+
+
+class _Group(StepControl):
+    """One span of a transfer's modes in one frame, advanced under its own step controller.
+
+    ``mask`` picks the group's modes ``q`` out of its transfer's, whose
+    segment, ``tol`` and step budget it takes.  The controller state and the
+    drift are scalar and belong to the group alone; its modes hold one
+    contiguous slice of the lock-step batch.  The group starts from the
+    ground state (1, 0) in the eigenbasis at the start t_a of its ``span``
+    (t_a, t_b), and ``_lockstep`` leaves its amplitudes (a, b) in the
+    eigenbasis at t_b: the first column of the span's transfer
+    [[a, -b*], [b, a*]].
+    """
+
+    def __init__(self, entry, mask, frame, span):
+        name = "superadiabatic" if frame == "sa" else frame
+        super().__init__("%s%s frame failed for modes %s"
+                         % (entry.where, name, np.flatnonzero(mask)[:8]))
+        self.segment, self.q, self.mask = entry.segment, entry.q[mask], mask
+        self.frame, self.tol, self.span = frame, entry.tol, span
+        self.enter(*span, self.segment)
+        self.tried = entry.tried
         self.drift = 0.0
         if frame == "lab" and span[1] - span[0] < self.h_tiny:
             # no step fits: the span takes only its frame change, a sudden quench
@@ -575,65 +606,52 @@ def evolve(jobs, opts=None):
 
     A result carries no weights: lab-frame (u, v), final-equilibrium-frame
     (u_rot, v_rot), p = |v_rot|^2, the worst norm drift and the solver
-    statistics in ``meta``: the product of its segments' transfers applied
-    to (1, 0), a reused transfer evolved once at tol / m (see Transfers).
-    Each evolved segment's modes are cut into spans, one group each, at SA
-    windows found for all jobs' segments in one ``_sa_windows`` call, and the
-    groups of each frame advance together in lock-step batches of up to
-    _LOCKSTEP_BLOCK modes, so each result is bitwise what its job gives alone.
+    statistics in ``meta``.  Each job is planned as one key (entry,
+    transposed) per segment into a table of transfers: a segment that
+    retraces an earlier one takes that one's entry, transposed, and an entry
+    that m keys name is evolved once at tol / m (see Transfers).  Each
+    entry's modes are cut into spans, one group each, at SA windows found for
+    all entries in one ``_sa_windows`` call, and the groups of each frame
+    advance together in lock-step batches of up to _LOCKSTEP_BLOCK modes, so
+    each result is bitwise what its job gives alone.  ``_compose`` then fills
+    each entry's column from its groups and walks the job's keys.
     """
     opts = opts or SolverOptions()
     tol = opts.abs_tol + opts.rel_tol
     plans, cases = [], []
-    for schedule, q in jobs:
+    for j, (schedule, q) in enumerate(jobs):
         q = np.atleast_1d(np.asarray(q, dtype=float))
         # written so that NaN fails it
         if q.ndim != 1 or q.size == 0 or not np.all((q > 0.0) & (q < math.pi)):
             raise ValueError("quasimomenta must be a non-empty 1-d array in (0, pi)")
-        segs = schedule.segments
-        # per segment (i, transposed): it applies segment i's transfer; one that
-        # retraces an earlier segment backwards (compared exactly) reuses that one's
-        sources = []
-        for k, seg in enumerate(segs):
-            sources.append(next(((i, not tr) for (i, tr), s in zip(sources, segs)
-                                 if s.duration == seg.duration and s.params_start == seg.params_end
-                                 and s.params_end == seg.params_start), (k, False)))
-        labs = {}       # evolved segment -> its lab-frame modes
-        for k in dict.fromkeys(i for i, _ in sources):
-            om2, speed = segs[k].closest_approach(q)
-            # the smallest gap, not its square, meets GAP_FLOOR (sqrt is monotone), and
-            # every Landau-Zener exponent pi om2 / speed below LAB_EXPONENT, without a division
-            labs[k] = (np.sqrt(om2) <= GAP_FLOOR) | np.all(math.pi * om2 < LAB_EXPONENT * speed)
-            if not np.all(labs[k]):
-                cases.append((segs[k], q[~labs[k]]))
-        plans.append((schedule, q, sources, labs))
+        where = "schedule %d (tau_q=%s): " % (j, schedule.tau_q) if len(jobs) > 1 else ""
+        # one key (entry, transposed) per segment; a segment that retraces an earlier
+        # one backwards (compared exactly) takes that one's entry, transposed
+        keys, segs = [], schedule.segments
+        for seg in segs:
+            keys.append(next(((e, not tr) for (e, tr), s in zip(keys, segs)
+                              if s.duration == seg.duration and s.params_start == seg.params_end
+                              and s.params_end == seg.params_start), None)
+                        or (_Transfer(seg, q, where), False))
+        for e in dict.fromkeys(e for e, _ in keys):
+            e.tol = tol / sum(f is e for f, _ in keys)
+            if not np.all(e.lab):
+                cases.append((e.segment, q[~e.lab]))
+        plans.append((schedule, q, keys))
     windows = iter(_sa_windows(cases))
     groups = {"adiabatic": [], "sa": [], "lab": []}
-    composed = []
-    for j, (schedule, q, sources, labs) in enumerate(plans):
-        reuses = Counter(i for i, _ in sources)
-        parts = {}      # evolved segment -> (mask, spans)s
-        for k, lab_mask in labs.items():
-            seg, tried = schedule.segments[k], [0]    # the segment's spans share one step budget
-            parts[k] = []
-            for mask in (~lab_mask, lab_mask):
+    for _, _, keys in plans:
+        for e in dict.fromkeys(e for e, _ in keys):
+            for mask in (~e.lab, e.lab):
                 if np.any(mask):
-                    spans = []
-                    for ta, tb, frame in _spans(seg, None if mask is lab_mask else next(windows)):
-                        name = "superadiabatic" if frame == "sa" else frame
-                        where = "%s frame failed for modes %s" % (name, np.flatnonzero(mask)[:8])
-                        if len(jobs) > 1:
-                            where = "schedule %d (tau_q=%s): %s" % (j, schedule.tau_q, where)
-                        spans.append(_Group(seg, q[mask], where, frame, tol / reuses[k],
-                                            (ta, tb), tried))
-                        groups[frame].append(spans[-1])
-                    parts[k].append((mask, spans))
-        lab_modes = int(np.count_nonzero(np.logical_or.reduce(list(labs.values()))))
-        composed.append((schedule, q, sources, parts, lab_modes))
+                    mask_windows = None if mask is e.lab else next(windows)
+                    for ta, tb, frame in _spans(e.segment, mask_windows):
+                        e.groups.append(_Group(e, mask, frame, (ta, tb)))
+                        groups[frame].append(e.groups[-1])
     for frame, frame_groups in groups.items():
         for block in _blocks(frame_groups):
             _lockstep(frame, block)
-    return [_compose(*plan) for plan in composed]
+    return [_compose(*plan) for plan in plans]
 
 
 def _apply_transfer(ta, tb, a, b, transposed):
@@ -647,36 +665,36 @@ def _apply_transfer(ta, tb, a, b, transposed):
     return ta * a - tb.conj() * b, tb * a + ta.conj() * b
 
 
-def _compose(schedule, q, sources, parts, lab_modes):
-    """One job's SpectrumResult from the groups of its evolved segments.
+def _compose(schedule, q, keys):
+    """One job's SpectrumResult from its keys (entry, transposed), one per segment.
 
-    A segment's transfer is its first span's (a, b) with each later span's
-    transfer [[a, -b*], [b, a*]] applied in turn.  The state starts as the
-    first segment's transfer, and each later segment's, or its transpose, is
-    applied to it in turn.
+    An entry's column (a, b) is filled by its groups in time order: a group
+    whose span starts at the segment's start writes its (a, b) into its
+    modes, and each later group applies its transfer [[a, -b*], [b, a*]] to
+    them.  The state starts as the first key's column, and each later key's
+    transfer, or its transpose, is applied to it in turn.
     """
-    transfers = {}
-    for k, pairs in parts.items():
-        transfers[k] = np.empty((2, len(q)), dtype=complex)
-        for mask, spans in pairs:
-            a, b = spans[0].a, spans[0].b
-            for g in spans[1:]:
-                a, b = _apply_transfer(g.a, g.b, a, b, False)
-            transfers[k][:, mask] = a, b
-    a, b = transfers[0]
-    for i, transposed in sources[1:]:
-        a, b = _apply_transfer(*transfers[i], a, b, transposed)
-    groups = [g for pairs in parts.values() for _, spans in pairs for g in spans]
+    columns = {}
+    for e in dict.fromkeys(e for e, _ in keys):
+        ab = columns[e] = np.empty((2, len(q)), dtype=complex)
+        for g in e.groups:
+            ab[:, g.mask] = ((g.a, g.b) if g.span[0] == e.segment.t_start
+                             else _apply_transfer(g.a, g.b, *ab[:, g.mask], False))
+    a, b = columns[keys[0][0]]
+    for e, transposed in keys[1:]:
+        a, b = _apply_transfer(*columns[e], a, b, transposed)
+    groups = [g for e in columns for g in e.groups]
     drift = max([_drift(a, b)] + [g.drift for g in groups])
     steps, accepted = sum(g.steps for g in groups), sum(g.accepted for g in groups)
     # each reuse of a transfer counts its windows again
-    sa_time = sum(sum(g.span[1] - g.span[0] for _, spans in parts[i] for g in spans
-                      if g.frame == "sa") for i, _ in sources)
+    sa_time = sum(sum(g.span[1] - g.span[0] for g in e.groups if g.frame == "sa")
+                  for e, _ in keys)
     meta = {"steps": steps, "accepted": accepted, "rejected": steps - accepted,
             "h_min": min([math.inf] + [float(g.h_min) for g in groups]),
-            "lab_modes": lab_modes, "sa_windows": sum(g.frame == "sa" for g in groups),
+            "lab_modes": int(np.count_nonzero(np.logical_or.reduce([e.lab for e in columns]))),
+            "sa_windows": sum(g.frame == "sa" for g in groups),
             "sa_share": sa_time / (schedule.t_end - schedule.t_start),
-            "mirrored": any(i != k for k, (i, _) in enumerate(sources))}
+            "mirrored": len(columns) < len(keys)}
     # the lab frame's (u, v) rotate (a, b) by the Bogoliubov angle at the end
     last = schedule.segments[-1]
     w, z = _generator("lab", last.affine(q), last.duration)

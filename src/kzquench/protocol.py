@@ -36,11 +36,19 @@ DEFAULT_JY_INITIAL = 10.0
 # segment's duration and starts at h = 1e-3, so past 1e10 every evolution
 # would stop at its first step with "step underflow".
 MAX_DURATION = 1e10
+# Fastest parameter rate.  ``Segment.affine`` squares the rates of
+# (epsilon_q, delta_q), each at most 6 times the largest parameter rate, and
+# their squares must stay below 1.8e308.
+MAX_RATE = 1e150
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One linear ramp of (g, J_x, J_y) over [t_start, t_end]."""
+    """One linear ramp of (g, J_x, J_y) over [t_start, t_end].
+
+    ValueError unless its parameters are finite, it lasts more than 0 and at
+    most MAX_DURATION, and no parameter changes faster than MAX_RATE.
+    """
 
     t_start: float
     t_end: float
@@ -53,6 +61,13 @@ class Segment:
         if self.duration > MAX_DURATION:
             raise ValueError("segment lasts %g, more than %g time units"
                              % (self.duration, MAX_DURATION))
+        if not all(math.isfinite(p) for p in self.params_start + self.params_end):
+            raise ValueError("segment parameters must be finite, got %r and %r"
+                             % (self.params_start, self.params_end))
+        rate = max(abs(r) for r in self.rates())
+        if rate > MAX_RATE:
+            raise ValueError("segment changes a parameter at rate %g, more than %g"
+                             % (rate, MAX_RATE))
 
     @property
     def duration(self):

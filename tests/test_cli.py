@@ -220,6 +220,11 @@ CONFIG_FILES = {
                  id="protocol-huge-R"),
     pytest.param(["--set", "sweep.tau_q=[1e300]", "sweep"], id="sweep-huge-tau"),
     pytest.param(["--set", "validate.tau_q=[1e12]", "validate"], id="validate-huge-tau"),
+    # finite values whose schedule changes a parameter faster than protocol.MAX_RATE,
+    # where the squared rates of (epsilon_q, delta_q) overflow
+    pytest.param(["--set", "protocol.R=1e-300", "--set", "sweep.tau_q=[10]", "sweep"],
+                 id="protocol-tiny-R"),
+    pytest.param(["--set", "sweep.tau_q=[1e-300]", "sweep"], id="sweep-tiny-tau"),
     # documents the JSON reader cannot take: not UTF-8, or nested past its depth
     pytest.param(["--config", "latin1.json", "sweep"], id="config-file-not-utf8"),
     pytest.param(["--config", "deep.json", "sweep"], id="config-file-too-deep"),

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kzquench import closedform as cf
+from kzquench import edoracle as ed
 from kzquench import evolver as ev
 from kzquench import lattice as lat
 from kzquench import protocol as proto
@@ -166,12 +169,27 @@ def test_spectrum_rejects_bad_modes(fast_opts):
 
 
 def test_nan_step_error_fails_at_once(monkeypatch):
-    # a NaN parameter makes every step error NaN: the controller stops at the
-    # first one instead of growing h and retrying until the budget runs out
+    # NaN rows make every step error NaN: the controller stops at the first one
+    # instead of growing h and retrying until the budget runs out.  A Segment
+    # refuses NaN parameters, so the rows are made NaN where they are read
     monkeypatch.setattr(ev, "MAX_STEPS", 1000)
-    sch = proto.Schedule((proto.Segment(0.0, 10.0, (math.nan, 1.0, 0.0), (0.0, 1.0, 0.0)),), "ramp")
+    affine = proto.Segment.affine
+    monkeypatch.setattr(proto.Segment, "affine", lambda seg, q: affine(seg, q) * math.nan)
     with pytest.raises(ev.NumericalFailure, match=r"step at t=0 has a NaN error"):
-        ev.evolve([(sch, [0.5])])
+        ev.evolve([(proto.one_way(10.0, 0.0, 1.0), [0.5])])
+
+
+def test_batch_failure_names_its_schedule(monkeypatch):
+    # in a batch of more than one job a failure names its job and tau_q first;
+    # the first job fits the budget, the second runs out in its window
+    jobs = [(proto.one_way(10.0, 0.0, 2.0), [0.5]), (proto.one_way(10.0, 0.0, 7.0), [0.5])]
+    first, second = (ev.evolve([job])[0].meta for job in jobs)
+    assert first["steps"] < second["steps"] - 1 and second["sa_windows"] == 1
+    monkeypatch.setattr(ev, "MAX_STEPS", second["steps"] - 1)
+    with pytest.raises(ev.NumericalFailure,
+                       match=r"^schedule 1 \(tau_q=7\.0\): superadiabatic frame failed for modes "
+                             r"\[0\]: step budget exhausted"):
+        ev.evolve(jobs)
 
 
 def test_solver_options_validation():
@@ -383,6 +401,103 @@ def test_mirror_detection(schedule, mirrored):
         steps = [ev.evolve([(proto.Schedule((seg,), "part"), [0.3])], o)[0].meta["steps"]
                  for seg, o in parts]
         assert res.meta["steps"] == sum(steps)
+
+
+# g at which the gap of the N = 8 mode q = 3 pi / 8 (5 pi / 8 for -g) closes
+# as J_y crosses J_x = 1
+_G_CLOSING = 2.0 * math.cos(3.0 * math.pi / 8.0)
+_G = st.floats(-3.0, 4.0)
+_JY = st.floats(0.0, 3.0)
+# a very short segment moves too fast for any mode: the LAB_EXPONENT cut
+_DURATION = st.one_of(st.floats(0.2, 3.0), st.just(1e-9))
+
+
+@st.composite
+def _chains(draw):
+    """Breakpoints (g, J_y) and durations of a chain of 1 to 4 linear segments.
+
+    A step ramps to a new point, where g may be +-_G_CLOSING, dwells, or
+    ramps J_y alone (across 1 at +-_G_CLOSING the gap of one mode closes).
+    A chain may end in the classical Ising limit g = J_y = 0, or be a
+    palindrome whose second half retraces its first, around a dwell or not.
+    """
+    shape = draw(st.sampled_from(["chain", "palindrome", "palindrome around a dwell"]))
+    most = {"chain": 4, "palindrome": 2, "palindrome around a dwell": 1}[shape]
+    half = draw(st.integers(1, most))
+    points, durations = [(draw(_G), draw(_JY))], []
+    for _ in range(half):
+        g, jy = points[-1]
+        step = draw(st.sampled_from(["ramp", "dwell", "J_y ramp"]))
+        if step == "ramp":
+            points.append((draw(st.one_of(_G, st.sampled_from([_G_CLOSING, -_G_CLOSING]))),
+                           draw(_JY)))
+        else:
+            points.append((g, jy if step == "dwell" else draw(_JY)))
+        durations.append(draw(_DURATION))
+    if shape == "chain" and draw(st.booleans()):
+        points[-1] = (0.0, 0.0)
+    elif shape == "palindrome":
+        points += points[-2::-1]
+        durations += durations[::-1]
+    elif shape == "palindrome around a dwell":
+        points += points[::-1]
+        durations += [draw(_DURATION)] + durations
+    return points, durations
+
+
+def _chain_schedule(points, durations):
+    t, segments = 0.0, []
+    for (g0, jy0), (g1, jy1), d in zip(points[:-1], points[1:], durations):
+        segments.append(proto.Segment(t, t + d, (g0, 1.0, jy0), (g1, 1.0, jy1)))
+        t += d
+    return proto.Schedule(tuple(segments), "chain")
+
+
+# chains (breakpoints, durations) that the fuzzing below always includes
+_CHAIN_EXAMPLES = {
+    # transposed reuse at tol / 2, around an evolved dwell
+    "palindrome": ([(4.0, 0.0), (0.3, 1.5), (0.3, 1.5), (4.0, 0.0)], [3.0, 1.0, 3.0]),
+    # a dwell, ending where kinks count the excitations
+    "dwell": ([(4.0, 0.0), (0.5, 0.5), (0.5, 0.5), (0.0, 0.0)], [3.0, 2.0, 3.0]),
+    # J_y crosses 1 at g = _G_CLOSING: q = 3 pi / 8 runs in the lab frame
+    "closing gap": ([(3.0, 0.2), (_G_CLOSING, 0.2), (_G_CLOSING, 2.5), (0.0, 0.0)],
+                    [2.0, 2.0, 2.0]),
+    # every mode runs the 1e-9 ramp in the lab frame
+    "very short": ([(4.0, 0.0), (0.0, 0.0), (3.0, 2.0)], [3.0, 1e-9]),
+}
+
+
+def test_chain_examples_reach_the_table():
+    metas = {name: ev.evolve([(_chain_schedule(*chain), lat.mode_grid(8))])[0].meta
+             for name, chain in _CHAIN_EXAMPLES.items()}
+    assert [m["mirrored"] for m in metas.values()] == [True, False, False, False]
+    assert [m["lab_modes"] for m in metas.values()] == [0, 0, 1, 4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=_chains())
+@example(chain=_CHAIN_EXAMPLES["palindrome"])
+@example(chain=_CHAIN_EXAMPLES["dwell"])
+@example(chain=_CHAIN_EXAMPLES["closing gap"])
+@example(chain=_CHAIN_EXAMPLES["very short"])
+def test_table_matches_exact_diagonalization(chain):
+    # N = 8 grid modes through the transfer table against the exact many-body
+    # evolution, at default tolerances
+    points, durations = chain
+    sch = _chain_schedule(points, durations)
+    (sp,) = ev.evolve([(sch, lat.mode_grid(8))])
+    exact = ed.evolve_exact(sch, 8)
+    for name in ("p", "u", "v", "u_rot", "v_rot"):
+        assert np.all(np.isfinite(getattr(sp, name))), name
+    assert abs(ev.fermion_density(sp) - ed.measure_defects(exact, "paramagnetic")) <= 1e-9
+    assert abs(ed.parity_expectation(exact) - 1.0) <= 1e-9
+    if points[-1] == (0.0, 0.0):
+        assert abs(ev.defect_density(sp) - ed.measure_defects(exact, "ferromagnetic")) <= 1e-9
+    # a segment that retraces an earlier one backwards is a transposed key
+    segs = sch.segments
+    assert sp.meta["mirrored"] == any(
+        s.duration == t.duration and (s.params_start, s.params_end) == (t.params_end, t.params_start)
+        for k, t in enumerate(segs) for s in segs[:k])
 
 
 def _split_second_ramp(schedule):

@@ -164,6 +164,34 @@ def test_segment_duration_limit():
         proto.round_trip(0.0, 1e300)
 
 
+def test_segment_refuses_non_finite_parameters():
+    for bad in (math.nan, math.inf, -math.inf):
+        for where in range(6):
+            params = [10.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+            params[where] = bad
+            with pytest.raises(ValueError, match="parameters must be finite"):
+                proto.Segment(0.0, 10.0, tuple(params[:3]), tuple(params[3:]))
+
+
+def test_segment_rate_limit():
+    # a parameter may change at MAX_RATE and no faster; at that rate the squared
+    # speed of (epsilon_q, delta_q) stays finite, and the segment evolves
+    # without a floating-point warning (the suite makes RuntimeWarning an error)
+    seg = proto.Segment(0.0, 1e-149, (10.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+    assert max(abs(r) for r in seg.rates()) == proto.MAX_RATE == 1e150
+    assert np.all(np.isfinite(seg.affine(np.linspace(0.01, 3.13, 64))))
+    sch = proto.Schedule((proto.Segment(-100.0, 0.0, (10.0, 1.0, 0.0), (0.0, 1.0, 0.0)),
+                          proto.Segment(0.0, 1e-149, (0.0, 1.0, 0.0), (10.0, 1.0, 0.0))), "kick")
+    (res,) = ev.evolve([(sch, [0.3, 1.5, 2.8])], ev.SolverOptions(1e-6, 1e-8))
+    assert np.all(np.isfinite(res.p)) and res.meta["lab_modes"] == 3
+    with pytest.raises(ValueError, match="rate 1.1e\\+150, more than 1e\\+150"):
+        proto.Segment(0.0, 1e-149, (11.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+    # R = 1e-300 and tau_q = 1e-300 ask for rates near 1e300, whose squares overflow
+    for args in ((0.0, 10.0, 1e-300), (0.0, 1e-300)):
+        with pytest.raises(ValueError, match="more than 1e\\+150"):
+            proto.round_trip(*args)
+
+
 def test_closest_approach_matches_dense_scan():
     # on the first segment of the quarter turn both epsilon and delta move
     sch = proto.quarter_turn(1.5, 20.0)
