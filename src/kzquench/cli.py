@@ -14,10 +14,18 @@ code it had reached, without a traceback.  ``load_config`` refuses unknown
 sections and keys and fills absent keys in from the defaults; each value is
 then checked by the one function that reads it (protocol values must be
 finite numbers, and no schedule segment may last over
-``protocol.MAX_DURATION`` or change a parameter faster than
-``protocol.MAX_RATE``), and every command reads its whole configuration
-before it evolves or writes anything, so a configuration error never
-surfaces as a traceback.
+``protocol.MAX_DURATION``, change a parameter faster than
+``protocol.MAX_RATE`` or hold one larger than ``protocol.MAX_PARAM``), and
+every command reads its whole configuration before it evolves or writes
+anything, so a configuration error never surfaces as a traceback.
+
+Outputs, under ``output.prefix``: ``sweep`` writes ``<prefix>_sweep.csv``
+and ``<prefix>_sweep.json``; ``correlator`` writes
+``<prefix>_correlator_tau<tag>.csv`` and ``<prefix>_lengths_tau<tag>.csv``
+per tau and ``<prefix>_correlator.json``; ``validate`` writes
+``<prefix>_validate.json``.  Each JSON sidecar of ``sweep`` and
+``correlator`` holds the config, its hash, the package version, one solver
+record per tau (``solver_rows``) and the numpy build.
 """
 
 from __future__ import annotations
@@ -344,6 +352,23 @@ def closed_form_density(schedule):
     return n, pred.n0, pred.f, pred.M, pred.delta, pred.T_Q
 
 
+def _write_sidecar(path, cfg, schedules, spectra, **extra):
+    """The JSON run record beside a command's CSVs: the config, its hash, the
+    package version, one solver record per tau and the numpy build, plus ``extra``."""
+    # the solver's record of each tau holds no wall time, so reruns are byte-identical;
+    # the last bits of the evolved values follow the numpy build and the SIMD target
+    # that runs the evolver's float64 tan
+    simd = np.lib.introspect.opt_func_info("^tan$", "^float64")["tan"]["dd"]["current"]
+    records = [{"tau_Q": sch.tau_q, "norm_drift": float(sp.norm_drift), **sp.meta}
+               for sch, sp in zip(schedules, spectra)]
+    sidecar = {"config": cfg, "config_hash": config_hash(cfg),
+               "package_version": __version__, "solver_rows": records,
+               "numpy": {"version": np.__version__, "simd_target": simd}, **extra}
+    with open(path, "w") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+    return path
+
+
 def cmd_sweep(cfg):
     schedules = [build_schedule(cfg["protocol"], tau) for tau in _tau_list(cfg, "sweep")]
     opts, quad = _solver_settings(cfg)
@@ -351,24 +376,14 @@ def cmd_sweep(cfg):
     spectra = evolver.evolve_spectra_quadrature(schedules, opts, **quad)
     rows = [[sch.tau_q, evolver.defect_density(sp), *closed_form_density(sch)]
             for sch, sp in zip(schedules, spectra)]
-    records = [{"tau_Q": sch.tau_q, "norm_drift": float(sp.norm_drift), **sp.meta}
-               for sch, sp in zip(schedules, spectra)]
     prefix = cfg["output"]["prefix"]
     csv_path = prefix + "_sweep.csv"
     _write_csv(csv_path,
                ["tau_Q", "n_numeric", "n_closed_form", "n0", "f", "M", "delta",
                 "T_Q_predicted"],
                rows, cfg)
-    # the solver's record of each row holds no wall time, so reruns are byte-identical;
-    # the last bits of n_numeric follow the numpy build and the SIMD target that
-    # runs the evolver's float64 tan
-    simd = np.lib.introspect.opt_func_info("^tan$", "^float64")["tan"]["dd"]["current"]
-    sidecar = {"config": cfg, "config_hash": config_hash(cfg),
-               "package_version": __version__, "rows": len(rows), "solver_rows": records,
-               "numpy": {"version": np.__version__, "simd_target": simd}}
-    with open(prefix + "_sweep.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-    return [csv_path, prefix + "_sweep.json"]
+    return [csv_path, _write_sidecar(prefix + "_sweep.json", cfg, schedules, spectra,
+                                     rows=len(rows))]
 
 
 def cmd_correlator(cfg):
@@ -404,6 +419,7 @@ def cmd_correlator(cfg):
         lpath = "%s_lengths_tau%s.csv" % (prefix, tag)
         _write_csv(lpath, ["m", "l_alpha", "l_beta", "xi_hat"], lrows, cfg)
         files.append(lpath)
+    files.append(_write_sidecar(prefix + "_correlator.json", cfg, schedules, spectra))
     return files
 
 

@@ -8,6 +8,18 @@ amplitudes rotated into the equilibrium quasiparticle basis of the final
 parameters (for the reversed protocol that is the g = 0 classical-Ising
 basis), which reproduces p_q = |v_rot|^2 and the r = 0 sum rule |alpha_0| = n.
 
+The quadrature transform sums weighted cos(qr) and sin(qr) over the nodes.
+It forms them by angle addition: an evenly spaced r grid r_0 + i d is cut
+into runs of b ~ sqrt(n_r) points r_s + j d, the tables cos(q j d) and
+sin(q j d) for j < b are built once, and each run start contributes
+cos(q r_s) and sin(q r_s), so cos(q (r_s + j d)) = cos(q r_s) cos(q j d) -
+sin(q r_s) sin(q j d).  Each run's alpha and beta are then four matrix
+products of the tables with the weighted start rows, batched over run starts.
+Trig work is about 2 (b + n_r / b) n_q values rather than 2 n_r n_q, and no
+(r, q) array holds more than _TRANSFORM_BLOCK elements, which also caps b.  A
+grid that is not evenly spaced (to a few ulps of its largest r) takes b = 1,
+where the same code evaluates cos(q r) at every point.
+
 Closed forms are stated for R = 1 (and g_rt = 0 for the round trip).  Each
 closed-form curve is a function of its LengthScaleSet: the KZ length xi_hat,
 two diagonal lengths l_alpha and five off-diagonal lengths l_beta, all but
@@ -30,7 +42,7 @@ from .closedform import OutOfRegimeError
 from .specfun import GAMMA_E, LN2
 
 _E_OVER_LN2 = math.e / LN2
-_TRANSFORM_BLOCK = 1 << 20  # (r, q) elements per block of the transform: bounds its memory
+_TRANSFORM_BLOCK = 1 << 16  # (r, q) elements per block of the transform: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -61,22 +73,36 @@ def fermionic_correlators_numeric(spectrum, r):
 
     ``spectrum`` must carry quadrature weights.  The amplitudes are the ones
     rotated into the equilibrium basis of the schedule's final parameters.
+    The transform runs by angle addition over runs of the r grid (see the
+    module docstring).
     """
     if spectrum.weights is None:
         raise ValueError("quadrature spectrum required (weights missing)")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r < 0):
         raise ValueError("r must be >= 0")
-    u, v = spectrum.u_rot, spectrum.v_rot
+    u, v, q = spectrum.u_rot, spectrum.v_rot, spectrum.q
     w = spectrum.weights / math.pi
     wa, wb = w * np.abs(v) ** 2, w * u * np.conj(v)
-    alpha, beta = np.empty(r.shape), np.empty(r.shape, dtype=complex)
-    step = max(1, _TRANSFORM_BLOCK // len(spectrum.q))
-    for i in range(0, len(r), step):
-        qr = np.outer(r[i:i + step], spectrum.q)
-        alpha[i:i + step] = -np.cos(qr) @ wa
-        beta[i:i + step] = np.sin(qr) @ wb
-    return FermionicCorrelators(r=r, alpha=alpha, beta=beta)
+    n, cols = len(r), max(1, _TRANSFORM_BLOCK // len(q))
+    # an evenly spaced grid r_0 + i d (to a few ulps, as arange and linspace give)
+    # is cut into runs of b ~ sqrt(n) points; any other grid takes b = 1
+    d = (r[-1] - r[0]) / (n - 1) if n > 1 else 0.0
+    even = n > 1 and np.all(np.abs(r - (r[0] + d * np.arange(n))) <= 4.0 * np.spacing(r.max()))
+    b = min(math.isqrt(n - 1) + 1, cols) if even else 1
+    C = np.outer(d * np.arange(b), q)
+    S = np.sin(C)
+    np.cos(C, out=C)
+    starts = r[::b]
+    alpha, beta = np.empty((len(starts), b)), np.empty((len(starts), b), dtype=complex)
+    for i in range(0, len(starts), cols):
+        s0 = np.outer(starts[i:i + cols], q)
+        c0 = np.cos(s0)
+        np.sin(s0, out=s0)
+        # cos(q (r_s + j d)) = c0 C_j - s0 S_j and sin(q (r_s + j d)) = s0 C_j + c0 S_j
+        alpha[i:i + cols] = (S @ (s0 * wa).T - C @ (c0 * wa).T).T
+        beta[i:i + cols] = (S @ (c0 * wb).T + C @ (s0 * wb).T).T
+    return FermionicCorrelators(r=r, alpha=alpha.reshape(-1)[:n], beta=beta.reshape(-1)[:n])
 
 
 def czz(fc):

@@ -40,14 +40,23 @@ MAX_DURATION = 1e10
 # (epsilon_q, delta_q), each at most 6 times the largest parameter rate, and
 # their squares must stay below 1.8e308.
 MAX_RATE = 1e150
+# Largest |g|, |J_x| or |J_y|.  J_x = 1 is the energy unit and the protocols
+# run at |g|, |J_y| <= 10 by default.  Above about 1e5 the evolver's step
+# count grows in proportion to the parameter (a ramp of g from G to G/2 over
+# 10 time units takes 92 steps on 16 modes at G = 1e5, 770 at 1e6 and 7,824 at
+# 1e7), so a ramp at g = 1e20 never ends, and near 1e61 omega^5 in the SA
+# generator overflows.  1e6 keeps that ramp below a thousand steps and leaves
+# five decades above the defaults.
+MAX_PARAM = 1e6
 
 
 @dataclass(frozen=True)
 class Segment:
     """One linear ramp of (g, J_x, J_y) over [t_start, t_end].
 
-    ValueError unless its parameters are finite, it lasts more than 0 and at
-    most MAX_DURATION, and no parameter changes faster than MAX_RATE.
+    ValueError unless its parameters are finite and at most MAX_PARAM in size,
+    it lasts more than 0 and at most MAX_DURATION, and no parameter changes
+    faster than MAX_RATE.
     """
 
     t_start: float
@@ -64,6 +73,9 @@ class Segment:
         if not all(math.isfinite(p) for p in self.params_start + self.params_end):
             raise ValueError("segment parameters must be finite, got %r and %r"
                              % (self.params_start, self.params_end))
+        size = max(abs(p) for p in self.params_start + self.params_end)
+        if size > MAX_PARAM:
+            raise ValueError("segment parameter of size %r, more than %g" % (size, MAX_PARAM))
         rate = max(abs(r) for r in self.rates())
         if rate > MAX_RATE:
             raise ValueError("segment changes a parameter at rate %g, more than %g"

@@ -225,6 +225,11 @@ CONFIG_FILES = {
     pytest.param(["--set", "protocol.R=1e-300", "--set", "sweep.tau_q=[10]", "sweep"],
                  id="protocol-tiny-R"),
     pytest.param(["--set", "sweep.tau_q=[1e-300]", "sweep"], id="sweep-tiny-tau"),
+    # a parameter larger than protocol.MAX_PARAM in size
+    pytest.param(["--set", "protocol.g_i=1e70", "--set", "sweep.tau_q=[1e-61]", "sweep"],
+                 id="protocol-huge-g"),
+    pytest.param(["--set", "protocol.kind=quarter_turn", "--set", "protocol.jy_initial=2e6",
+                  "--set", "sweep.tau_q=[10]", "sweep"], id="protocol-huge-jy"),
     # documents the JSON reader cannot take: not UTF-8, or nested past its depth
     pytest.param(["--config", "latin1.json", "sweep"], id="config-file-not-utf8"),
     pytest.param(["--config", "deep.json", "sweep"], id="config-file-too-deep"),
@@ -487,6 +492,27 @@ def test_sweep_sidecar_records_mirror_and_numpy_build(tmp_path):
     assert set(mirror["solver_rows"][0]) == {"tau_Q", "norm_drift", *spectrum.meta}
     assert mirror["numpy"]["version"] == np.__version__
     assert isinstance(mirror["numpy"]["simd_target"], str) and mirror["numpy"]["simd_target"]
+
+
+def test_correlator_sidecar_records_each_tau(tmp_path):
+    # the correlator's sidecar holds the sweep's run record, one solver row per
+    # tau, and a rerun writes it byte for byte
+    def correlator(name):
+        sets = FAST + ["correlator.tau_q=[8.0, 9.0]", "correlator.r_step=4.0",
+                       "output.prefix=" + str(tmp_path / name)]
+        assert cli.main([a for s in sets for a in ("--set", s)] + ["correlator"]) == cli.EXIT_OK
+        return (tmp_path / (name + "_correlator.json")).read_bytes()
+
+    first, again = correlator("c"), correlator("c")
+    assert first == again
+    sidecar = json.loads(first)
+    cfg = cli.load_config(None, FAST + ["correlator.tau_q=[8.0, 9.0]", "correlator.r_step=4.0",
+                                        "output.prefix=" + str(tmp_path / "c")])
+    assert set(sidecar) == {"config", "config_hash", "package_version", "solver_rows", "numpy"}
+    assert sidecar["config"] == cfg and sidecar["config_hash"] == cli.config_hash(cfg)
+    assert [r["tau_Q"] for r in sidecar["solver_rows"]] == [8.0, 9.0]
+    assert all(r["accepted"] + r["rejected"] == r["steps"] > 0 for r in sidecar["solver_rows"])
+    assert sidecar["numpy"]["version"] == np.__version__
 
 
 def test_sweep_with_a_sudden_second_ramp(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,44 @@ def test_transform_blocks_match_one_shot(rt_spectrum, monkeypatch):
     assert len(r) > 3 * 10 and len(r) % 3 != 0
     assert np.max(np.abs(fc.alpha - alpha)) <= 1e-14 * np.max(np.abs(alpha))
     assert np.max(np.abs(fc.beta - beta)) <= 1e-14 * np.max(np.abs(beta))
+
+
+@pytest.mark.parametrize("r", [np.arange(0.0, 360.0, 0.3), np.linspace(0.25, 300.0, 997),
+                               np.array([0.0, 5.0, 40.0]), np.array([17.3])],
+                         ids=["even", "linspace", "uneven", "one-point"])
+@pytest.mark.parametrize("block", ["default", "five rows"])
+def test_transform_matches_direct_formula(rt_spectrum, monkeypatch, r, block):
+    # the angle-addition transform against cos(qr) and sin(qr) formed directly;
+    # with five-row blocks the even grid is cut into runs of 5 points, in 48 batches
+    sp = rt_spectrum
+    if block == "five rows":
+        monkeypatch.setattr(corr, "_TRANSFORM_BLOCK", 5 * len(sp.q))
+    fc = corr.fermionic_correlators_numeric(sp, r)
+    w = sp.weights / math.pi
+    qr = np.outer(r, sp.q)
+    alpha = -np.cos(qr) @ (w * np.abs(sp.v_rot) ** 2)
+    beta = np.sin(qr) @ (w * sp.u_rot * np.conj(sp.v_rot))
+    assert np.array_equal(fc.r, r) and fc.alpha.shape == fc.beta.shape == r.shape
+    assert np.max(np.abs(fc.alpha - alpha)) <= 1e-14 * np.max(np.abs(alpha))
+    assert np.max(np.abs(fc.beta - beta)) <= 1e-14 * np.max(np.abs(beta))
+
+
+def test_transform_memory_is_bounded(fast_opts):
+    # the tau = 128 round trip on the CLI's default r grid (834 points, 2,528
+    # nodes): the transform's traced peak stays below 8 MB (4.2 MB when last
+    # measured), where cos(qr) and sin(qr) over every (r, q) pair take 34 MB
+    ls = corr.length_scales_roundtrip(128.0, 10.0)
+    r = np.arange(0.0, 2.0 * max(ls.l_beta) + 1e-9, 1.0)
+    sch = proto.round_trip(0.0, 128.0, 1.0)
+    sp = ev.evolve_spectra_quadrature([sch], fast_opts, max_r=float(r[-1]))[0]
+    assert len(r) * len(sp.q) > 2_000_000
+    tracemalloc.start()
+    try:
+        corr.fermionic_correlators_numeric(sp, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_numeric_requires_weights(fast_opts):

@@ -464,14 +464,16 @@ _CHAIN_EXAMPLES = {
                     [2.0, 2.0, 2.0]),
     # every mode runs the 1e-9 ramp in the lab frame
     "very short": ([(4.0, 0.0), (0.0, 0.0), (3.0, 2.0)], [3.0, 1e-9]),
+    # a ramp shorter than the step floor: a sudden quench in both evolutions
+    "below the floor": ([(4.0, 0.0), (0.0, 0.0), (3.0, 2.0)], [3.0, 1e-14]),
 }
 
 
 def test_chain_examples_reach_the_table():
     metas = {name: ev.evolve([(_chain_schedule(*chain), lat.mode_grid(8))])[0].meta
              for name, chain in _CHAIN_EXAMPLES.items()}
-    assert [m["mirrored"] for m in metas.values()] == [True, False, False, False]
-    assert [m["lab_modes"] for m in metas.values()] == [0, 0, 1, 4]
+    assert [m["mirrored"] for m in metas.values()] == [True, False, False, False, False]
+    assert [m["lab_modes"] for m in metas.values()] == [0, 0, 1, 4, 4]
 
 
 @settings(max_examples=100, deadline=None)
@@ -480,6 +482,7 @@ def test_chain_examples_reach_the_table():
 @example(chain=_CHAIN_EXAMPLES["dwell"])
 @example(chain=_CHAIN_EXAMPLES["closing gap"])
 @example(chain=_CHAIN_EXAMPLES["very short"])
+@example(chain=_CHAIN_EXAMPLES["below the floor"])
 def test_table_matches_exact_diagonalization(chain):
     # N = 8 grid modes through the transfer table against the exact many-body
     # evolution, at default tolerances

@@ -192,6 +192,28 @@ def test_segment_rate_limit():
             proto.round_trip(*args)
 
 
+def test_segment_parameter_limit():
+    # |g|, |J_x| and |J_y| may reach MAX_PARAM and no more; a dwell at the limit
+    # evolves without a floating-point warning (the suite makes RuntimeWarning an error)
+    big = proto.MAX_PARAM
+    assert big == 1e6
+    sch = proto.Schedule((proto.Segment(0.0, 10.0, (big, 1.0, 0.0), (big, 1.0, 0.0)),), "dwell")
+    (res,) = ev.evolve([(sch, [0.3, 1.5, 2.8])])
+    assert np.all(np.isfinite(res.p))
+    over = math.nextafter(big, math.inf)
+    for where in range(6):
+        params = [10.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+        params[where] = -over if where % 2 else over
+        with pytest.raises(ValueError, match="more than 1e\\+06"):
+            proto.Segment(0.0, 10.0, tuple(params[:3]), tuple(params[3:]))
+    # a dwell whose SA generator would overflow, and a ramp that would never end
+    for start, end in (((1e70, 1.0, 0.0), (1e70, 1.0, 0.0)), ((1e20, 1.0, 0.0), (5e19, 1.0, 0.0))):
+        with pytest.raises(ValueError, match="more than 1e\\+06"):
+            proto.Segment(0.0, 10.0, start, end)
+    with pytest.raises(ValueError, match="more than 1e\\+06"):
+        proto.round_trip(0.0, 1e-61, g_i=1e70)
+
+
 def test_closest_approach_matches_dense_scan():
     # on the first segment of the quarter turn both epsilon and delta move
     sch = proto.quarter_turn(1.5, 20.0)
