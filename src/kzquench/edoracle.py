@@ -11,15 +11,14 @@ commutator-free Magnus-4 (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519),
 exp(-i h/2 H(t + 5h/6)) exp(-i h/2 H(t + h/6)) for H affine on a segment,
 under ``evolver.StepControl``, the step-doubling control of the mode evolver.
 H is affine on a segment, so its sector matrices H_a and H_b are taken once
-per segment, and a step builds its six Hamiltonians H_a + dt H_b, and their
-norm bounds, from one product with the (1, dt) rows.  Each exponential acts
-through its Taylor series, cut below the unit roundoff and summed in Horner
-form.  The single step of h and the first half step both start from y, so
-their exponentials run in lock step as two chains of one stacked product;
-a step runs four series instead of six.  Measured per step on one BLAS
-thread, a batched dense eigh of the six Hamiltonians costs 1.2 to 1.4 times
-as much as these Taylor steps at N = 8, 5 times at N = 10 and 15 times at
-N = 12.
+per segment, and a step builds its six s H = s (H_a + dt H_b), s the length
+of each exponential, and their norm bounds from one product with the rows
+s (1, dt).  Each exponential acts through its Taylor series, cut below the
+unit roundoff: one real 2-D product per term forms the Krylov vectors, and
+one more sums them.  The six run one at a time, four for the two half steps
+and two for the single step of h.  On one BLAS thread a step of the
+tau_Q = 1.05 round trip costs about 0.09 ms at N = 8, 0.12 ms at N = 10,
+0.32 ms at N = 12 and 2.2 ms at N = 14 (2-core x86-64 machine).
 Observables are measured in the sector: flips from the representatives' spin
 counts, kinks from the sector matrix of X, and parity, +1 by construction of
 the basis, from the representatives' spin-count parity.
@@ -114,47 +113,40 @@ def ground_state(N, params):
     return ManyBodyState(amplitudes=vecs[:, 0], N=N)
 
 
-# Exponential nodes and lengths, in units of h, of one step-doubled step in
-# the order the exponentials run: the first exponentials of the two half steps
-# and of the single step, which both start from y; their second ones; then the
-# second half step's two.
+# Exponential nodes and lengths, in units of h, of one step-doubled step:
+# E0 and E2 are the first half step's exponentials, E4 and E5 the second's,
+# E1 and E3 the single step's.
 _NODES = np.array([1 / 12, 1 / 6, 5 / 12, 5 / 6, 7 / 12, 11 / 12])
 _LENGTHS = np.array([0.25, 0.5, 0.25, 0.5, 0.25, 0.25])
-# 1/k for k = 20 down to 1; theta <= 1 takes at most 18 terms
-_INVERSE_K = (1.0 / np.arange(20, 0, -1))[:, None, None, None]
+# (-i)^k / k! for k = 0 to 19; theta <= 1 takes at most 18 terms
+_TAYLOR = np.array([(-1j) ** k / math.factorial(k) for k in range(20)])
 
 
-def _expm_apply(H, s, y, bound):
-    """exp(-i s_j H_j) y_j for each chain j, the chains run in lock step.
+def _expm_apply(sH, x, y):
+    """exp(-i sH) y for a real symmetric (D, D) matrix sH with ||sH||_2 <= x.
 
-    H is a (c, D, D) stack of real symmetric matrices with ||H_j||_2 <=
-    bound_j, s and bound are (c,) arrays, and y is a (c, D, 1) complex stack.
-    The Taylor series runs in m substeps with theta = max_j s_j bound_j / m
-    <= 1, cut once theta^(n+1)/(n+1)! is below the unit roundoff (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33 (2011) 488), and is evaluated in Horner
-    form.  The chains share m and n, those of the chain that needs most: more
-    substeps or terms only shrink a chain's truncation error.
+    y is a (D,) complex vector.  The Taylor series runs in m = ceil(x)
+    substeps of A = sH / m, whose norm is at most theta = x / m <= 1, cut
+    once theta^(n+1)/(n+1)! is below the unit roundoff (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33 (2011) 488).  A substep forms the Krylov vectors
+    A^k y, one real product each on the float view of the complex rows, and
+    sums them with the weights (-i)^k / k! in one product.
     """
-    x = float((s * bound).max())
     m = max(1, math.ceil(x))
     theta = x / m
     n, rest = 0, theta
     while rest > 2.0 ** -53:
         n += 1
         rest *= theta / (n + 1)
-    # coef[n - k] = -i s_j / (m k) on every entry of chain j
-    coef = np.empty((n,) + y.shape, complex)
-    np.multiply(_INVERSE_K[len(_INVERSE_K) - n:], (s * (-1j / m))[:, None, None], out=coef)
-    Hy = np.empty(y.shape[:2] + (2,))
-    Hy_c = Hy.view(complex)
+    A = sH if m == 1 else sH / m
+    coef = _TAYLOR[:n + 1]
+    U = np.empty((n + 1, len(y)), complex)
+    Uf = U.view(float).reshape(n + 1, -1, 2)
     for _ in range(m):
-        acc = y.copy()
-        acc_f = acc.view(float)
-        for c_k in coef:
-            np.matmul(H, acc_f, out=Hy)
-            np.multiply(Hy_c, c_k, out=acc)
-            acc += y
-        y = acc
+        U[0] = y
+        for k in range(n):
+            np.dot(A, Uf[k], out=Uf[k + 1])
+        y = coef @ U
     return y
 
 
@@ -162,22 +154,24 @@ def _step(ker, Hab, pab, dt, h, y):
     """Two commutator-free Magnus-4 steps of h/2 and one of h from y at dt into the segment.
 
     ``Hab`` stacks the segment's H_a and H_b, flattened, and ``pab`` its
-    (g, J_x, J_y) at its start and their rates, so that H = H_a + dt H_b; the
-    bounds N (|g| + |J_x| + |J_y|) come from the same affine parameters.
+    (g, J_x, J_y) at its start and their rates, so that H = H_a + dt H_b.
+    The rows s_j (1, dt + h _NODES[j]), s_j = h _LENGTHS[j], give all six
+    s_j H and their norm bounds s_j N (|g| + |J_x| + |J_y|) in one product
+    each.  Returns fine = E5 E4 E2 E0 y and coarse = E3 E1 y.
     """
-    w = np.ones((6, 2))
-    w[:, 1] = dt + h * _NODES
-    H = (w @ Hab).reshape(6, ker.D, ker.D)
-    bound = ker.N * np.abs(w @ pab).sum(axis=1)
-    s = h * _LENGTHS
-    y = _expm_apply(H[0:2], s[0:2], np.concatenate((y, y)), bound[0:2])
-    y = _expm_apply(H[2:4], s[2:4], y, bound[2:4])
-    fine = _expm_apply(H[5:], s[5:], _expm_apply(H[4:5], s[4:5], y[:1], bound[4:5]), bound[5:])
-    return fine, y[1:]
+    w = np.empty((6, 2))
+    w[:, 0] = h * _LENGTHS
+    w[:, 1] = w[:, 0] * (dt + h * _NODES)
+    sH = (w @ Hab).reshape(6, ker.D, ker.D)
+    x = (ker.N * np.abs(w @ pab).sum(axis=1)).tolist()
+    fine = y
+    for j in (0, 2, 4, 5):
+        fine = _expm_apply(sH[j], x[j], fine)
+    return fine, _expm_apply(sH[3], x[3], _expm_apply(sH[1], x[1], y))
 
 
 def _evolve_sector(ker, schedule, y, opts):
-    """Evolve the sector vector y, a (1, D, 1) complex array, across the schedule.
+    """Evolve the sector vector y, a (D,) complex array, across the schedule.
 
     A step's error is the 2-norm of the difference between one step of h and
     two of h/2, over abs_tol + rel_tol; ``evolver.StepControl`` sets the
@@ -209,8 +203,8 @@ def evolve_exact(schedule, N, opts=None):
     """Evolve the even-parity ground state at schedule start through the schedule."""
     opts = opts or SolverOptions()
     c = ground_state(N, schedule.params_at(schedule.t_start)).amplitudes
-    y, meta = _evolve_sector(_kernels(N), schedule, c.astype(complex).reshape(1, -1, 1), opts)
-    return ManyBodyState(amplitudes=y.ravel(), N=N, meta=meta)
+    y, meta = _evolve_sector(_kernels(N), schedule, c.astype(complex), opts)
+    return ManyBodyState(amplitudes=y, N=N, meta=meta)
 
 
 def parity_expectation(state):

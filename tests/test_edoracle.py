@@ -117,37 +117,61 @@ def _eigh_apply(H, s, c):
 
 @pytest.mark.parametrize("s", [1e-3, 0.05, 0.7])
 def test_exponential_matches_eigh(s):
-    # one Taylor substep at the smallest s, several at the largest
-    ker = ed._kernels(8)
-    H = ker.hamiltonians(3.0, 1.0, 0.5)
-    bound = 8 * (3.0 + 1.0 + 0.5)
-    c = np.random.default_rng(1).normal(size=(ker.D, 2)) @ [1.0, 1j]
-    y = ed._expm_apply(H[None], np.array([s]), c.reshape(1, -1, 1), np.array([bound]))
-    assert np.abs(y.ravel() - _eigh_apply(H, s, c)).max() < 1e-13 * max(1.0, s * bound)
+    # one Taylor substep at the smallest s, several at the largest, on the
+    # sectors of 18, 44 and 122 states
+    for N in (8, 10, 12):
+        ker = ed._kernels(N)
+        H = ker.hamiltonians(3.0, 1.0, 0.5)
+        bound = N * (3.0 + 1.0 + 0.5)
+        c = np.random.default_rng(1).normal(size=(ker.D, 2)) @ [1.0, 1j]
+        y = ed._expm_apply(s * H, s * bound, c)
+        assert y.shape == (ker.D,)
+        assert np.abs(y - _eigh_apply(H, s, c)).max() < 1e-13 * max(1.0, s * bound), N
 
 
 @pytest.mark.parametrize("s", [
     (1e-3, 4e-3),       # s bound = 0.036 and 0.144: one substep each
-    (0.09, 0.05),       # 3.24 and 1.8: the chains need 4 and 2 substeps
-    (2e-3, 0.09),       # 0.072 and 3.24: they need 1 and 4
+    (0.09, 0.05),       # 3.24 and 1.8: 4 and 2 substeps
+    (2e-3, 0.09),       # 0.072 and 3.24: 1 and 4
 ])
 def test_exponential_pair_matches_eigh(s):
-    # two chains in lock step, at unequal lengths and Hamiltonians, each
+    # two exponentials at unequal lengths and Hamiltonians, each run alone
     # against its own dense exponential
     ker = ed._kernels(8)
     params = [(3.0, 1.0, 0.5), (-1.5, 1.0, 2.0)]
-    H = np.stack([ker.hamiltonians(*p) for p in params])
-    bound = np.array([8 * sum(abs(x) for x in p) for p in params])
-    s = np.array(s)
     rng = np.random.default_rng(2)
     c = rng.normal(size=(2, ker.D, 2)) @ [1.0, 1j]
     c /= np.linalg.norm(c, axis=1, keepdims=True)
-    y = ed._expm_apply(H, s, c[:, :, None], bound)
-    assert y.shape == (2, ker.D, 1)
-    for j in range(2):
-        err = np.abs(y[j, :, 0] - _eigh_apply(H[j], s[j], c[j])).max()
-        assert err < 1e-13 * max(1.0, s[j] * bound[j])
-        assert abs(np.linalg.norm(y[j]) - 1.0) < 1e-14
+    for p, s_j, c_j in zip(params, s, c):
+        H = ker.hamiltonians(*p)
+        bound = 8 * sum(abs(x) for x in p)
+        y = ed._expm_apply(s_j * H, s_j * bound, c_j)
+        assert np.abs(y - _eigh_apply(H, s_j, c_j)).max() < 1e-13 * max(1.0, s_j * bound)
+        assert abs(np.linalg.norm(y) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("N", [8, 12])
+@pytest.mark.parametrize("h", [0.01, 0.3])
+def test_step_matches_eigh_compositions(N, h):
+    # fine = E5 E4 E2 E0 y and coarse = E3 E1 y, each E_j the dense exponential
+    # of length h _LENGTHS[j] at dt + h _NODES[j]; at h = 0.3 the single step's
+    # exponentials take several Taylor substeps
+    ker = ed._kernels(N)
+    pab = np.array([[2.5, 1.0, 0.3], [-1.5, 0.0, 0.8]])
+    Hab = ker.hamiltonians(*pab.T).reshape(2, -1)
+    dt = 0.4
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=(ker.D, 2)) @ [1.0, 1j]
+    y /= np.linalg.norm(y)
+    fine, coarse = ed._step(ker, Hab, pab, dt, h, y)
+    for got, chain in ((fine, (0, 2, 4, 5)), (coarse, (1, 3))):
+        ref, total = y, 0.0
+        for j in chain:
+            p = pab[0] + (dt + h * ed._NODES[j]) * pab[1]
+            s = h * ed._LENGTHS[j]
+            ref = _eigh_apply(ker.hamiltonians(*p), s, ref)
+            total += s * N * np.abs(p).sum()
+        assert np.abs(got - ref).max() < 1e-13 * max(1.0, total)
 
 
 def test_sector_dimensions():
