@@ -106,6 +106,13 @@ def _psi_exact_roundtrip(q, tau_q, R, g_f):
     return theta_u + theta_v + phi_a - phi_b
 
 
+def _q2_phase(tau_q, R, g_rt):
+    """The q^2 tau coefficient of ``psi_reduced``; pi times the phase curvature b."""
+    return (R * math.log(R)
+            + (1.0 + R) * (2.0 * (g_rt - 1.0)
+                           + math.log(4.0 * tau_q * (g_rt - 1.0) ** 2) + GAMMA_E))
+
+
 def psi_reduced(q, tau_q, R, g_rt=0.0):
     """Reduced long-wave dynamical phase (valid for any turning point g_rt != 1).
 
@@ -115,11 +122,8 @@ def psi_reduced(q, tau_q, R, g_rt=0.0):
     q = np.asarray(q, dtype=float)
     if g_rt == 1.0:
         raise OutOfRegimeError("g_rt = 1 has its own critical-turn expression")
-    coeff = (R * math.log(R)
-             + (1.0 + R) * (2.0 * (g_rt - 1.0)
-                            + math.log(4.0 * tau_q * (g_rt - 1.0) ** 2) + GAMMA_E))
     return (math.pi / 2.0 + 2.0 * (g_rt - 1.0) ** 2 * (1.0 + R) * tau_q
-            + q * q * tau_q * coeff)
+            + q * q * tau_q * _q2_phase(tau_q, R, g_rt))
 
 
 def interference_terms_roundtrip(q, tau_q, R, g_rt=0.0, g_f=10.0):
@@ -228,7 +232,8 @@ def density_prediction_roundtrip(tau_q, R, g_rt=0.0):
 
     Valid for turning points g_rt in [0, 1) and, for the reversed protocol,
     g_rt > 1; the phase-curvature coefficient b comes from the reduced
-    dynamical phase at the given turning point.
+    dynamical phase at the given turning point, b = (its q^2 tau
+    coefficient) / pi.
     """
     if tau_q <= 0.0 or R <= 0.0:
         raise ValueError("tau_q and R must be positive")
@@ -236,8 +241,7 @@ def density_prediction_roundtrip(tau_q, R, g_rt=0.0):
         raise OutOfRegimeError("critical turn has no oscillatory decomposition")
     n0 = kz_density(tau_q)
     f = 1.0 + 1.0 / math.sqrt(R) - 2.0 / math.sqrt(1.0 + R)
-    b = (R * math.log(R) + (1.0 + R) * (2.0 * (g_rt - 1.0)
-         + math.log(4.0 * tau_q * (g_rt - 1.0) ** 2) + GAMMA_E)) / math.pi
+    b = _q2_phase(tau_q, R, g_rt) / math.pi
     X = [-2.0 * (1.0 + R) / math.sqrt(2.0 * R), math.sqrt(2.0 * R), math.sqrt(2.0 / R)]
     c = [1.0 + R, 3.0 + R, 1.0 + 3.0 * R]
     return _density_from_components(tau_q, R, g_rt, n0, f, b, X, c)

@@ -176,18 +176,14 @@ def _evolve_sector(ker, schedule, y, opts):
     A step's error is the 2-norm of the difference between one step of h and
     two of h/2, over abs_tol + rel_tol; ``evolver.StepControl`` sets the
     steps, and an accepted step keeps the two half steps.  A segment shorter
-    than the step floor takes no step.
+    than the step floor ends in ``StepControl.enter`` and takes no step: the
+    state is left as it was, the sudden quench, as ``evolve`` takes any span
+    that short.
     """
     tol = opts.abs_tol + opts.rel_tol
     ctl = StepControl("ED")
     for seg in schedule.segments:
-        h = ctl.h
-        ctl.enter(seg.t_start, seg.t_end, seg)
-        if seg.duration < ctl.h_tiny:
-            # no step fits: the segment is a sudden quench, as a lab span of
-            # ``evolve`` takes it, and the next one starts from the step so far
-            ctl.h = h
-            continue
+        ctl.enter(seg.t_start, seg.t_end, seg, [0])
         pab = np.array([seg.params_start, seg.rates()])
         Hab = ker.hamiltonians(*pab.T).reshape(2, -1)
         while ctl.t < seg.t_end:

@@ -32,9 +32,10 @@ gap closes on a segment (possible only at isolated quasimomenta of the XY
 protocols) fall back to the lab frame on that segment, where the equation is
 smooth and there are no windows, and so do all modes of a segment too fast
 for any of them to follow (every Landau-Zener exponent below LAB_EXPONENT,
-as on the second ramp of the tau_Q = 10 round trip with R <= 1e-8).  A lab span shorter
-than the step floor takes no step: its transfer is its frame change alone,
-the sudden quench.
+as on the second ramp of the tau_Q = 10 round trip with R <= 1e-8).  Any
+span shorter than the step floor, in any frame, takes no step
+(``StepControl``): its group keeps the lab frame's change alone, the sudden
+quench.
 
 Frames.  Each frame is one per-mode SU(2) rotation out of the eigenbasis
 (``_frame``), read off the segment's affine rows: the "adiabatic" frame is
@@ -190,15 +191,18 @@ class SpectrumResult:
 class StepControl:
     """The step-size policy of the mode evolver and the ED oracle.
 
-    The caller tries a step-doubled step of h = ``clip()`` from t and passes
-    its error, in units of the tolerance, to ``control``.  h starts at 1e-3
-    and scales by 0.9 err^(-1/5), clamped to [0.2, 5]; a step that reaches the
-    end of its span lands exactly on it.  NumericalFailure, prefixed by
-    ``where``, stops a segment after MAX_STEPS tries, a step below
-    1e-13 max(1, duration), a step that fails its tolerance at h <= 1e-12 and
-    a step whose error is NaN.
-    ``enter`` starts the segment's count of tries, ``tried``, which spans of
-    one segment may share.
+    ``enter`` starts a span [t, t_end] of a segment and takes the segment's
+    step budget ``tried``, a one-element list of its tries, which the spans
+    of one segment share.  The caller then tries a step-doubled step of
+    h = ``clip()`` from t while t < t_end and passes its error, in units of
+    the tolerance, to ``control``.  h starts at 1e-3 and scales by
+    0.9 err^(-1/5), clamped to [0.2, 5]; a step that reaches the end of its
+    span lands exactly on it.  The step floor is 1e-13 max(1, duration): a
+    span shorter than it, for every caller and in every frame, ends in
+    ``enter`` (t = t_end, h left as it was) and takes no step, a sudden
+    quench.  NumericalFailure, prefixed by ``where``, stops a segment after
+    MAX_STEPS tries, a step below the floor, a step that fails its tolerance
+    at h <= 1e-12 and a step whose error is NaN.
     """
 
     def __init__(self, where):
@@ -211,12 +215,15 @@ class StepControl:
     def fail(self, msg):
         return NumericalFailure("%s: %s" % (self.where, msg))
 
-    def enter(self, t, t_end, segment):
-        """Start the span [t, t_end] of ``segment`` with a fresh step budget."""
+    def enter(self, t, t_end, segment, tried):
+        """Start the span [t, t_end] of ``segment``, counting its tries in ``tried``."""
         self.h_tiny = 1e-13 * max(1.0, segment.duration)
-        self.tried = [0]
-        self.t, self.t_end = t, t_end
-        self.h = min(self.h, t_end - t)
+        self.tried, self.t_end = tried, t_end
+        if t_end - t < self.h_tiny:
+            # no step fits: the span ends at once
+            self.t = t_end
+        else:
+            self.t, self.h = t, min(self.h, t_end - t)
 
     def clip(self):
         """The step size to try next; raises once the step budget or size runs out."""
@@ -253,8 +260,9 @@ class _Transfer:
     ``lab`` masks the modes that run in the lab frame on the segment.
     ``tol`` is the unit of step error, (abs_tol + rel_tol) / m for a transfer
     that enters its schedule m times, and ``where`` prefixes its failures.
-    Its ``groups`` share one step budget, ``tried``, so MAX_STEPS bounds
-    them together, and together they fill its column (see ``_compose``).
+    Its ``groups`` share one step budget, ``tried``, which each group's
+    ``StepControl.enter`` takes, so MAX_STEPS bounds them together, and
+    together they fill its column (see ``_compose``).
     """
 
     def __init__(self, segment, q, where):
@@ -276,7 +284,9 @@ class _Group(StepControl):
     ground state (1, 0) in the eigenbasis at the start t_a of its ``span``
     (t_a, t_b), and ``_lockstep`` leaves its amplitudes (a, b) in the
     eigenbasis at t_b: the first column of the span's transfer
-    [[a, -b*], [b, a*]].
+    [[a, -b*], [b, a*]].  A span shorter than the step floor ends in
+    ``enter``, with no step; its group then runs in the lab frame, whose
+    frame change alone is the span's sudden quench.
     """
 
     def __init__(self, entry, mask, frame, span):
@@ -284,13 +294,11 @@ class _Group(StepControl):
         super().__init__("%s%s frame failed for modes %s"
                          % (entry.where, name, np.flatnonzero(mask)[:8]))
         self.segment, self.q, self.mask = entry.segment, entry.q[mask], mask
-        self.frame, self.tol, self.span = frame, entry.tol, span
-        self.enter(*span, self.segment)
-        self.tried = entry.tried
-        self.drift = 0.0
-        if frame == "lab" and span[1] - span[0] < self.h_tiny:
-            # no step fits: the span takes only its frame change, a sudden quench
-            self.t = span[1]
+        self.tol, self.span, self.drift = entry.tol, span, 0.0
+        self.enter(*span, self.segment, entry.tried)
+        # a span that ends at once takes only its frame change, and only the lab
+        # frame's is the sudden quench: the others leave out the eigenbasis's turn
+        self.frame = frame if self.t < self.t_end else "lab"
 
 
 def _step_rows(t, h, t0):
@@ -503,12 +511,10 @@ def _frame(frame, modes, dt):
 def _spans(seg, windows):
     """The (t_a, t_b, frame) spans of seg for modes with these SA windows, in time order.
 
-    Lab-frame modes (``windows`` None) have one span, the whole segment; the
-    others run in the adiabatic frame, cut at the edges of their windows,
-    and each window is a span of its own in the "sa" frame.
+    The modes run in the adiabatic frame, cut at the edges of their windows,
+    and each window is a span of its own in the "sa" frame.  (``evolve``
+    gives the lab-frame modes one "lab" span, the whole segment.)
     """
-    if windows is None:
-        return [(seg.t_start, seg.t_end, "lab")]
     spans, t = [], seg.t_start
     for ta, tb in windows:
         if ta > t:
@@ -545,7 +551,8 @@ def _lockstep(frame, groups):
     a, b = _frame(frame, modes, np.repeat([g.span[0] for g in groups] - t0, counts))
     weight = SA_ERROR_WEIGHT if frame == "sa" else 1.0
     # each pass first retires the groups that have ended (a span shorter than the
-    # step floor ends before its first step), then steps the others
+    # step floor ends in ``StepControl.enter``, before its first step), then steps
+    # the others
     accepted = [False] * len(groups)
     while True:
         done = []
@@ -618,7 +625,7 @@ def evolve(jobs, opts=None):
     """
     opts = opts or SolverOptions()
     tol = opts.abs_tol + opts.rel_tol
-    plans, cases = [], []
+    plans, moving = [], []
     for j, (schedule, q) in enumerate(jobs):
         q = np.atleast_1d(np.asarray(q, dtype=float))
         # written so that NaN fails it
@@ -636,18 +643,18 @@ def evolve(jobs, opts=None):
         for e in dict.fromkeys(e for e, _ in keys):
             e.tol = tol / sum(f is e for f, _ in keys)
             if not np.all(e.lab):
-                cases.append((e.segment, q[~e.lab]))
+                moving.append(e)
         plans.append((schedule, q, keys))
-    windows = iter(_sa_windows(cases))
+    windows = dict(zip(moving, _sa_windows([(e.segment, e.q[~e.lab]) for e in moving])))
     groups = {"adiabatic": [], "sa": [], "lab": []}
     for _, _, keys in plans:
         for e in dict.fromkeys(e for e, _ in keys):
-            for mask in (~e.lab, e.lab):
-                if np.any(mask):
-                    mask_windows = None if mask is e.lab else next(windows)
-                    for ta, tb, frame in _spans(e.segment, mask_windows):
-                        e.groups.append(_Group(e, mask, frame, (ta, tb)))
-                        groups[frame].append(e.groups[-1])
+            spans = _spans(e.segment, windows[e]) if e in windows else []
+            if np.any(e.lab):
+                spans.append((e.segment.t_start, e.segment.t_end, "lab"))
+            for ta, tb, frame in spans:
+                e.groups.append(_Group(e, e.lab if frame == "lab" else ~e.lab, frame, (ta, tb)))
+                groups[e.groups[-1].frame].append(e.groups[-1])
     for frame, frame_groups in groups.items():
         for block in _blocks(frame_groups):
             _lockstep(frame, block)

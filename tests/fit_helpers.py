@@ -2,8 +2,8 @@
 period averaging.
 
 They state no formula of the paper and no CLI run calls them, so they live
-with the tests; the oscillation fit that the sweep reports stays in
-``kzquench.analysis``.
+with the tests; the oscillation fit, which the benchmark and the tests
+call, stays in ``kzquench.analysis``.
 """
 
 import math
