@@ -103,7 +103,8 @@ def load_config(path=None, overrides=()):
     whole, so ``--set a.b.c=v`` gives what a file holding {"a": {"b": {"c": v}}}
     gives.  Raises ConfigError unless the document has this version, only
     known sections, each an object holding only known keys (protocol: the
-    chosen kind's), and an output prefix in an existing directory.  Absent
+    chosen kind's), and an output prefix in an existing directory whose
+    file names the file system takes (no NUL byte, not too long).  Absent
     keys are filled in from the defaults (protocol keys from the chosen
     kind's PROTOCOLS entry), so the config, its hash and the sidecar hold
     every parameter the run reads.
@@ -115,7 +116,7 @@ def load_config(path=None, overrides=()):
                 user = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
             # unreadable, not UTF-8, not JSON, or nested past the parser's depth
-            raise ConfigError("%s: %s" % (path, exc)) from None
+            raise ConfigError("%r: %s" % (path, exc)) from None
         if not isinstance(user, dict):
             raise ConfigError("%s must hold a JSON object" % path)
         cfg = _merge(cfg, user)
@@ -130,13 +131,13 @@ def load_config(path=None, overrides=()):
         except json.JSONDecodeError:
             value = raw
         except RecursionError:
-            raise ConfigError("--set %s: value nested too deeply" % key) from None
+            raise ConfigError("--set %r: value nested too deeply" % key) from None
         node = user
         parts = key.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
-                raise ConfigError("--set %s: %r is not an object" % (key, p))
+                raise ConfigError("--set %r: %r is not an object" % (key, p))
         node[parts[-1]] = value
     try:
         cfg = json.loads(json.dumps(_merge(cfg, user)))  # deep copy
@@ -168,6 +169,16 @@ def load_config(path=None, overrides=()):
         raise ConfigError("output.prefix must be a string, got %r" % (prefix,))
     if not os.path.isdir(os.path.dirname(prefix) or "."):
         raise ConfigError("output.prefix: no directory %r" % os.path.dirname(prefix))
+    # a name the file system refuses (a NUL byte, too long) fails here, not at the first
+    # write: probe the longest name a command writes, a correlator CSV whose tau tag,
+    # the %g form of a float, has at most 12 characters
+    try:
+        os.stat(prefix + "_correlator_tau%s.csv" % ("0" * 12))
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError("output.prefix %r: %s" % (prefix, reason)) from None
     return cfg
 
 

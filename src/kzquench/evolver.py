@@ -63,10 +63,11 @@ Table, groups and lock step.  ``evolve`` plans every job as keys into one
 table of transfers.  An entry of the table (``_Transfer``) is one evolved
 segment on one job's modes, with its lab-frame mask, its step tolerance and
 its failure prefix; a job is a list of keys (entry, transposed), one per
-segment.  An entry's modes are cut into spans: the modes that run in the
-adiabatic frame at the edges of their SA windows, with each window a span
-in the "sa" frame, and the lab-frame modes in one span of the whole
-segment.  A group is one span of one entry's modes in one frame, and
+segment.  ``_spans`` cuts every entry's segment into spans in one pass, in
+time order: the lab-frame modes run in one "lab" span of the whole
+segment, and the others in "sa" spans, the SA windows in the gaps between
+their modes' intervals around the gap minima, with "adiabatic" spans in
+between.  A group is one span of one entry's modes in one frame, and
 carries the mask of its modes.  The modes of a group share one adaptive
 step: its controller accepts a step only if every mode of the group meets
 the tolerance (a step that fails at h <= 1e-12 raises NumericalFailure
@@ -260,9 +261,10 @@ class _Transfer:
     ``lab`` masks the modes that run in the lab frame on the segment.
     ``tol`` is the unit of step error, (abs_tol + rel_tol) / m for a transfer
     that enters its schedule m times, and ``where`` prefixes its failures.
-    Its ``groups`` share one step budget, ``tried``, which each group's
-    ``StepControl.enter`` takes, so MAX_STEPS bounds them together, and
-    together they fill its column (see ``_compose``).
+    ``_spans`` cuts its segment into spans from its q and ``lab``, one
+    group each.  The ``groups`` share one step budget, ``tried``, which each
+    group's ``StepControl.enter`` takes, so MAX_STEPS bounds them together,
+    and together they fill its column (see ``_compose``).
     """
 
     def __init__(self, segment, q, where):
@@ -413,18 +415,23 @@ def _magnus_apply(frame, modes, rows, a, b):
 # 9,790 to 11,254 steps; 16 has the lowest worst cases.
 # SA everywhere, the gap minima included, takes fewer steps still but biased
 # n by -0.9e-8, -1.3e-8 and -2.0e-8 at tau_Q = 10, 32 and 128 (first frame).
+# A window of any length is a span; one shorter than the step floor takes no
+# step (``StepControl.enter``).
 SA_THRESHOLD = 0.04
 SA_ERROR_WEIGHT = 16.0
-# spans shorter than this share of their segment are not cut out, so that
-# landing on a window edge never underflows the step
-_SA_MIN_SPAN = 1e-6
 _EXP_IPI4 = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
 
 
-def _sa_windows(cases):
-    """For each (seg, q) of ``cases``, the (t_a, t_b) spans of seg where every
-    mode q is on the far side of its gap minimum with
-    1.5 |omega_dot| / (omega^2 + theta_dot^2) <= SA_THRESHOLD; none for no modes.
+def _spans(entries):
+    """Each entry's (t_a, t_b, frame) spans of its segment, in time order.
+
+    An entry with lab-frame modes has one "lab" span, the whole segment.
+    Each of its other modes excludes the interval t_v +- half around its
+    gap minimum t_v; the gaps between the excluded intervals are "sa" spans
+    (its SA windows), where every such mode is on the far side of its gap
+    minimum with 1.5 |omega_dot| / (omega^2 + theta_dot^2) <= SA_THRESHOLD,
+    and "adiabatic" spans fill the segment between them.  An entry whose
+    modes all run in the lab frame has no other span.
 
     eps and delta are affine in t, so omega^2 = v^2 (t - t_v)^2 + m^2 with
     m v = |eps delta_dot - delta eps_dot| = 2 |c|, c from ``Segment.affine``.
@@ -433,11 +440,10 @@ def _sa_windows(cases):
     F rises from 0 at the minimum to one peak, where
     P(u) = -2u^4 + 3u^3 + k^2 u - 0.75 k^2 changes sign, and then falls.
     Each mode excludes |y| < sqrt(u* - 1), u* the first u past the peak with
-    F <= SA_THRESHOLD, found by one bisection over the modes of all cases;
-    the windows are what no mode excludes.  A mode whose (eps, delta) stands
-    still never couples and excludes nothing.
+    F <= SA_THRESHOLD, found by one bisection over the modes of all entries.
+    A mode whose (eps, delta) stands still never couples and excludes nothing.
     """
-    rows = [seg.affine(q)[4:7] for seg, q in cases]
+    rows = [e.segment.affine(e.q[~e.lab])[4:7] for e in entries]
     bounds = np.cumsum([0] + [r.shape[1] for r in rows])
     v2, s_v, c = np.concatenate(rows, axis=1) if rows else np.empty((3, 0))
     cross = 2.0 * np.abs(c)
@@ -456,30 +462,29 @@ def _sa_windows(cases):
         half = np.sqrt(hi - 1.0) * cross / v2
     # a closed gap (k infinite) excludes the whole line
     half = np.where(np.isfinite(half), half, np.inf)
-    return [_windows(seg, s_v[i:j], half[i:j], v2[i:j] > 0.0) if j > i else []
-            for (seg, _), i, j in zip(cases, bounds[:-1], bounds[1:])]
-
-
-def _windows(seg, s_v, half, moves):
-    """The windows of seg that no moving mode's excluded span s_v +- half meets."""
-    t_v = seg.t_start + s_v[moves]
-    half = half[moves]
-    order = np.argsort(t_v - half, kind="stable")
-    starts = np.concatenate(([-np.inf], np.maximum.accumulate((t_v + half)[order])))
-    ends = np.concatenate(((t_v - half)[order], [np.inf]))
-    gap = ends > starts
-    starts = np.clip(starts[gap], seg.t_start, seg.t_end)
-    ends = np.clip(ends[gap], seg.t_start, seg.t_end)
-    tiny = _SA_MIN_SPAN * seg.duration
-    windows = []
-    for ta, tb in zip(starts.tolist(), ends.tolist()):
-        ta = seg.t_start if ta - seg.t_start < tiny else ta
-        tb = seg.t_end if seg.t_end - tb < tiny else tb
-        if windows and ta - windows[-1][1] < tiny:
-            windows[-1][1] = tb
-        elif tb - ta >= tiny:
-            windows.append([ta, tb])
-    return [tuple(w) for w in windows]
+    out = []
+    for e, i, j in zip(entries, bounds[:-1], bounds[1:]):
+        seg = e.segment
+        spans = [(seg.t_start, seg.t_end, "lab")] if np.any(e.lab) else []
+        if j > i:
+            moves = v2[i:j] > 0.0
+            t_v, h = seg.t_start + s_v[i:j][moves], half[i:j][moves]
+            order = np.argsort(t_v - h, kind="stable")
+            # the gaps between the excluded intervals, clipped to the segment
+            starts = np.clip(np.concatenate(([-np.inf], np.maximum.accumulate((t_v + h)[order]))),
+                             seg.t_start, seg.t_end)
+            ends = np.clip(np.concatenate(((t_v - h)[order], [np.inf])), seg.t_start, seg.t_end)
+            gap = ends > starts
+            t = seg.t_start
+            for ta, tb in zip(starts[gap].tolist(), ends[gap].tolist()):
+                if ta > t:
+                    spans.append((t, ta, "adiabatic"))
+                spans.append((ta, tb, "sa"))
+                t = tb
+            if t < seg.t_end:
+                spans.append((t, seg.t_end, "adiabatic"))
+        out.append(spans)
+    return out
 
 
 def _frame(frame, modes, dt):
@@ -506,24 +511,6 @@ def _frame(frame, modes, dt):
                                (1.0 if turn == "lab" else 1j) * np.sin(angle) / _EXP_IPI4,
                                p, q, False)
     return p, q
-
-
-def _spans(seg, windows):
-    """The (t_a, t_b, frame) spans of seg for modes with these SA windows, in time order.
-
-    The modes run in the adiabatic frame, cut at the edges of their windows,
-    and each window is a span of its own in the "sa" frame.  (``evolve``
-    gives the lab-frame modes one "lab" span, the whole segment.)
-    """
-    spans, t = [], seg.t_start
-    for ta, tb in windows:
-        if ta > t:
-            spans.append((t, ta, "adiabatic"))
-        spans.append((ta, tb, "sa"))
-        t = tb
-    if t < seg.t_end:
-        spans.append((t, seg.t_end, "adiabatic"))
-    return spans
 
 
 def _drift(a, b):
@@ -616,16 +603,15 @@ def evolve(jobs, opts=None):
     statistics in ``meta``.  Each job is planned as one key (entry,
     transposed) per segment into a table of transfers: a segment that
     retraces an earlier one takes that one's entry, transposed, and an entry
-    that m keys name is evolved once at tol / m (see Transfers).  Each
-    entry's modes are cut into spans, one group each, at SA windows found for
-    all entries in one ``_sa_windows`` call, and the groups of each frame
-    advance together in lock-step batches of up to _LOCKSTEP_BLOCK modes, so
-    each result is bitwise what its job gives alone.  ``_compose`` then fills
+    that m keys name is evolved once at tol / m (see Transfers).  One
+    ``_spans`` call cuts every entry into its spans, one group each, and the
+    groups of each frame advance together in lock-step batches of up to
+    _LOCKSTEP_BLOCK modes, so each result is bitwise what its job gives alone.  ``_compose`` then fills
     each entry's column from its groups and walks the job's keys.
     """
     opts = opts or SolverOptions()
     tol = opts.abs_tol + opts.rel_tol
-    plans, moving = [], []
+    plans, entries = [], []
     for j, (schedule, q) in enumerate(jobs):
         q = np.atleast_1d(np.asarray(q, dtype=float))
         # written so that NaN fails it
@@ -642,19 +628,13 @@ def evolve(jobs, opts=None):
                         or (_Transfer(seg, q, where), False))
         for e in dict.fromkeys(e for e, _ in keys):
             e.tol = tol / sum(f is e for f, _ in keys)
-            if not np.all(e.lab):
-                moving.append(e)
+            entries.append(e)
         plans.append((schedule, q, keys))
-    windows = dict(zip(moving, _sa_windows([(e.segment, e.q[~e.lab]) for e in moving])))
     groups = {"adiabatic": [], "sa": [], "lab": []}
-    for _, _, keys in plans:
-        for e in dict.fromkeys(e for e, _ in keys):
-            spans = _spans(e.segment, windows[e]) if e in windows else []
-            if np.any(e.lab):
-                spans.append((e.segment.t_start, e.segment.t_end, "lab"))
-            for ta, tb, frame in spans:
-                e.groups.append(_Group(e, e.lab if frame == "lab" else ~e.lab, frame, (ta, tb)))
-                groups[e.groups[-1].frame].append(e.groups[-1])
+    for e, spans in zip(entries, _spans(entries)):
+        for ta, tb, frame in spans:
+            e.groups.append(_Group(e, e.lab if frame == "lab" else ~e.lab, frame, (ta, tb)))
+            groups[e.groups[-1].frame].append(e.groups[-1])
     for frame, frame_groups in groups.items():
         for block in _blocks(frame_groups):
             _lockstep(frame, block)

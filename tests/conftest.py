@@ -7,8 +7,9 @@ from hypothesis import settings
 
 from kzquench.evolver import SolverOptions
 
-# the same examples on every run, and no example database to replay
-settings.register_profile("deterministic", derandomize=True, database=None)
+# the same examples on every run, no example database to replay, and no per-example
+# deadline, which a loaded machine could miss
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import io
 import json
@@ -7,10 +8,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kzquench
 from kzquench import cli, closedform, correlators, edoracle, evolver, protocol, quadrature
@@ -236,6 +241,13 @@ CONFIG_FILES = {
     pytest.param(["--set", "sweep.tau_q=" + "[" * 5000 + "]" * 5000, "sweep"],
                  id="set-value-too-deep"),
     pytest.param(["--set", "a." * 2999 + "a=1", "sweep"], id="set-key-too-deep"),
+    # the error names the key or the file on one line
+    pytest.param(["--set", "a\nb=1", "--set", "a\nb.c=2", "protocol-render"],
+                 id="set-key-with-line-break"),
+    pytest.param(["--config", "a\nb.json", "sweep"], id="config-path-with-line-break"),
+    # output file names the file system refuses: a NUL byte, or longer than its limit
+    pytest.param(["--set", 'output.prefix="a\\u0000b"', "sweep"], id="prefix-nul"),
+    pytest.param(["--set", "output.prefix=" + "o" * 300, "sweep"], id="prefix-too-long"),
     # both taus would write _correlator_tau8.csv and _lengths_tau8.csv
     pytest.param(["--set", "correlator.tau_q=[8,8.0000001]", "correlator"],
                  id="correlator-shared-file-tag"),
@@ -573,3 +585,106 @@ def test_readme_recipe_configures_a_run(command):
     if name == "correlator":
         ls, _ = cli.correlator_closed_forms(sch)
         assert len(cli._r_grid(cfg["correlator"], ls)) > 1
+
+
+# --set documents for the config fuzz: keys the loader knows, nested past them or
+# unknown, and JSON values of every type, the edges of floats and ints among them
+_FUZZ_KEYS = st.sampled_from([
+    "version", "protocol", "protocol.kind", "protocol.g_rt", "protocol.R", "protocol.g_i",
+    "protocol.g_f", "protocol.g_qt", "protocol.jy_initial", "solver", "solver.rel_tol",
+    "solver.abs_tol", "quadrature", "quadrature.order", "quadrature.n_support", "sweep",
+    "sweep.tau_q", "sweep.tau_q.values", "sweep.tau_q.start", "sweep.tau_q.step",
+    "correlator", "correlator.tau_q", "correlator.r_max_factor", "correlator.r_step",
+    "validate", "validate.N", "validate.tau_q", "output", "output.prefix",
+    # unknown, nested past a value, or with a line break
+    "foo", "foo.bar", "sweep.tauq", "protocol.R.x", "solver.rel_tol.a.b", "", ".", "a\nb",
+    "a\nb.c"])
+_FUZZ_NUMBERS = st.one_of(
+    st.integers(), st.floats(),
+    st.sampled_from([0, 1, 2, 7, 8, 14, 16, 2 ** 64, 10 ** 400, -10 ** 400, 0.5, 1.0, 1.5, 4.0,
+                     8.0, 10.0, 32.0, 1e-3, 1e-8, 1e-300, 5e-324, 1e308, -1e308, math.inf,
+                     -math.inf, math.nan]))
+# strings hold no "/" of their own, so that no output prefix leaves the run's directory
+_FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), _FUZZ_NUMBERS, st.text(st.characters(exclude_characters="/"), max_size=6),
+    st.sampled_from(["round_trip", "reversed_round_trip", "quarter_turn", "one_way", "out",
+                     "caf\u00e9"]))
+# a quench-time range either short or past MAX_TAU_POINTS, so no example runs long
+_FUZZ_RANGES = st.fixed_dictionaries({
+    "start": st.sampled_from([0.0, 1.0, 10.0, 12.0, -5.0, 1e308, math.nan]),
+    "stop": st.sampled_from([10.0, 12.0, 20.0, 0.0, 1e308, math.inf]),
+    "step": st.sampled_from([1.0, 0.25, 0.0, -1.0, 1e-9, 1e-300, 10 ** 400])})
+_FUZZ_VALUES = st.recursive(
+    st.one_of(_FUZZ_SCALARS, _FUZZ_RANGES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["values", "start", "stop", "step", "kind", "R", "x"]),
+                      inner, max_size=3),
+    max_leaves=6)
+_FUZZ_SETS = st.lists(st.one_of(
+    st.tuples(_FUZZ_KEYS, _FUZZ_VALUES.map(json.dumps)).map("=".join),
+    st.sampled_from(["no-equals-sign", "sweep.tau_q=[10", "protocol.R=x",
+                     # valid settings, so that a document also runs to its outputs
+                     "sweep.tau_q=[10.0, 12.5]", 'sweep.tau_q={"start": 10, "stop": 12, "step": 0.5}',
+                     "correlator.tau_q=[8.0]", "validate.N=4", "validate.tau_q=[1.5]",
+                     "protocol.kind=reversed_round_trip", "protocol.R=2", "quadrature.order=4",
+                     "solver.rel_tol=1e-6"])),
+    max_size=3)
+# output prefixes, each drawn on its own so that it also meets otherwise valid documents
+_FUZZ_PREFIXES = st.none() | st.one_of(
+    _FUZZ_SCALARS, st.sampled_from(["", ".", "out", "sub/out", "./o", "a\u0000b", "a\nb",
+                                    "o" * 300])).map(json.dumps)
+
+
+def _stub_spectra(fails):
+    """Cheap stand-ins for the evolvers: three nodes per schedule, or a NumericalFailure."""
+    def spectrum(q, weights=None):
+        if fails:
+            raise evolver.NumericalFailure("stub failure")
+        q = np.asarray(q, dtype=float)
+        zero, one = np.zeros(len(q), dtype=complex), np.ones(len(q), dtype=complex)
+        return evolver.SpectrumResult(q, zero.real, one, zero, one, zero, weights,
+                                      meta={"steps": 0})
+
+    def quadrature(schedules, opts=None, **_kwargs):
+        q = np.array([0.5, 1.5, 2.5])
+        return [spectrum(q, np.full(3, math.pi / 3.0)) for _ in schedules]
+
+    def exact(schedule, N, opts=None):
+        if fails:
+            raise evolver.NumericalFailure("stub failure")
+        ker = edoracle._kernels(N)
+        y = np.zeros(ker.D, dtype=complex)
+        y[0] = 1.0
+        return edoracle.ManyBodyState(y, N, {"steps": 0, "rejected": 0, "h_min": math.inf,
+                                             "sector_dim": ker.D})
+
+    return quadrature, lambda jobs, opts=None: [spectrum(q) for _, q in jobs], exact
+
+
+@settings(max_examples=200)
+@given(sets=_FUZZ_SETS, prefix=_FUZZ_PREFIXES,
+       command=st.sampled_from(["sweep", "correlator", "validate", "protocol-render"]),
+       fails=st.booleans())
+def test_config_fuzz_exits_by_the_contract(sets, prefix, command, fails):
+    # any --set document ends in exit 0; in exit 2 with one "config error:" line and
+    # no file; in exit 3 only from a NumericalFailure; or, for validate, whose checks
+    # the stubs fail, in exit 1 with its report.  Never an uncaught exception.
+    quadrature, evolve, exact = _stub_spectra(fails)
+    sets = sets + ([] if prefix is None else ["output.prefix=" + prefix])
+    argv = [a for s in sets for a in ("--set", s)] + [command]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            mock.patch.object(evolver, "evolve_spectra_quadrature", quadrature), \
+            mock.patch.object(evolver, "evolve", evolve), \
+            mock.patch.object(edoracle, "evolve_exact", exact), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+        files = sorted(os.listdir(tmp))
+    lines = err.getvalue().splitlines()
+    if code == cli.EXIT_CONFIG:
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and files == []
+    elif code == cli.EXIT_NUMERICAL:
+        assert fails and len(lines) == 1 and lines[0].startswith("numerical failure: ")
+    else:
+        assert code == cli.EXIT_OK or code == cli.EXIT_VALIDATION and command == "validate"
+        assert lines == [] and (files or command == "protocol-render")

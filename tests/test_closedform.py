@@ -129,7 +129,7 @@ def test_nonoscillatory_part_identity():
         assert abs(pred.baseline - ref) < 1e-15
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(tau=st.floats(5.0, 500.0), R=st.floats(0.3, 3.0), g_rt=st.floats(0.0, 0.8))
 def test_decomposition_identity_property(tau, R, g_rt):
     # phase curvature b of the reduced phase; the decomposition exists for b > 0 only
@@ -147,7 +147,7 @@ def test_decomposition_identity_property(tau, R, g_rt):
     assert abs(pred.n - n3) < 1e-15
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(tau=st.floats(5.0, 300.0), R=st.floats(0.3, 3.0),
        q=st.floats(1e-4, math.pi / 2.0))
 def test_bounds_property(tau, R, q):

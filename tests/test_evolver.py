@@ -484,7 +484,7 @@ def test_chain_examples_reach_the_table():
     assert [m["lab_modes"] for m in metas.values()] == [0, 0, 1, 4, 4, 0, 0]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(chain=_chains())
 @example(chain=_CHAIN_EXAMPLES["palindrome"])
 @example(chain=_CHAIN_EXAMPLES["dwell"])
@@ -515,7 +515,7 @@ def test_table_matches_exact_diagonalization(chain):
 
 # At the acceptance suite's TIGHT tolerances, the worst cases over the chains
 # below were 2.4e-10 in p and 8.5e-10 in the column (bounds 2e-9 and 5e-9).
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(chain=_chains())
 @example(chain=_CHAIN_EXAMPLES["palindrome"])
 @example(chain=_CHAIN_EXAMPLES["dwell"])
@@ -739,7 +739,8 @@ def test_sa_windows_exclude_gap_minima(schedule, share):
     cq, sq = np.cos(q), np.sin(q)
     total = 0.0
     for seg in schedule.segments:
-        windows = ev._sa_windows([(seg, q)])[0]
+        windows = [(ta, tb) for ta, tb, frame in ev._spans([ev._Transfer(seg, q, "")])[0]
+                   if frame == "sa"]
         om2, _ = seg.closest_approach(q)
         e0, d0 = lat.eps_delta(*seg.params_start, cq, sq)
         e1, d1 = lat.eps_delta(*seg.rates(), cq, sq)
@@ -760,8 +761,8 @@ def test_sa_windows_exclude_gap_minima(schedule, share):
 
 
 def test_sa_windows_of_a_batch_are_those_of_each_case():
-    # one bisection over the modes of every case gives each case's windows
-    # exactly as alone; no modes give no window, and modes that stand still
+    # one bisection over the modes of every entry gives each entry's spans
+    # exactly as alone; no modes give no span, and modes that stand still
     # (a dwell) exclude nothing
     dwell = proto.Segment(0.0, 5.0, (0.5, 1.0, 0.0), (0.5, 1.0, 0.0))
     cases = [(dwell, np.array([0.5, 1.5])), (proto.one_way(10.0, 0.0, 10.0).segments[0], np.array([]))]
@@ -769,30 +770,38 @@ def test_sa_windows_of_a_batch_are_those_of_each_case():
                 proto.round_trip(0.5, 32.0, 2.0)):
         q, _ = support_panels(sch)
         cases += [(seg, qs) for seg in sch.segments for qs in (q, q[::5], q[-3:])]
-    windows = ev._sa_windows(cases)
-    assert windows == [ev._sa_windows([case])[0] for case in cases]
-    assert windows[0] == [(0.0, 5.0)] and windows[1] == [] and ev._sa_windows([]) == []
-    assert sum(len(w) for w in windows[2:]) >= 10
+    entries = [ev._Transfer(seg, q, "") for seg, q in cases]
+    spans = ev._spans(entries)
+    assert spans == [ev._spans([e])[0] for e in entries]
+    assert spans[0] == [(0.0, 5.0, "sa")] and spans[1] == [] and ev._spans([]) == []
+    assert sum(frame == "sa" for s in spans[2:] for _, _, frame in s) >= 10
 
 
 @pytest.mark.parametrize("schedule", [
     *(proto.round_trip(0.0, 10.0 + 0.35 * i, 1.0) for i in range(10)),   # the benchmark sweep
     proto.quarter_turn(2.0, 10.0, 1.0, jy_initial=6.0),                   # has lab-frame modes
     proto.round_trip(0.0, 10.0, 2.0),
-    proto.one_way(10.0, -10.0, 10.0)])
+    proto.one_way(10.0, -10.0, 10.0),
+    proto.round_trip(0.0, 10.0, 1e-10),                                   # an all-lab second ramp
+    proto.Schedule((proto.Segment(0.0, 5.0, (0.5, 1.0, 0.0), (0.5, 1.0, 0.0)),), "dwell")])
 def test_spans_tile_each_segment(schedule, monkeypatch):
-    # the spans of each evolved segment's modes are contiguous in exact floats and
+    # every group is one of its entry's spans, with at least one mode, and the
+    # spans of each evolved segment's modes are contiguous in exact floats and
     # cover the segment: lab-frame modes in one span, the others cut at their SA
     # windows, each window a span of its own and no two of them adjacent
-    seen = []
-    lockstep = ev._lockstep
+    seen, planned = [], []
+    lockstep, spans_of = ev._lockstep, ev._spans
     monkeypatch.setattr(ev, "_lockstep", lambda frame, groups: (
         seen.extend((frame, g) for g in groups), lockstep(frame, groups)))
+    monkeypatch.setattr(ev, "_spans", lambda entries: (planned.extend(entries), spans_of(entries))[1])
     q, _ = support_panels(schedule)
     (res,) = ev.evolve([(schedule, q)], ev.SolverOptions(1e-8, 1e-10))
+    assert sorted(map(id, (g for e in planned for g in e.groups))) == sorted(id(g) for _, g in seen)
+    for e in planned:
+        assert [(*g.span, g.frame) for g in e.groups] == spans_of([e])[0]
     runs = {}
     for frame, g in seen:
-        assert g.frame == frame and g.t == g.span[1]
+        assert g.frame == frame and g.t == g.span[1] and len(g.q) > 0
         runs.setdefault((id(g.segment), g.q.tobytes()), []).append(g)
     for spans in runs.values():
         spans.sort(key=lambda g: g.span)
@@ -802,8 +811,13 @@ def test_spans_tile_each_segment(schedule, monkeypatch):
         if "lab" in frames:
             assert frames == ["lab"]
             continue
-        assert [g.span for g in spans if g.frame == "sa"] == ev._sa_windows([(seg, spans[0].q)])[0]
         assert ("sa", "sa") not in zip(frames[:-1], frames[1:])
+    # an entry whose modes all run in the lab frame has that one span alone, as
+    # the sudden second ramp of the R = 1e-10 trip does
+    all_lab = [e for e in planned if np.all(e.lab)]
+    assert all([(*g.span, g.frame) for g in e.groups] == [(e.segment.t_start, e.segment.t_end, "lab")]
+               for e in all_lab)
+    assert len(all_lab) == (schedule.labels.get("R") == 1e-10)
     assert res.meta["sa_windows"] == sum(frame == "sa" for frame, _ in seen)
     assert res.meta["lab_modes"] == sum(len(g.q) for frame, g in seen if frame == "lab")
 
