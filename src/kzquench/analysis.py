@@ -4,7 +4,7 @@ The fit uses variable projection: for a trial frequency the model
 n(x) = x^(-1/2) (b0 + A cos(Omega x) + B sin(Omega x)) is linear, so the
 baseline and quadrature amplitudes come from least squares and only Omega is
 scanned (around the caller-supplied expectation, which kills frequency
-aliasing) and then refined by golden-section search.  This makes the fit
+aliasing) and then refined by zoomed batched scans.  This makes the fit
 exact on data generated from its own model.  The benchmark and the tests
 call it; the power-law, peak and period-average fits that only the
 acceptance tests use live with them, in ``tests/fit_helpers.py``.
@@ -53,33 +53,18 @@ class OscillationFit:
     omega: float
     phase: float
     period: float
-    exponent: float
     rel_residual: float
     relative_amplitude: float  # amplitude / |baseline|
 
 
-def _design(x, omega, exponent, harmonics):
-    base = x ** exponent
-    cols = [base]
-    for k in range(1, harmonics + 1):
-        cols.append(base * np.cos(k * omega * x))
-        cols.append(base * np.sin(k * omega * x))
-    return np.column_stack(cols)
+def _scan(x, y, omegas, exponent, harmonics):
+    """The model's least squares at every trial frequency, in one batched solve.
 
-
-def _lstsq_residual(x, y, omega, exponent, harmonics):
-    A = _design(x, omega, exponent, harmonics)
-    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    r = y - A @ coef
-    return float(r @ r), coef
-
-
-def _scan_residuals(x, y, omegas, exponent, harmonics):
-    """``_lstsq_residual``'s residual at every trial frequency, in one batched solve.
-
-    The design matrices of all frequencies are stacked and each one's least
-    squares comes from its normal equations; the residual is then formed
-    from y, not from the normal equations, so that it keeps its precision.
+    Returns each frequency's residual sum of squares and its coefficients
+    (b0, then the cos and sin amplitudes of each harmonic).  The design
+    matrices of all frequencies are stacked and each one's least squares
+    comes from its normal equations; the residual is then formed from y, not
+    from the normal equations, so that it keeps its precision.
     """
     base = x ** exponent
     cols = [np.broadcast_to(base, (len(omegas), len(x)))]
@@ -90,7 +75,7 @@ def _scan_residuals(x, y, omegas, exponent, harmonics):
     At = A.transpose(0, 2, 1)
     coef = np.linalg.solve(At @ A, At @ y[:, None])
     r = y - (A @ coef)[..., 0]
-    return np.einsum("gn,gn->g", r, r)
+    return np.einsum("gn,gn->g", r, r), coef[..., 0]
 
 
 def fit_oscillation(sweep, expected_period, exponent=-0.5, harmonics=1,
@@ -99,53 +84,42 @@ def fit_oscillation(sweep, expected_period, exponent=-0.5, harmonics=1,
     2 pi / expected_period.
 
     The caller supplies the expected period (from the closed-form period
-    operation) as initialization; the sweep must hold at least 4 samples per
-    expected period.  ``harmonics`` adds cos/sin columns at multiples of Omega
-    for signals carrying overtones (the defect-defect correlator mixes the
-    base frequency with its double).  Raises FitFailure when the relative
-    residual exceeds ``max_residual`` (pass None to extract a period from data
-    whose envelope is not captured by the power-law baseline).
+    operation) as initialization.  Raises InsufficientData unless the sweep
+    holds one sample more than the fit's unknowns (b0, Omega and a cos/sin
+    pair per harmonic) and at least 4 samples per expected period.
+    ``harmonics`` adds cos/sin columns at multiples of Omega for signals
+    carrying overtones (the defect-defect correlator mixes the base frequency
+    with its double).  Raises FitFailure when the relative residual exceeds
+    ``max_residual`` (pass None to extract a period from data whose envelope
+    is not captured by the power-law baseline).
     """
     x, y = sweep.x, sweep.y
+    if len(x) < 2 * harmonics + 3:
+        raise InsufficientData("need >= %d samples, one more than the fit's unknowns"
+                               % (2 * harmonics + 3))
     if expected_period <= 0.0 or not np.isfinite(expected_period):
         raise ValueError("expected_period must be positive and finite")
     if np.median(np.diff(x)) > expected_period / 4.0:
         raise InsufficientData("need >= 4 samples per expected period")
     omega0 = 2.0 * math.pi / expected_period
-    grid = np.linspace(0.5 * omega0, 1.5 * omega0, 1201)
-    i = int(np.argmin(_scan_residuals(x, y, grid, exponent, harmonics)))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    # golden-section refinement of the projected residual
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _lstsq_residual(x, y, c, exponent, harmonics)[0]
-    fd = _lstsq_residual(x, y, d, exponent, harmonics)[0]
-    for _ in range(200):
-        if b - a < 1e-13 * omega0:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _lstsq_residual(x, y, c, exponent, harmonics)[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _lstsq_residual(x, y, d, exponent, harmonics)[0]
-    omega = 0.5 * (a + b)
-    rss, coef = _lstsq_residual(x, y, omega, exponent, harmonics)
-    b0, ac, as_ = coef[0], coef[1], coef[2]
+    # scan [0.5, 1.5] omega0, then zoom into the bracket of the best point
+    lo, hi, n = 0.5 * omega0, 1.5 * omega0, 1201
+    while hi - lo >= 1e-13 * omega0:
+        grid = np.linspace(lo, hi, n)
+        i = int(np.argmin(_scan(x, y, grid, exponent, harmonics)[0]))
+        lo, hi, n = grid[max(i - 1, 0)], grid[min(i + 1, n - 1)], 41
+    omega = 0.5 * (lo + hi)
+    rss, coef = _scan(x, y, np.array([omega]), exponent, harmonics)
+    b0, ac, as_ = coef[0, :3]
     amplitude = math.hypot(ac, as_)
     phase = math.atan2(-as_, ac)
-    rel_residual = math.sqrt(rss) / math.sqrt(float(y @ y))
+    rel_residual = math.sqrt(rss[0]) / math.sqrt(float(y @ y))
     if max_residual is not None and rel_residual > max_residual:
         raise FitFailure("oscillation fit residual %.3g exceeds %.3g"
                          % (rel_residual, max_residual))
     return OscillationFit(baseline=float(b0), amplitude=float(amplitude),
                           omega=float(omega), phase=float(phase),
-                          period=2.0 * math.pi / float(omega), exponent=exponent,
+                          period=2.0 * math.pi / float(omega),
                           rel_residual=rel_residual,
                           relative_amplitude=float(amplitude / abs(b0)) if b0 else math.inf)
 

@@ -41,12 +41,16 @@ MAX_DURATION = 1e10
 # their squares must stay below 1.8e308.
 MAX_RATE = 1e150
 # Largest |g|, |J_x| or |J_y|.  J_x = 1 is the energy unit and the protocols
-# run at |g|, |J_y| <= 10 by default.  Above about 1e5 the evolver's step
-# count grows in proportion to the parameter (a ramp of g from G to G/2 over
-# 10 time units takes 92 steps on 16 modes at G = 1e5, 770 at 1e6 and 7,824 at
-# 1e7), so a ramp at g = 1e20 never ends, and near 1e61 omega^5 in the SA
-# generator overflows.  1e6 keeps that ramp below a thousand steps and leaves
-# five decades above the defaults.
+# run at |g|, |J_y| <= 10 by default.  A large parameter costs steps through
+# float64 roundoff: inside a superadiabatic window the step-doubling
+# difference is the roundoff of the dynamical phase, about 16 eps omega h per
+# step (16 is the evolver's SA_ERROR_WEIGHT), so a ramp takes about
+# 16 eps Phi / tol steps, Phi = integral of omega dt.  A ramp of g from G to
+# G/2 over 10 time units on the 8 modes of N = 16 has Phi of about 15 G and
+# takes 92 steps at G = 1e5, 770 at 1e6 and 7,824 at 1e7, about 1.5 times that
+# model at the default tolerances.  So a ramp at g = 1e20 never ends, and
+# near 1e61 omega^5 in the SA generator overflows.  1e6 keeps that ramp below
+# a thousand steps and leaves five decades above the defaults.
 MAX_PARAM = 1e6
 
 

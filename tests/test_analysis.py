@@ -159,6 +159,16 @@ def test_sweep_validation():
         analysis.Sweep(np.array([1.0, 2.0]), np.zeros(3))
 
 
+def _lstsq_rss(x, y, omega, exponent, harmonics):
+    # the reference: one frequency's least squares by np.linalg.lstsq
+    base = x ** exponent
+    A = np.column_stack([base] + [base * trig(k * omega * x) for k in range(1, harmonics + 1)
+                                  for trig in (np.cos, np.sin)])
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    r = y - A @ coef
+    return r @ r
+
+
 @pytest.mark.parametrize("exponent, harmonics, noise", [(-0.5, 1, 0.02), (-0.5, 1, 0.2),
                                                         (-1.0, 2, 0.05)])
 def test_frequency_scan_matches_per_frequency_lstsq(exponent, harmonics, noise):
@@ -168,7 +178,32 @@ def test_frequency_scan_matches_per_frequency_lstsq(exponent, harmonics, noise):
     rng = np.random.default_rng(int(100 * noise) + harmonics)
     y = _model(x, 0.6, 0.3, 4.0, 0.5, exponent) * (1.0 + noise * rng.standard_normal(len(x)))
     grid = np.linspace(2.0, 6.0, 401)
-    batched = analysis._scan_residuals(x, y, grid, exponent, harmonics)
-    single = np.array([analysis._lstsq_residual(x, y, om, exponent, harmonics)[0] for om in grid])
+    batched = analysis._scan(x, y, grid, exponent, harmonics)[0]
+    single = np.array([_lstsq_rss(x, y, om, exponent, harmonics) for om in grid])
     assert np.max(np.abs(batched / single - 1.0)) <= 1e-12
     assert np.argmin(batched) == np.argmin(single)
+
+
+@pytest.mark.parametrize("samples, harmonics", [(1, 1), (2, 1), (3, 1), (4, 1), (6, 2)])
+def test_fit_oscillation_needs_a_sample_over_the_unknowns(samples, harmonics):
+    # b0, Omega and a cos/sin pair per harmonic are unknown; with no sample to
+    # spare the model can pass through the data at a wrong period with zero
+    # residual, which the residual gate cannot catch
+    x = 10.0 + 0.3 * np.arange(samples)
+    y = x ** -0.5 * (1.0 + 0.3 * np.cos(4.0 * x))
+    with pytest.raises(analysis.InsufficientData):
+        analysis.fit_oscillation(analysis.Sweep(x, y), math.pi / 2.0, harmonics=harmonics)
+
+
+@pytest.mark.parametrize("f", [i / 10 for i in range(10)])
+def test_fit_oscillation_on_the_benchmark_grid(f):
+    # the benchmark's sweep: 10 tau_Q 0.35 apart from 10 + 0.35 f, 4.5 per period
+    # pi/2 over two periods, here on the closed-form round-trip density.  The
+    # period holds to the benchmark's 3%, and the fit ends at a minimum of the
+    # projected residual
+    x = 10.0 + f * 0.35 + 0.35 * np.arange(10)
+    y = np.array([cf.density_prediction_roundtrip(t, 1.0).n for t in x])
+    fit = analysis.fit_oscillation(analysis.Sweep(x, y), math.pi / 2.0)
+    assert abs(fit.period / (math.pi / 2.0) - 1.0) <= 0.03
+    rss = analysis._scan(x, y, fit.omega * np.array([1.0 - 1e-7, 1.0, 1.0 + 1e-7]), -0.5, 1)[0]
+    assert rss[0] >= rss[1] and rss[2] >= rss[1]

@@ -684,7 +684,7 @@ def test_roundtrip_density_accuracy_gate():
     # the evolver's accuracy gate: |dn|/n at rel_tol 1e-8 over 13 round trips,
     # against references frozen from rel_tol 1e-13, abs_tol 1e-15 runs.  The error
     # scatters with the step sequence, so the median and the worst case are bounded
-    # (measured: 7.6e-10 and 2.42e-9 over 13,163 steps)
+    # (measured: 7.40e-10 and 1.14e-9 over 10,787 steps)
     with open(Path(__file__).parent / "data" / "roundtrip_density_refs.json") as fh:
         refs = json.load(fh)
     schedules = [proto.round_trip(0.0, tau, 1.0) for tau in refs["tau_q"]]
@@ -698,7 +698,7 @@ def test_nonmirror_density_accuracy_gate():
     # the same gate for schedules that are no mirror: the quarter turn at
     # g_qt = 2 (the tricritical path of c07), 1.5 and 2.5, and the R = 2 round
     # trip, against references frozen from rel_tol 1e-13, abs_tol 1e-15 runs
-    # (measured: median 1.21e-9 and worst 3.64e-9 over 21,017 steps)
+    # (measured: median 7.60e-10 and worst 3.19e-9 over 18,907 steps)
     with open(Path(__file__).parent / "data" / "nonmirror_density_refs.json") as fh:
         refs = json.load(fh)
     build = {"quarter_turn": lambda g, tau, R: proto.quarter_turn(g, tau, R, jy_initial=6.0),
